@@ -1,12 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from migopt import datagen
 from migopt import policy as pol
 from migopt import rewrite as rw
 from migopt.mig import MigError, Signal, new_graph
 from migopt.policy import Hyperparams, PolicyGradients, PolicyParams
 
 from conftest import clean_random_graph
+
+GOLDEN = Path(__file__).parent / "data" / "policy_golden.npz"
+# every depth at both widths; each depth sees both graph kinds
+GOLDEN_CASES = [
+    (layers, hidden, "random_mig" if (layers + (hidden == 16)) % 2 else "clean")
+    for layers in (1, 2, 3, 4)
+    for hidden in (5, 16)
+]
 
 
 def motif_graph(junk_nodes=0, filler_nodes=0, pis=8):
@@ -282,3 +293,48 @@ def test_identical_neighborhood_across_graph_sizes():
     d_small = pol.forward(params, small, c_small)
     d_big = pol.forward(params, big, c_big)
     assert np.array_equal(d_small.probs, d_big.probs)
+
+
+def golden_values(layers, hidden, kind):
+    """Per-center log-probs of forward_all, and the gradient summed over all
+    centers with mixed scales and entropy, on a seeded graph.
+
+    tests/data/policy_golden.npz holds these values as computed by the
+    per-center neighborhood batches that preceded the full-graph engine."""
+    seed = 100 * layers + hidden
+    if kind == "random_mig":
+        g = datagen.random_mig(datagen.RandomGraphSpec(24, pi_count=10, po_count=2, seed=seed))
+    else:
+        g = clean_random_graph(6, 18, seed)
+    params = PolicyParams.init(Hyperparams(layers=layers, hidden=hidden), seed=seed)
+    dists = pol.forward_all(params, g)
+    centers = sorted(dists)
+    out = {
+        "centers": np.asarray(centers),
+        "logp": np.stack([dists[c].log_probs for c in centers]),
+    }
+    rng = np.random.default_rng(seed)
+    actions = rng.integers(rw.ACTION_COUNT, size=len(centers))
+    scales = rng.normal(size=len(centers))
+    scales[::3] = 0.0
+    batch = pol.batch_for(params, g)
+    assert list(batch.centers) == centers
+    probs, _ = pol._forward_batch(params, batch, keep_cache=True)
+    grads = PolicyGradients(params.hp)
+    pol._backward_batch(params, batch, probs, actions, scales, grads, entropy_coef=0.01)
+    out.update(grads.arrays())
+    return out
+
+
+@pytest.mark.parametrize("layers,hidden,kind", GOLDEN_CASES)
+def test_golden_parity(layers, hidden, kind):
+    want = np.load(GOLDEN)
+    got = golden_values(layers, hidden, kind)
+    prefix = f"L{layers}h{hidden}{kind}/"
+    assert np.array_equal(got["centers"], want[prefix + "centers"])
+    assert np.max(np.abs(got["logp"] - want[prefix + "logp"])) <= 1e-12
+    for name, arr in got.items():
+        if name in ("centers", "logp"):
+            continue
+        ref = want[prefix + name]
+        assert np.max(np.abs(arr - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300), name

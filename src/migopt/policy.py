@@ -1,15 +1,37 @@
-"""Per-node rewrite policy: neighborhood embedding, message passing, head.
+"""Per-node rewrite policy: full-graph message passing with per-center deltas.
 
-Each acting node observes the induced subgraph within a fixed edge radius
-of itself (both fanin and fanout directions). Node features carry no
-identifiers, only a self/not-self bit plus the node type, so the same
-parameters run on graphs of any size. Messages concatenate six slots: the
-three fanin feature vectors (each with a +1/-1 polarity channel) and three
-fanout sums binned by the consuming input port. After L layers the center
-feature vector feeds a linear head and a softmax over the action catalog.
+Each acting node (a center) observes the graph within L undirected edge
+hops of itself, L being the number of layers. Node features carry no
+identifiers, only an is_self bit plus the node type, so the same
+parameters run on graphs of any size. A layer's message concatenates six
+slots: the three fanin feature vectors (each with a +1/-1 polarity
+channel) and three fanout sums binned by the consuming input port. After
+L layers the center's feature vector feeds a linear head and a softmax
+over the action catalog.
 
-All arithmetic is float64. Fanout-bin summation orders contributions by
-value, which makes a forward pass bitwise invariant under node relabeling.
+One pass serves every center. The is_self bit is the only input that
+depends on the center, and each layer moves information by one hop. So
+at layer l a node more than l hops from center c has the features it has
+in a *background* pass in which no node is a center; and only nodes
+within L - l hops of c reach c's output. The engine runs the background
+pass once over every node of the graph. Per center it recomputes *delta
+rows* only for the nodes within min(l, L - l) hops at layer l. A delta
+row reads a neighbor's delta row of the layer below where the neighbor
+has one, and its background row otherwise. For L = 3 that is the center
+and its 1-hop neighbors at layers 1 and 2, and the center alone at layer
+3. Every row a delta row reads at layer L / 2 or above is itself a delta
+row, so background rows exist only below L / 2. Every row that reaches
+the center's output thus sees the same inputs over the same edges as
+when the network runs on the center's L-hop neighborhood alone, and the
+result is the same. Backward mirrors this: each center's adjoint flows
+into its delta rows and into the shared background rows, whose pass is
+then backpropagated once for all centers.
+
+All arithmetic is float64. Each fanout bin sums its contributions in
+consumer creation order (the order of `graph_fanouts`). A center's
+distribution is therefore a function of its neighborhood and of the
+relative creation order of the nodes in it, not of node ids or of the
+rest of the graph.
 """
 
 from __future__ import annotations
@@ -21,14 +43,8 @@ import numpy as np
 from migopt.mig import CONST, MAJ, PI, MigError, MigGraph
 from migopt.rewrite import ACTION_COUNT, OmegaAction
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 BASE_FEATURES = 4  # [is_self, is_pi, is_const, is_majority]
+_KIND_COLUMN = {PI: 1, CONST: 2, MAJ: 3}
 
 
 @dataclass(slots=True)
@@ -156,12 +172,10 @@ class ActionDistribution:
 
 @dataclass(slots=True)
 class Neighborhood:
-    """Induced subgraph within d_adj edge traversals of the center."""
+    """Nodes within d_adj undirected edge traversals of the center."""
 
     center: int
     nodes: list[int]  # breadth-first from the center
-    fanins: dict[int, tuple]  # nid -> ((member-or-None, neg) x3), () for terminals
-    fanouts: dict[int, list]  # nid -> [(consumer, port, neg)] within the view
 
 
 def graph_fanouts(g: MigGraph) -> dict[int, list[tuple[int, int]]]:
@@ -196,115 +210,155 @@ def extract_neighborhood(
             if cid not in dist:
                 dist[cid] = d + 1
                 order.append(cid)
-    members = dist.keys()
-    fanin_view: dict[int, tuple] = {}
-    fanout_view: dict[int, list] = {}
-    for nid in order:
-        node = g.nodes[nid]
-        fanin_view[nid] = tuple(
-            (s.node if s.node in members else None, s.neg) for s in node.fanins
-        )
-        fanout_view[nid] = [
-            (cid, port, g.nodes[cid].fanins[port].neg)
-            for cid, port in fanouts.get(nid, ())
-            if cid in members
-        ]
-    return Neighborhood(center, order, fanin_view, fanout_view)
+    return Neighborhood(center, order)
+
+
+@dataclass(slots=True)
+class _Layer:
+    """Index arrays of one layer: its output rows, each reading input rows."""
+
+    fanin_idx: np.ndarray  # (R, 3) input row or -1
+    fanin_pol: np.ndarray  # (R, 3) +-1, 0 where absent
+    edge_consumer: np.ndarray  # (E,) input row of the consuming node
+    edge_bin: np.ndarray  # (E,) output row * 3 + port; a bin sums in edge order
+    edge_pol: np.ndarray  # (E,)
 
 
 @dataclass(slots=True)
 class _Batch:
-    """Index arrays for one forward/backward pass over many neighborhoods."""
+    """Background rows plus per-center delta rows, layer by layer."""
 
-    x0: np.ndarray  # (S, 4)
-    fanin_idx: np.ndarray  # (S, 3) row index or -1
-    fanin_pol: np.ndarray  # (S, 3) +-1, 0 where absent
-    edge_consumer: np.ndarray  # (E,) row of the consuming node
-    edge_key: np.ndarray  # (E,) producing row * 3 + port
-    edge_pol: np.ndarray  # (E,)
-    center_rows: np.ndarray  # (C,)
+    x0: np.ndarray  # (N + C, 4): one row per graph node, then each center's
+    layers: list[_Layer]
     centers: list[int] = field(default_factory=list)  # node ids, center order
-    canonical: bool = True  # value-sorted bin sums (relabeling-invariant)
     caches: list = field(default_factory=list)
-    _key_order: tuple | None = None  # cached (order, starts, out_rows)
-    _row_port: tuple | None = None  # cached (edge_key // 3, edge_key % 3)
-
-    def row_port(self) -> tuple:
-        if self._row_port is None:
-            self._row_port = (self.edge_key // 3, self.edge_key % 3)
-        return self._row_port
 
 
-def build_batch(g: MigGraph, neighborhoods: list[Neighborhood]) -> _Batch:
-    total = sum(len(nb.nodes) for nb in neighborhoods)
-    x0 = np.zeros((total, BASE_FEATURES))
-    fanin_idx = np.full((total, 3), -1, dtype=np.int64)
-    fanin_pol = np.zeros((total, 3))
-    e_cons: list[int] = []
-    e_key: list[int] = []
-    e_pol: list[float] = []
-    center_rows = np.zeros(len(neighborhoods), dtype=np.int64)
-
-    base = 0
-    for ci, nb in enumerate(neighborhoods):
-        rows = {nid: base + i for i, nid in enumerate(nb.nodes)}
-        center_rows[ci] = rows[nb.center]
-        for nid in nb.nodes:
-            r = rows[nid]
-            node = g.nodes[nid]
-            x0[r, 0] = 1.0 if nid == nb.center else 0.0
-            x0[r, 1] = 1.0 if node.kind == PI else 0.0
-            x0[r, 2] = 1.0 if node.kind == CONST else 0.0
-            x0[r, 3] = 1.0 if node.kind == MAJ else 0.0
-            for port, (src, neg) in enumerate(nb.fanins[nid]):
-                if src is not None:
-                    fanin_idx[r, port] = rows[src]
-                    fanin_pol[r, port] = -1.0 if neg else 1.0
-            for cid, port, neg in nb.fanouts[nid]:
-                e_cons.append(rows[cid])
-                e_key.append(r * 3 + port)
-                e_pol.append(-1.0 if neg else 1.0)
-        base += len(nb.nodes)
-
-    return _Batch(
-        x0,
-        fanin_idx,
-        fanin_pol,
-        np.asarray(e_cons, dtype=np.int64),
-        np.asarray(e_key, dtype=np.int64),
-        np.asarray(e_pol),
-        center_rows,
-        centers=[nb.center for nb in neighborhoods],
-    )
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of range(s, s + n) over the pairs (s, n)."""
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(offsets.size, dtype=np.int64)
 
 
-def _bin_sums(contrib: np.ndarray, keys: np.ndarray, slots: int, batch: "_Batch"):
-    """Segment-sum rows of `contrib` by key.
+def _build_batch(g: MigGraph, centers: list[int], depth: int, fanouts) -> _Batch:
+    ids = list(g.nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    kind = np.zeros((n, BASE_FEATURES))
+    kind[np.arange(n), [_KIND_COLUMN[g.nodes[nid].kind] for nid in ids]] = 1.0
 
-    With batch.canonical, contributions are summed in value-sorted order,
-    which makes the result a function of the multiset of contributions
-    only, independent of node numbering. The fast path sums in stable
-    key order instead (still deterministic for a fixed batch) and reuses
-    the sort across layers.
-    """
-    width = contrib.shape[1]
-    out = np.zeros((slots, width))
-    if contrib.shape[0] == 0:
-        return out
-    if batch.canonical:
-        order = np.lexsort(tuple(contrib.T[::-1]) + (keys,))
-        ks = keys[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
-        out_rows = ks[starts]
-    else:
-        if batch._key_order is None:
-            order = np.argsort(keys, kind="stable")
-            ks = keys[order]
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
-            batch._key_order = (order, starts, ks[starts])
-        order, starts, out_rows = batch._key_order
-    out[out_rows] = np.add.reduceat(contrib[order], starts, axis=0)
-    return out
+    # fanout edges grouped by (producer, port), consumers in fanouts order
+    prod, port, cons, neg = [], [], [], []
+    for nid, consumers in fanouts.items():
+        j = index[nid]
+        for cid, p in consumers:
+            prod.append(j)
+            port.append(p)
+            cons.append(index[cid])
+            neg.append(g.nodes[cid].fanins[p].neg)
+    prod, port, cons = (np.asarray(a, dtype=np.int64) for a in (prod, port, cons))
+    pol = 1.0 - 2.0 * np.asarray(neg, dtype=float)
+    order = np.argsort(prod * 3 + port, kind="stable")
+    prod, port, cons, pol = prod[order], port[order], cons[order], pol[order]
+    fo_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prod, minlength=n), out=fo_ptr[1:])
+    fanin_idx = np.full((n, 3), -1, dtype=np.int64)
+    fanin_idx[cons, port] = prod
+    fanin_pol = np.zeros((n, 3))
+    fanin_pol[cons, port] = pol
+
+    # (center, node) pairs within depth // 2 undirected hops, by center then hop
+    cidx = np.asarray([index[c] for c in centers], dtype=np.int64)
+    pair_key = np.arange(cidx.size, dtype=np.int64) * n + cidx
+    pair_dist = np.zeros(cidx.size, dtype=np.int64)
+    if depth >= 2:
+        both = np.unique(np.concatenate([prod * n + cons, cons * n + prod]))
+        nbr_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
+        nbr = both % n
+        frontier, seen = pair_key, pair_key
+        for hop in range(1, depth // 2 + 1):
+            ci, v = np.divmod(frontier, n)
+            lengths = nbr_ptr[v + 1] - nbr_ptr[v]
+            reached = np.repeat(ci, lengths) * n + nbr[_ranges(nbr_ptr[v], lengths)]
+            frontier = np.setdiff1d(reached, seen)
+            seen = np.union1d(seen, frontier)
+            pair_key = np.concatenate([pair_key, frontier])
+            pair_dist = np.concatenate([pair_dist, np.full(frontier.size, hop)])
+        order = np.lexsort((pair_key, pair_dist, pair_key // n))
+        pair_key, pair_dist = pair_key[order], pair_dist[order]
+
+    top = (depth - 1) // 2  # highest layer that keeps background rows
+    x0 = np.concatenate([kind, kind[cidx]])
+    x0[n:, 0] = 1.0
+    below = pair_key[pair_dist == 0]  # delta keys of the input layer
+    below_base = n
+    layers = []
+    for layer in range(1, depth + 1):
+        keys = pair_key[pair_dist <= min(layer, depth - layer)]
+        base = n if layer <= top else 0
+        sorter = np.argsort(below)
+        sorted_below = below[sorter]
+
+        def input_rows(ci, v):
+            """Input row of node v for center ci: its delta row, else background."""
+            q = ci * n + v
+            pos = np.minimum(np.searchsorted(sorted_below, q), sorted_below.size - 1)
+            return np.where(sorted_below[pos] == q, below_base + sorter[pos], v)
+
+        ci, v = np.divmod(keys, n)
+        d_fanin = fanin_idx[v]
+        present = d_fanin >= 0
+        fanin_ci = np.broadcast_to(ci[:, None], d_fanin.shape)
+        d_fanin[present] = input_rows(fanin_ci[present], d_fanin[present])
+        lengths = fo_ptr[v + 1] - fo_ptr[v]
+        flat = _ranges(fo_ptr[v], lengths)
+        d_rows = np.repeat(base + np.arange(keys.size, dtype=np.int64), lengths)
+        rows = (
+            d_fanin,
+            fanin_pol[v],
+            input_rows(np.repeat(ci, lengths), cons[flat]),
+            d_rows * 3 + port[flat],
+            pol[flat],
+        )
+        if base:  # background rows first, in node order
+            background = (fanin_idx, fanin_pol, cons, prod * 3 + port, pol)
+            rows = tuple(np.concatenate(pair) for pair in zip(background, rows))
+        layers.append(_Layer(*rows))
+        below, below_base = keys, base
+    return _Batch(x0, layers, centers=list(centers))
+
+
+def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False):
+    feats = batch.x0
+    batch.caches = []
+    for layer, lay in enumerate(batch.layers):
+        rows = lay.fanin_idx.shape[0]
+        h_in = feats.shape[1]
+        slot = h_in + 1
+        msg = np.empty((rows, 6, slot))
+        msg[:, :3, :h_in] = feats[lay.fanin_idx]
+        msg[:, :3, :h_in][lay.fanin_idx < 0] = 0.0
+        msg[:, :3, h_in] = lay.fanin_pol
+        # one sequential bincount per channel keeps each bin in edge order
+        sums = np.empty((slot, rows * 3))
+        for k, column in enumerate(feats.T):
+            sums[k] = np.bincount(lay.edge_bin, column[lay.edge_consumer], rows * 3)
+        sums[h_in] = np.bincount(lay.edge_bin, lay.edge_pol, rows * 3)
+        msg[:, 3:] = sums.T.reshape(rows, 3, slot)
+        msg = msg.reshape(rows, 6 * slot)
+        z = msg @ params.weights[layer].T + params.biases[layer]
+        if keep_cache:
+            batch.caches.append((feats, msg, z))
+        feats = np.maximum(z, 0.0)
+
+    logits = feats @ params.head_w.T + params.head_b
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    log_probs = logits - lse
+    if keep_cache:
+        batch.caches.append(feats)
+    return np.exp(log_probs), log_probs
 
 
 def _scatter_add(dst: np.ndarray, idx: np.ndarray, src: np.ndarray):
@@ -315,99 +369,6 @@ def _scatter_add(dst: np.ndarray, idx: np.ndarray, src: np.ndarray):
             dst[:, k] += np.bincount(idx, weights=src[:, k], minlength=n)
     else:
         np.add.at(dst, idx, src)
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nb_assemble(feats, fanin_idx, fanin_pol, e_cons, e_row, e_port, e_pol, msg):
-        s_rows, h_in = feats.shape
-        slot = h_in + 1
-        for i in range(s_rows):
-            for p in range(3):
-                j = fanin_idx[i, p]
-                base = p * slot
-                if j >= 0:
-                    for k in range(h_in):
-                        msg[i, base + k] = feats[j, k]
-                    msg[i, base + h_in] = fanin_pol[i, p]
-        half = 3 * slot
-        for e in range(e_row.shape[0]):
-            row = e_row[e]
-            base = half + e_port[e] * slot
-            c = e_cons[e]
-            for k in range(h_in):
-                msg[row, base + k] += feats[c, k]
-            msg[row, base + h_in] += e_pol[e]
-
-    @numba.njit(cache=True)
-    def _nb_scatter(dmsg, fanin_idx, e_cons, e_row, e_port, h_in, dfeats):
-        s_rows = dmsg.shape[0]
-        slot = h_in + 1
-        for i in range(s_rows):
-            for p in range(3):
-                j = fanin_idx[i, p]
-                if j >= 0:
-                    base = p * slot
-                    for k in range(h_in):
-                        dfeats[j, k] += dmsg[i, base + k]
-        half = 3 * slot
-        for e in range(e_row.shape[0]):
-            row = e_row[e]
-            base = half + e_port[e] * slot
-            c = e_cons[e]
-            for k in range(h_in):
-                dfeats[c, k] += dmsg[row, base + k]
-
-
-def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False):
-    hp = params.hp
-    s_rows = batch.x0.shape[0]
-    feats = batch.x0
-    batch.caches = []
-    fast = _HAVE_NUMBA and not batch.canonical
-    absent = None if fast else batch.fanin_idx < 0
-    for layer in range(hp.layers):
-        h_in = feats.shape[1]
-        slot = h_in + 1
-        if fast:
-            e_row, e_port = batch.row_port()
-            msg = np.zeros((s_rows, 6 * slot))
-            _nb_assemble(
-                feats,
-                batch.fanin_idx,
-                batch.fanin_pol,
-                batch.edge_consumer,
-                e_row,
-                e_port,
-                batch.edge_pol,
-                msg,
-            )
-        else:
-            fan3 = np.empty((s_rows, 3, slot))
-            fan3[:, :, :h_in] = feats[batch.fanin_idx]
-            fan3[absent] = 0.0
-            fan3[:, :, h_in] = batch.fanin_pol
-            contrib = np.empty((batch.edge_consumer.shape[0], slot))
-            contrib[:, :h_in] = feats[batch.edge_consumer]
-            contrib[:, h_in] = batch.edge_pol
-            sums = _bin_sums(contrib, batch.edge_key, s_rows * 3, batch)
-            msg = np.concatenate(
-                [fan3.reshape(s_rows, 3 * slot), sums.reshape(s_rows, 3 * slot)], axis=1
-            )
-        z = msg @ params.weights[layer].T + params.biases[layer]
-        new_feats = np.maximum(z, 0.0)
-        if keep_cache:
-            batch.caches.append((feats, msg, z))
-        feats = new_feats
-
-    logits = feats[batch.center_rows] @ params.head_w.T + params.head_b
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    log_probs = logits - lse
-    if keep_cache:
-        batch.caches.append(feats)
-    return np.exp(log_probs), log_probs
 
 
 def _backward_batch(
@@ -424,8 +385,6 @@ def _backward_batch(
     With entropy_coef set, also accumulates the gradient of
     entropy_coef * sum_i H(pi(.|center_i)).
     """
-    hp = params.hp
-    s_rows = batch.x0.shape[0]
     feats_last = batch.caches[-1]
 
     dlogits = -probs * scales[:, None]
@@ -435,184 +394,49 @@ def _backward_batch(
         ent = -(probs * logp).sum(axis=1, keepdims=True)
         dlogits += entropy_coef * (-probs * (logp + ent))
 
-    grads.head_w += dlogits.T @ feats_last[batch.center_rows]
+    grads.head_w += dlogits.T @ feats_last
     grads.head_b += dlogits.sum(axis=0)
-    dfeats = np.zeros_like(feats_last)
-    dfeats[batch.center_rows] = dlogits @ params.head_w
+    dfeats = dlogits @ params.head_w
 
-    for layer in range(hp.layers - 1, -1, -1):
+    for layer in range(params.hp.layers - 1, -1, -1):
         feats_prev, msg, z = batch.caches[layer]
-        h_in = feats_prev.shape[1]
-        slot = h_in + 1
         dz = dfeats * (z > 0.0)
         grads.weights[layer] += dz.T @ msg
         grads.biases[layer] += dz.sum(axis=0)
-        dmsg = dz @ params.weights[layer]
-
+        if layer == 0:
+            break  # the layer-0 rows are inputs
+        lay = batch.layers[layer]
+        rows, h_in = msg.shape[0], feats_prev.shape[1]
+        dmsg = (dz @ params.weights[layer]).reshape(rows, 6, h_in + 1)
         dfeats = np.zeros_like(feats_prev)
-        if _HAVE_NUMBA and not batch.canonical:
-            e_row, e_port = batch.row_port()
-            _nb_scatter(
-                dmsg, batch.fanin_idx, batch.edge_consumer, e_row, e_port, h_in, dfeats
-            )
-        else:
-            dfanin = dmsg[:, : 3 * slot].reshape(s_rows, 3, slot)[:, :, :h_in]
-            valid = batch.fanin_idx >= 0
-            _scatter_add(dfeats, batch.fanin_idx[valid], dfanin[valid])
-            dfanout = dmsg[:, 3 * slot :].reshape(s_rows * 3, slot)
-            if batch.edge_key.size:
-                dcontrib = dfanout[batch.edge_key][:, :h_in]
-                _scatter_add(dfeats, batch.edge_consumer, dcontrib)
-
-
-class _Adjacency:
-    """Dense per-graph adjacency snapshot for fast neighborhood batching."""
-
-    __slots__ = (
-        "index",
-        "kind_feat",
-        "fanin_idx",
-        "fanin_neg",
-        "fo_ptr",
-        "fo_cons",
-        "fo_port",
-        "fo_neg",
-        "nbrs",
-    )
-
-    def __init__(self, g: MigGraph):
-        ids = list(g.nodes)
-        index = {nid: i for i, nid in enumerate(ids)}
-        n = len(ids)
-        self.index = index
-        self.kind_feat = np.zeros((n, BASE_FEATURES))
-        self.fanin_idx = np.full((n, 3), -1, dtype=np.int64)
-        self.fanin_neg = np.zeros((n, 3), dtype=np.int8)
-        fo_lists: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for i, nid in enumerate(ids):
-            node = g.nodes[nid]
-            if node.kind == PI:
-                self.kind_feat[i, 1] = 1.0
-            elif node.kind == CONST:
-                self.kind_feat[i, 2] = 1.0
-            else:
-                self.kind_feat[i, 3] = 1.0
-            for port, s in enumerate(node.fanins):
-                j = index[s.node]
-                self.fanin_idx[i, port] = j
-                self.fanin_neg[i, port] = 1 if s.neg else 0
-                fo_lists[j].append((i, port, 1 if s.neg else 0))
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-        counts = [len(x) for x in fo_lists]
-        self.fo_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.fo_ptr[1:])
-        total = int(self.fo_ptr[-1])
-        self.fo_cons = np.zeros(total, dtype=np.int64)
-        self.fo_port = np.zeros(total, dtype=np.int64)
-        self.fo_neg = np.zeros(total, dtype=np.int8)
-        pos = 0
-        for lst in fo_lists:
-            for cid, port, neg in lst:
-                self.fo_cons[pos] = cid
-                self.fo_port[pos] = port
-                self.fo_neg[pos] = neg
-                pos += 1
-        self.nbrs = nbrs
-
-
-def _batch_from_adj(adj: _Adjacency, centers: list[int], depth: int) -> _Batch:
-    n_total = adj.kind_feat.shape[0]
-    glob2loc = np.full(n_total, -1, dtype=np.int64)
-    rows_x0 = []
-    rows_fanin_idx = []
-    rows_fanin_pol = []
-    e_cons_parts = []
-    e_key_parts = []
-    e_pol_parts = []
-    center_rows = np.zeros(len(centers), dtype=np.int64)
-    base = 0
-    nbrs = adj.nbrs
-    for ci, center in enumerate(centers):
-        c = adj.index[center]
-        dist = {c: 0}
-        order = [c]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            d = dist[v]
-            if d == depth:
-                continue
-            for nb in nbrs[v]:
-                if nb not in dist:
-                    dist[nb] = d + 1
-                    order.append(nb)
-        m = len(order)
-        orda = np.asarray(order, dtype=np.int64)
-        glob2loc[orda] = base + np.arange(m, dtype=np.int64)
-        center_rows[ci] = base
-
-        x0 = adj.kind_feat[orda].copy()
-        x0[0, 0] = 1.0
-        rows_x0.append(x0)
-
-        fi_g = adj.fanin_idx[orda]
-        fi_l = glob2loc[np.maximum(fi_g, 0)]
-        fi_l[fi_g < 0] = -1
-        inside = fi_l >= 0
-        fp = np.where(inside, 1.0 - 2.0 * adj.fanin_neg[orda], 0.0)
-        rows_fanin_idx.append(fi_l)
-        rows_fanin_pol.append(fp)
-
-        starts = adj.fo_ptr[orda]
-        lengths = adj.fo_ptr[orda + 1] - starts
-        tot = int(lengths.sum())
-        if tot:
-            rep = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            flat = rep + np.arange(tot, dtype=np.int64)
-            prod_rows = np.repeat(base + np.arange(m, dtype=np.int64), lengths)
-            cons_l = glob2loc[adj.fo_cons[flat]]
-            keep = cons_l >= 0
-            e_cons_parts.append(cons_l[keep])
-            e_key_parts.append(prod_rows[keep] * 3 + adj.fo_port[flat][keep])
-            e_pol_parts.append(1.0 - 2.0 * adj.fo_neg[flat][keep])
-
-        glob2loc[orda] = -1
-        base += m
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_f = np.zeros(0)
-    return _Batch(
-        np.concatenate(rows_x0, axis=0),
-        np.concatenate(rows_fanin_idx, axis=0),
-        np.concatenate(rows_fanin_pol, axis=0),
-        np.concatenate(e_cons_parts) if e_cons_parts else empty_i,
-        np.concatenate(e_key_parts) if e_key_parts else empty_i,
-        np.concatenate(e_pol_parts) if e_pol_parts else empty_f,
-        center_rows,
-        centers=list(centers),
-        canonical=False,
-    )
+        valid = lay.fanin_idx >= 0
+        _scatter_add(dfeats, lay.fanin_idx[valid], dmsg[:, :3, :h_in][valid])
+        dfanout = dmsg[:, 3:, :h_in].reshape(rows * 3, h_in)
+        _scatter_add(dfeats, lay.edge_consumer, dfanout[lay.edge_bin])
 
 
 def forward(params: PolicyParams, g: MigGraph, center: int, fanouts=None) -> ActionDistribution:
     node = g.nodes.get(center)
     if node is None or node.kind != MAJ:
         raise MigError(f"node {center} is not a live majority node")
-    nb = extract_neighborhood(g, center, params.hp.layers, fanouts)
-    batch = build_batch(g, [nb])
-    probs, log_probs = _forward_batch(params, batch)
+    probs, log_probs = _forward_batch(params, batch_for(params, g, [center], fanouts))
     return ActionDistribution(probs[0], log_probs[0])
 
 
-def batch_for(params: PolicyParams, g: MigGraph) -> _Batch | None:
-    """Index arrays covering every reachable majority node as a center."""
-    reach = g.reachable_nodes()
-    centers = [nid for nid in sorted(reach) if g.nodes[nid].kind == MAJ]
+def batch_for(
+    params: PolicyParams, g: MigGraph, centers=None, fanouts=None
+) -> _Batch | None:
+    """Index arrays for the given centers, by default every reachable
+    majority node; None when there is none. `fanouts`, if given, is
+    graph_fanouts(g)."""
+    if centers is None:
+        reach = g.reachable_nodes()
+        centers = [nid for nid in sorted(reach) if g.nodes[nid].kind == MAJ]
     if not centers:
         return None
-    return _batch_from_adj(_Adjacency(g), centers, params.hp.layers)
+    if fanouts is None:
+        fanouts = graph_fanouts(g)
+    return _build_batch(g, list(centers), params.hp.layers, fanouts)
 
 
 def forward_all(params: PolicyParams, g: MigGraph) -> dict[int, ActionDistribution]:
@@ -675,7 +499,7 @@ def backward_many(
 ):
     if not centers:
         return
-    batch = _batch_from_adj(_Adjacency(g), list(centers), params.hp.layers)
+    batch = batch_for(params, g, centers)
     probs, _ = _forward_batch(params, batch, keep_cache=True)
     _backward_batch(
         params,
@@ -684,27 +508,6 @@ def backward_many(
         np.asarray([int(a) for a in actions], dtype=np.int64),
         np.asarray(scales, dtype=float),
         grads,
-    )
-
-
-def backward_batch(
-    params: PolicyParams,
-    batch: _Batch,
-    actions: list[OmegaAction],
-    scales,
-    grads: PolicyGradients,
-    entropy_coef: float = 0.0,
-):
-    """Gradient pass over a prebuilt batch (one scale per batch center)."""
-    probs, _ = _forward_batch(params, batch, keep_cache=True)
-    _backward_batch(
-        params,
-        batch,
-        probs,
-        np.asarray([int(a) for a in actions], dtype=np.int64),
-        np.asarray(scales, dtype=float),
-        grads,
-        entropy_coef=entropy_coef,
     )
 
 

@@ -24,8 +24,6 @@ from migopt.policy import (
     _backward_batch,
     _forward_batch,
     argmax_actions,
-    backward_batch,
-    backward_many,
     batch_for,
     forward_all,
     sample_actions,
@@ -111,9 +109,8 @@ def run_episode(
         if batch is None:
             dists = {}
         else:
-            # keep intermediates for the gradient pass unless the batch is big
-            keep = batch.x0.shape[0] * params.hp.hidden <= 1 << 16
-            probs, log_probs = _forward_batch(params, batch, keep_cache=keep)
+            # intermediates are O(nodes * layers), so the gradient pass reuses them
+            probs, log_probs = _forward_batch(params, batch, keep_cache=True)
             dists = {
                 c: ActionDistribution(probs[i], log_probs[i])
                 for i, c in enumerate(batch.centers)
@@ -179,41 +176,26 @@ def reinforce_update(
     action_count = 0
     for (trace, _reward), scale in zip(batch, scales_by_trace):
         for rec in trace.steps:
-            if rec.batch is not None:
-                # zero-scale rows contribute nothing, so reuse the full batch
-                actions = [rec.actions[c][0] for c in rec.batch.centers]
-                scales = [
-                    scale if rec.report.outcomes.get(c) in wanted else 0.0
-                    for c in rec.batch.centers
-                ]
-                action_count += sum(1 for s in scales if s)
-                if not any(scales) and not entropy_coef:
-                    continue
-                if rec.batch.caches and rec.probs is not None:
-                    _backward_batch(
-                        params,
-                        rec.batch,
-                        rec.probs,
-                        np.asarray([int(a) for a in actions], dtype=np.int64),
-                        np.asarray(scales, dtype=float),
-                        grads,
-                        entropy_coef=entropy_coef,
-                    )
-                else:
-                    backward_batch(
-                        params, rec.batch, actions, scales, grads, entropy_coef
-                    )
+            if rec.batch is None:
+                continue  # no acting node, so no action
+            # zero-scale rows contribute nothing, so reuse the full batch
+            actions = [rec.actions[c][0] for c in rec.batch.centers]
+            scales = [
+                scale if rec.report.outcomes.get(c) in wanted else 0.0
+                for c in rec.batch.centers
+            ]
+            action_count += sum(1 for s in scales if s)
+            if not any(scales) and not entropy_coef:
                 continue
-            centers, actions = [], []
-            for nid in sorted(rec.actions):
-                if rec.report.outcomes.get(nid) in wanted:
-                    centers.append(nid)
-                    actions.append(rec.actions[nid][0])
-            action_count += len(centers)
-            if centers and scale != 0.0:
-                backward_many(
-                    params, rec.snapshot, centers, actions, [scale] * len(centers), grads
-                )
+            _backward_batch(
+                params,
+                rec.batch,
+                rec.probs,
+                np.asarray([int(a) for a in actions], dtype=np.int64),
+                np.asarray(scales, dtype=float),
+                grads,
+                entropy_coef=entropy_coef,
+            )
     if grad_norm == "mean" and action_count:
         for _, arr in grads.arrays():
             arr /= action_count

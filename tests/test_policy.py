@@ -213,7 +213,14 @@ def test_backward_head_bias_is_softmax_identity():
     assert np.allclose(grads.head_b, want, atol=1e-12)
 
 
-def fd_gradient_check(seed, layers, hidden, stride):
+def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
+    """Worst relative gap between the analytic gradient and central differences.
+
+    centers="one": log pi(a | c) at one random center, through backward and
+    log_prob_of. centers="all": every majority node is a center with its own
+    action and scale plus an entropy term, through one batch, so the
+    centers' adjoints meet in the shared background rows.
+    """
     rng = np.random.default_rng(seed)
     hp = Hyperparams(layers=layers, hidden=hidden)
     params = PolicyParams.init(hp, seed=int(rng.integers(1 << 30)))
@@ -227,10 +234,30 @@ def fd_gradient_check(seed, layers, hidden, stride):
         sigs.append(g_sig)
     g.set_outputs([sigs[-1]])
     maj = g.maj_ids()
-    center = maj[int(rng.integers(len(maj)))]
-    action = rw.OmegaAction(int(rng.integers(9)))
     grads = PolicyGradients(hp)
-    pol.backward(params, g, center, action, 1.0, grads)
+    if centers == "one":
+        center = maj[int(rng.integers(len(maj)))]
+        action = rw.OmegaAction(int(rng.integers(9)))
+        pol.backward(params, g, center, action, 1.0, grads)
+
+        def objective():
+            return pol.log_prob_of(params, g, center, action)
+
+    else:
+        actions = rng.integers(9, size=len(maj))
+        scales = rng.normal(size=len(maj))
+        coef = 0.3
+        batch = pol.batch_for(params, g, maj)
+        probs, _ = pol._forward_batch(params, batch, keep_cache=True)
+        pol._backward_batch(params, batch, probs, actions, scales, grads, entropy_coef=coef)
+
+        def objective():
+            total = 0.0
+            for c, a, s in zip(maj, actions, scales):
+                d = pol.forward(params, g, c)
+                total += s * d.log_probs[a] - coef * float((d.probs * d.log_probs).sum())
+            return total
+
     eps = 1e-5
     worst = 0.0
     for (_, arr), (_, garr) in zip(params.arrays(), grads.arrays()):
@@ -238,9 +265,9 @@ def fd_gradient_check(seed, layers, hidden, stride):
         for k in range(0, flat.size, stride):
             orig = flat[k]
             flat[k] = orig + eps
-            lp1 = pol.log_prob_of(params, g, center, action)
+            lp1 = objective()
             flat[k] = orig - eps
-            lp0 = pol.log_prob_of(params, g, center, action)
+            lp0 = objective()
             flat[k] = orig
             fd = (lp1 - lp0) / (2 * eps)
             rel = abs(gflat[k] - fd) / max(abs(gflat[k]), abs(fd), 1e-6)
@@ -255,13 +282,22 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+def test_multi_center_gradient_matches_finite_differences():
+    worst = 0.0
+    for seed in range(3):
+        worst = max(worst, fd_gradient_check(seed, 3, 5, stride=7, centers="all"))
+    assert worst < 1e-4
+
+
 def test_entropy_gradient_matches_finite_differences():
     g, center = motif_graph()
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=8)
-    batch = pol.build_batch(g, [pol.extract_neighborhood(g, center, hp.layers)])
+    batch = pol.batch_for(params, g, [center])
+    probs, _ = pol._forward_batch(params, batch, keep_cache=True)
     grads = PolicyGradients(hp)
-    pol.backward_batch(params, batch, [rw.OmegaAction.IDENTITY], [0.0], grads, entropy_coef=1.0)
+    action = np.array([int(rw.OmegaAction.IDENTITY)])
+    pol._backward_batch(params, batch, probs, action, np.zeros(1), grads, entropy_coef=1.0)
 
     def entropy():
         d = pol.forward(params, g, center)
@@ -285,14 +321,16 @@ def test_entropy_gradient_matches_finite_differences():
 
 
 def test_identical_neighborhood_across_graph_sizes():
-    # deployment-scale version lives in the acceptance suite
     params = PolicyParams.init(Hyperparams(layers=3, hidden=16), seed=13)
     small, c_small = motif_graph(filler_nodes=46, pis=9)
     big, c_big = motif_graph(junk_nodes=11, filler_nodes=400, pis=9)
-    assert small.size() != big.size()
+    huge, c_huge = motif_graph(junk_nodes=5, filler_nodes=2000, pis=9)  # deployment scale
+    assert small.size() < big.size() < 2000 <= huge.size()
     d_small = pol.forward(params, small, c_small)
     d_big = pol.forward(params, big, c_big)
+    d_huge = pol.forward(params, huge, c_huge)
     assert np.array_equal(d_small.probs, d_big.probs)
+    assert np.array_equal(d_small.probs, d_huge.probs)
 
 
 def golden_values(layers, hidden, kind):

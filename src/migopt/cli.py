@@ -15,7 +15,7 @@ import numpy as np
 
 from migopt import datagen, evaluate, formats, rewrite, trainer
 from migopt.mig import MigError
-from migopt.policy import Hyperparams, PolicyParams, forward_all, sample_actions
+from migopt.policy import Hyperparams, PolicyParams
 
 
 def _cmd_gen(args) -> int:
@@ -89,23 +89,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _sampled_rollout(g, params, steps, seed):
-    rng = np.random.default_rng(seed)
-    work = g.clone()
-    for _ in range(steps):
-        dists = forward_all(params, work)
-        acts = sample_actions(dists, rng)
-        rewrite.step(work, {nid: a for nid, (a, _) in acts.items()})
-    return work
-
-
 def _cmd_optimize(args) -> int:
     g = formats.load_mig(args.infile)
     params = formats.load_checkpoint(args.ckpt)
     if args.mode == "greedy":
         out, _reports = trainer.greedy_optimize(g, params, args.steps)
     else:
-        out = _sampled_rollout(g, params, args.steps, args.seed)
+        choose = trainer.policy_chooser(params, np.random.default_rng(args.seed))
+        out, _records = trainer.rollout(g, args.steps, choose)
     equivalent, proven = rewrite.verify_equivalence(g, out)
     if not equivalent:
         print("refusing to write: optimized graph is not equivalent", file=sys.stderr)

@@ -51,6 +51,7 @@ class EvalItem:
     final_size: int
     steps: int
     wall_time: float
+    proven: bool  # exact truth tables; False means signatures only
 
     @property
     def reduction(self) -> int:
@@ -74,6 +75,7 @@ class EvalReport:
                     "reduction": it.reduction,
                     "steps": it.steps,
                     "wall_time": it.wall_time,
+                    "proven": it.proven,
                 }
             )
             for it in self.items
@@ -91,6 +93,8 @@ class EvalReport:
                 f"{it.name:<24} {it.initial_size:>8} {it.final_size:>8} {it.reduction:>10}"
             )
         lines.append(f"MSR {self.msr:.4f}")
+        unproven = sum(not it.proven for it in self.items)
+        lines.append(f"unproven {unproven} of {len(self.items)} (signatures only)")
         if self.rel_msr is not None:
             lines.append(f"relMSR {self.rel_msr:.4f}")
         return "\n".join(lines) + "\n"
@@ -160,7 +164,7 @@ def evaluate(
     for idx, (name, g) in enumerate(dataset):
         t0 = time.perf_counter()
         out = optimizer(g, cfg.steps, idx)
-        equivalent, _proven = rw.verify_equivalence(
+        equivalent, proven = rw.verify_equivalence(
             g, out, exact_limit=cfg.exact_limit, seeds=cfg.sig_seeds, width=cfg.sig_width
         )
         if not equivalent:
@@ -172,6 +176,7 @@ def evaluate(
                 final_size=out.size(),
                 steps=cfg.steps,
                 wall_time=time.perf_counter() - t0,
+                proven=proven,
             )
         )
     msr = sum(it.reduction for it in items) / len(items)

@@ -98,7 +98,9 @@ class PolicyParams:
             for i in range(hp.layers)
         ]
         biases = [np.zeros(hp.hidden) for _ in range(hp.layers)]
-        return cls(hp, weights, biases, np.zeros((hp.actions, hp.hidden)), np.zeros(hp.actions))
+        return PolicyParams(
+            hp, weights, biases, np.zeros((hp.actions, hp.hidden)), np.zeros(hp.actions)
+        )
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -141,24 +143,12 @@ class PolicyParams:
         self.head_b += scale * grads.head_b
 
 
-class PolicyGradients:
-    def __init__(self, hp: Hyperparams):
-        self.weights = [
-            np.zeros((hp.hidden, 6 * (PolicyParams.layer_in_dim(hp, i) + 1)))
-            for i in range(hp.layers)
-        ]
-        self.biases = [np.zeros(hp.hidden) for _ in range(hp.layers)]
-        self.head_w = np.zeros((hp.actions, hp.hidden))
-        self.head_b = np.zeros(hp.actions)
+class PolicyGradients(PolicyParams):
+    """Gradient accumulator: zero arrays in the layout of PolicyParams."""
 
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"w{i}", w))
-            out.append((f"b{i}", b))
-        out.append(("head_w", self.head_w))
-        out.append(("head_b", self.head_b))
-        return out
+    def __init__(self, hp: Hyperparams):
+        zero = PolicyParams.zeros(hp)
+        super().__init__(hp, zero.weights, zero.biases, zero.head_w, zero.head_b)
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(a))) if a.size else 0.0 for _, a in self.arrays())
@@ -475,41 +465,3 @@ def argmax_actions(dists: dict[int, ActionDistribution]) -> dict[int, tuple[Omeg
         idx = int(np.argmax(d.probs))
         out[nid] = (OmegaAction(idx), float(d.log_probs[idx]))
     return out
-
-
-def backward(
-    params: PolicyParams,
-    g: MigGraph,
-    center: int,
-    action: OmegaAction,
-    scale: float,
-    grads: PolicyGradients,
-):
-    """Accumulate scale * grad log pi(action | center's neighborhood)."""
-    backward_many(params, g, [center], [action], [scale], grads)
-
-
-def backward_many(
-    params: PolicyParams,
-    g: MigGraph,
-    centers: list[int],
-    actions: list[OmegaAction],
-    scales,
-    grads: PolicyGradients,
-):
-    if not centers:
-        return
-    batch = batch_for(params, g, centers)
-    probs, _ = _forward_batch(params, batch, keep_cache=True)
-    _backward_batch(
-        params,
-        batch,
-        probs,
-        np.asarray([int(a) for a in actions], dtype=np.int64),
-        np.asarray(scales, dtype=float),
-        grads,
-    )
-
-
-def log_prob_of(params: PolicyParams, g: MigGraph, center: int, action: OmegaAction) -> float:
-    return float(forward(params, g, center).log_probs[int(action)])

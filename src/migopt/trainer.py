@@ -1,11 +1,17 @@
 """Episode rollouts and policy-gradient training.
 
-An episode clones its start graph, then for a fixed number of steps runs
-a full forward pass, samples one action per acting node, and applies the
-whole action set through the environment. The reward is terminal: initial
-minus final reachable gate count. Updates are plain gradient ascent on
-sum(scale * log pi) with scale = reward minus a moving-average baseline;
-only actions the environment actually applied contribute.
+Training episodes, greedy deployment, sampled `optimize` and the
+uniform-random baseline all run one loop, `rollout(g0, steps, choose)`:
+it clones the start graph once, then on each step asks the chooser for
+one action per acting node and applies the whole action set through the
+environment. `policy_chooser` runs the network over the graph and takes
+the argmax, or samples when given a generator; `uniform_chooser` draws
+uniform actions without a network.
+
+The reward is terminal: initial minus final reachable gate count.
+Updates are plain gradient ascent on sum(scale * log pi) with scale =
+reward minus a moving-average baseline; only actions the environment
+actually applied contribute.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from migopt.policy import (
     _forward_batch,
     argmax_actions,
     batch_for,
-    forward_all,
     sample_actions,
 )
 from migopt.rewrite import OmegaAction, StepReport
@@ -52,11 +57,9 @@ class TrainConfig:
     seed: int = 0
     batch_size: int = 1
     checkpoint_every: int = 0  # 0 = no periodic checkpoints
-    include_blocked: bool = False  # also reinforce blocked actions
     entropy_coef: float = 0.01  # exploration pressure on every visited state
     grad_norm: str = "mean"  # "mean": scale update by 1/#actions; "sum": raw
     baseline_mode: str = "per_item"  # "per_item" or "global"
-    draws_per_item: int = 1  # consecutive episodes on the same start graph
 
     def validate(self):
         if self.lr <= 0:
@@ -67,16 +70,13 @@ class TrainConfig:
             raise ValueError(f"unknown grad_norm {self.grad_norm!r}")
         if self.baseline_mode not in ("per_item", "global"):
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
-        if self.draws_per_item < 1:
-            raise ValueError("draws_per_item must be at least 1")
 
 
 @dataclass(slots=True)
 class StepRecord:
-    snapshot: MigGraph  # graph state the policy observed
     actions: dict[int, tuple[OmegaAction, float]]  # node -> (action, log-prob)
     report: StepReport
-    batch: object = None  # prebuilt index arrays for the gradient pass
+    batch: object = None  # forward cache for the gradient pass, if kept
     probs: object = None  # per-center distributions, center order
 
 
@@ -92,37 +92,67 @@ class EpisodeTrace:
         return self.initial_size - self.final_size
 
 
+def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord]]:
+    """Run `steps` environment steps on a copy of g0; g0 is never mutated.
+
+    choose(g) returns (actions, batch, probs): node -> (action, log-prob)
+    for every acting node, plus what the step record keeps for a gradient
+    pass (None when nothing is kept).
+    """
+    g = g0.clone()
+    records: list[StepRecord] = []
+    for _ in range(steps):
+        acts, batch, probs = choose(g)
+        report = rw.step(g, {nid: a for nid, (a, _) in acts.items()})
+        records.append(StepRecord(acts, report, batch, probs))
+    return g, records
+
+
+def policy_chooser(
+    params: PolicyParams, rng: np.random.Generator | None = None, keep_cache: bool = False
+):
+    """Argmax actions when rng is None, sampled ones otherwise. With
+    keep_cache the forward intermediates, which are O(nodes * layers),
+    stay in the step record for the gradient pass."""
+
+    def choose(g: MigGraph):
+        batch = batch_for(params, g)
+        if batch is None:
+            return {}, None, None
+        probs, log_probs = _forward_batch(params, batch, keep_cache=keep_cache)
+        dists = {
+            c: ActionDistribution(probs[i], log_probs[i])
+            for i, c in enumerate(batch.centers)
+        }
+        acts = argmax_actions(dists) if rng is None else sample_actions(dists, rng)
+        return (acts, batch, probs) if keep_cache else (acts, None, None)
+
+    return choose
+
+
+def uniform_chooser(rng: np.random.Generator):
+    """One uniform draw per reachable majority node, in ascending id order."""
+    log_p = -float(np.log(rw.ACTION_COUNT))
+
+    def choose(g: MigGraph):
+        centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
+        acts = {n: (OmegaAction(int(rng.integers(rw.ACTION_COUNT))), log_p) for n in centers}
+        return acts, None, None
+
+    return choose
+
+
 def run_episode(
     g0: MigGraph,
     params: PolicyParams,
     cfg: EpisodeConfig,
     rng: np.random.Generator,
 ) -> tuple[EpisodeTrace, int]:
-    """Roll one episode on a copy of g0; g0 itself is never mutated."""
+    """Roll one episode on a copy of g0, keeping the forward caches."""
     cfg.validate()
-    g = g0.clone()
-    initial = g.size()
-    steps: list[StepRecord] = []
-    for _ in range(cfg.steps):
-        batch = batch_for(params, g)
-        probs = None
-        if batch is None:
-            dists = {}
-        else:
-            # intermediates are O(nodes * layers), so the gradient pass reuses them
-            probs, log_probs = _forward_batch(params, batch, keep_cache=True)
-            dists = {
-                c: ActionDistribution(probs[i], log_probs[i])
-                for i, c in enumerate(batch.centers)
-            }
-        if cfg.mode == "greedy":
-            acts = argmax_actions(dists)
-        else:
-            acts = sample_actions(dists, rng)
-        snapshot = g.clone()
-        report = rw.step(g, {nid: a for nid, (a, _) in acts.items()})
-        steps.append(StepRecord(snapshot, acts, report, batch, probs))
-    trace = EpisodeTrace(steps, initial, g.size())
+    choose = policy_chooser(params, None if cfg.mode == "greedy" else rng, keep_cache=True)
+    g, steps = rollout(g0, cfg.steps, choose)
+    trace = EpisodeTrace(steps, g0.size(), g.size())
     return trace, trace.reward
 
 
@@ -139,7 +169,6 @@ def reinforce_update(
     baseline: BaselineState,
     lr: float,
     baseline_decay: float,
-    include_blocked: bool = False,
     entropy_coef: float = 0.0,
     grad_norm: str = "sum",
 ) -> PolicyGradients:
@@ -148,9 +177,8 @@ def reinforce_update(
     The baseline moves first and every episode is scaled by (reward -
     baseline); a per-item baseline tracks each start graph separately,
     which keeps the scale meaningful across items of very different
-    sizes. Only applied actions enter the reinforcement term unless
-    include_blocked is set. The entropy term, when enabled, covers every
-    observed state of every step.
+    sizes. Only applied actions enter the reinforcement term. The entropy
+    term, when enabled, covers every observed state of every step.
     """
     rewards = [r for _, r in batch]
     scales_by_trace = []
@@ -168,11 +196,6 @@ def reinforce_update(
             scales_by_trace.append(reward - b)
 
     grads = PolicyGradients(params.hp)
-    wanted = (
-        ("applied", "blocked_illegal", "blocked_collision")
-        if include_blocked
-        else ("applied",)
-    )
     action_count = 0
     for (trace, _reward), scale in zip(batch, scales_by_trace):
         for rec in trace.steps:
@@ -181,7 +204,7 @@ def reinforce_update(
             # zero-scale rows contribute nothing, so reuse the full batch
             actions = [rec.actions[c][0] for c in rec.batch.centers]
             scales = [
-                scale if rec.report.outcomes.get(c) in wanted else 0.0
+                scale if rec.report.outcomes.get(c) == "applied" else 0.0
                 for c in rec.batch.centers
             ]
             action_count += sum(1 for s in scales if s)
@@ -252,19 +275,18 @@ def train(
     metrics: list[EpisodeMetrics] = []
     batch: list[tuple[EpisodeTrace, float]] = []
     for ep in range(cfg.episodes):
-        name, g0 = dataset[(ep // cfg.draws_per_item) % len(dataset)]
+        name, g0 = dataset[ep % len(dataset)]
         t0 = time.perf_counter()
         trace, reward = run_episode(g0, params, ep_cfg, rng)
         trace.item = name
         batch.append((trace, reward))
-        if len(batch) >= cfg.batch_size:
+        if len(batch) >= cfg.batch_size or ep == cfg.episodes - 1:
             reinforce_update(
                 params,
                 batch,
                 baseline,
                 cfg.lr,
                 cfg.baseline_decay,
-                cfg.include_blocked,
                 entropy_coef=cfg.entropy_coef,
                 grad_norm=cfg.grad_norm,
             )
@@ -284,17 +306,6 @@ def train(
         )
         if checkpoint_fn and cfg.checkpoint_every and (ep + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(params, ep)
-    if batch:
-        reinforce_update(
-            params,
-            batch,
-            baseline,
-            cfg.lr,
-            cfg.baseline_decay,
-            cfg.include_blocked,
-            entropy_coef=cfg.entropy_coef,
-            grad_norm=cfg.grad_norm,
-        )
     if checkpoint_fn:
         checkpoint_fn(params, cfg.episodes - 1)
     return params, metrics
@@ -304,24 +315,13 @@ def greedy_optimize(
     g: MigGraph, params: PolicyParams, steps: int
 ) -> tuple[MigGraph, list[StepReport]]:
     """Deployment mode: argmax action selection, same environment as training."""
-    work = g.clone()
-    reports: list[StepReport] = []
-    for _ in range(steps):
-        dists = forward_all(params, work)
-        acts = argmax_actions(dists)
-        reports.append(rw.step(work, {nid: a for nid, (a, _) in acts.items()}))
-    return work, reports
+    work, records = rollout(g, steps, policy_chooser(params))
+    return work, [r.report for r in records]
 
 
 def random_rollout(
     g: MigGraph, steps: int, rng: np.random.Generator
 ) -> tuple[MigGraph, list[StepReport]]:
     """Uniform-random policy control: same environment, no network."""
-    work = g.clone()
-    reports: list[StepReport] = []
-    for _ in range(steps):
-        reach = work.reachable_nodes()
-        centers = [n for n in sorted(reach) if work.nodes[n].kind == MAJ]
-        acts = {n: OmegaAction(int(rng.integers(rw.ACTION_COUNT))) for n in centers}
-        reports.append(rw.step(work, acts))
-    return work, reports
+    work, records = rollout(g, steps, uniform_chooser(rng))
+    return work, [r.report for r in records]

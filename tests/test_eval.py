@@ -114,6 +114,16 @@ def test_report_serialization_and_reference_points():
     assert "MSR" in rep.summary_text()
 
 
+def test_wide_items_are_reported_unproven():
+    # beyond exact_limit (16) inputs only signatures are compared
+    items = [("narrow", clean_random_graph(6, 15, 3)), ("wide", clean_random_graph(20, 40, 4))]
+    rep = ev.evaluate(items, ev.random_policy(0), ev.EvalConfig(steps=3))
+    assert [it.proven for it in rep.items] == [True, False]
+    lines = [json.loads(line) for line in rep.to_jsonl().strip().splitlines()]
+    assert [rec["proven"] for rec in lines[:-1]] == [True, False]
+    assert "unproven 1 of 2" in rep.summary_text()
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ev.EvalError):
         ev.evaluate([], ev.random_policy(0), ev.EvalConfig())

@@ -190,12 +190,19 @@ def test_sample_actions_frequencies():
     assert np.all(np.abs(counts / n - p) < 3 * sigma + 1e-12)
 
 
+def backward_one(params, g, center, action, scale, grads):
+    """Accumulate scale * grad log pi(action | center) through one batch."""
+    batch = pol.batch_for(params, g, [center])
+    probs, _ = pol._forward_batch(params, batch, keep_cache=True)
+    pol._backward_batch(params, batch, probs, np.array([int(action)]), np.array([scale]), grads)
+
+
 def test_backward_zero_scale():
     g, center = motif_graph()
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=0)
     grads = PolicyGradients(hp)
-    pol.backward(params, g, center, rw.OmegaAction.ASSOC, 0.0, grads)
+    backward_one(params, g, center, rw.OmegaAction.ASSOC, 0.0, grads)
     assert grads.max_abs() == 0.0
 
 
@@ -207,7 +214,7 @@ def test_backward_head_bias_is_softmax_identity():
     d = pol.forward(params, g, center)
     grads = PolicyGradients(hp)
     action = rw.OmegaAction.DIST_RL
-    pol.backward(params, g, center, action, 1.0, grads)
+    backward_one(params, g, center, action, 1.0, grads)
     want = -d.probs.copy()
     want[int(action)] += 1.0
     assert np.allclose(grads.head_b, want, atol=1e-12)
@@ -216,8 +223,8 @@ def test_backward_head_bias_is_softmax_identity():
 def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
     """Worst relative gap between the analytic gradient and central differences.
 
-    centers="one": log pi(a | c) at one random center, through backward and
-    log_prob_of. centers="all": every majority node is a center with its own
+    centers="one": log pi(a | c) at one random center, through backward_one
+    and forward. centers="all": every majority node is a center with its own
     action and scale plus an entropy term, through one batch, so the
     centers' adjoints meet in the shared background rows.
     """
@@ -238,10 +245,10 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
     if centers == "one":
         center = maj[int(rng.integers(len(maj)))]
         action = rw.OmegaAction(int(rng.integers(9)))
-        pol.backward(params, g, center, action, 1.0, grads)
+        backward_one(params, g, center, action, 1.0, grads)
 
         def objective():
-            return pol.log_prob_of(params, g, center, action)
+            return float(pol.forward(params, g, center).log_probs[int(action)])
 
     else:
         actions = rng.integers(9, size=len(maj))

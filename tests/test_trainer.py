@@ -91,10 +91,11 @@ def test_reinforce_increases_probability_of_rewarded_action():
     rec = trace.steps[0]
     nid = next(n for n, v in rec.report.outcomes.items() if v == "applied")
     action = rec.actions[nid][0]
-    p_before = forward_all(params, rec.snapshot)[nid].probs[int(action)]
+    # a one-step episode observes its start graph
+    p_before = forward_all(params, g)[nid].probs[int(action)]
     baseline = tr.BaselineState(mode="global", value=0.0)
     tr.reinforce_update(params, [(trace, 5.0)], baseline, 1e-2, 0.5)  # scale > 0
-    p_after = forward_all(params, rec.snapshot)[nid].probs[int(action)]
+    p_after = forward_all(params, g)[nid].probs[int(action)]
     assert p_after > p_before
 
 
@@ -160,6 +161,15 @@ def test_train_checkpoint_cadence(tmp_path):
     cfg = tr.TrainConfig(episodes=7, steps=2, seed=1, checkpoint_every=3)
     tr.train(items, params0, cfg, checkpoint_fn=lambda p, ep: calls.append(ep))
     assert calls == [2, 5, 6]  # cadence plus the final save
+
+
+def test_train_flushes_trailing_partial_batch():
+    # 3 episodes never fill a batch of 4, so only the final flush updates
+    items = [("g", clean_random_graph(5, 10, 2))]
+    params0 = PolicyParams.init(HP, seed=4)
+    cfg = tr.TrainConfig(episodes=3, steps=2, seed=3, batch_size=4)
+    params, _ = tr.train(items, params0, cfg)
+    assert any(not np.array_equal(a, b) for (_, a), (_, b) in zip(params.arrays(), params0.arrays()))
 
 
 def test_per_item_baseline_tracks_each_graph():

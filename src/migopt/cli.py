@@ -57,10 +57,12 @@ def _load_dataset_arg(name: str):
     return items
 
 
+def _check_steps(steps: int):
+    if steps < 0:
+        raise ValueError(f"--steps must be non-negative, got {steps}")
+
+
 def _cmd_train(args) -> int:
-    dataset = _load_dataset_arg(args.dataset)
-    hp = Hyperparams(layers=args.layers, hidden=args.hidden)
-    params0 = PolicyParams.init(hp, seed=args.seed)
     cfg = trainer.TrainConfig(
         episodes=args.episodes,
         steps=args.steps,
@@ -70,6 +72,10 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size,
         checkpoint_every=args.checkpoint_every,
     )
+    cfg.validate()  # before the dataset, which can take seconds to build
+    dataset = _load_dataset_arg(args.dataset)
+    hp = Hyperparams(layers=args.layers, hidden=args.hidden)
+    params0 = PolicyParams.init(hp, seed=args.seed)
     ckpt_path = Path(args.ckpt_out)
 
     def save(params, ep):
@@ -90,6 +96,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _check_steps(args.steps)
     g = formats.load_mig(args.infile)
     params = formats.load_checkpoint(args.ckpt)
     if args.mode == "greedy":
@@ -107,6 +114,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_steps(args.steps)
     dataset = _load_dataset_arg(args.dataset)
     if args.optimizer == "policy":
         if not args.ckpt:
@@ -218,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MigError, evaluate.EvalError, OSError) as exc:
+    except (MigError, evaluate.EvalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

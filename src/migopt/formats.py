@@ -26,6 +26,7 @@ import numpy as np
 
 from migopt.mig import MAJ, MigError, MigGraph, Signal, new_graph
 from migopt.policy import Hyperparams, PolicyParams
+from migopt.rewrite import ACTION_COUNT
 
 
 # -- native MIG text ----------------------------------------------------
@@ -246,7 +247,7 @@ def checkpoint_text(params: PolicyParams, rng_state=None) -> str:
         "migckpt 1",
         f"layers {hp.layers}",
         f"hidden {hp.hidden}",
-        f"actions {hp.actions}",
+        f"actions {ACTION_COUNT}",
     ]
     if rng_state is not None:
         lines.append("rngstate " + json.dumps(rng_state))
@@ -271,18 +272,22 @@ def parse_checkpoint(text: str):
         raise MigError("checkpoint checksum mismatch")
     if lines[0] != "migckpt 1":
         raise MigError("unsupported checkpoint version")
+    try:
+        return _checkpoint_payload(lines)
+    except (KeyError, IndexError, ValueError) as exc:
+        raise MigError(f"malformed checkpoint payload: {exc!r}") from None
 
+
+def _checkpoint_payload(lines: list[str]):
     fields = {}
     idx = 1
     while idx < len(lines) - 1 and not lines[idx].startswith("array "):
         key, _, val = lines[idx].partition(" ")
         fields[key] = val
         idx += 1
-    hp = Hyperparams(
-        layers=int(fields["layers"]),
-        hidden=int(fields["hidden"]),
-        actions=int(fields["actions"]),
-    )
+    hp = Hyperparams(layers=int(fields["layers"]), hidden=int(fields["hidden"]))
+    if int(fields["actions"]) != ACTION_COUNT:
+        raise MigError(f"action head must have {ACTION_COUNT} outputs")
     rng_state = json.loads(fields["rngstate"]) if "rngstate" in fields else None
 
     arrays = {}
@@ -309,9 +314,11 @@ def parse_checkpoint(text: str):
             raise MigError(f"array w{layer} has shape {w.shape}, want {want}")
         weights.append(w)
         biases.append(arrays[f"b{layer}"].reshape(-1))
+        if biases[-1].shape != (hp.hidden,):
+            raise MigError(f"array b{layer} has {biases[-1].size} values, want {hp.hidden}")
     head_w = arrays["head_w"]
     head_b = arrays["head_b"].reshape(-1)
-    if head_w.shape != (hp.actions, hp.hidden) or head_b.shape != (hp.actions,):
+    if head_w.shape != (ACTION_COUNT, hp.hidden) or head_b.shape != (ACTION_COUNT,):
         raise MigError("action head has wrong shape")
     return PolicyParams(hp, weights, biases, head_w, head_b), rng_state
 

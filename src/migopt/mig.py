@@ -138,9 +138,6 @@ class MigGraph:
 
     # -- traversal ----------------------------------------------------
 
-    def is_live(self, nid: int) -> bool:
-        return nid in self.nodes
-
     def maj_ids(self) -> list[int]:
         return [nid for nid, n in self.nodes.items() if n.kind == MAJ]
 

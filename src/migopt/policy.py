@@ -51,15 +51,12 @@ _KIND_COLUMN = {PI: 1, CONST: 2, MAJ: 3}
 class Hyperparams:
     layers: int = 3  # message-passing depth == neighborhood radius
     hidden: int = 16
-    actions: int = ACTION_COUNT
 
     def validate(self):
         if self.layers < 1:
             raise MigError("need at least one layer")
         if self.hidden < 4:
             raise MigError("hidden width must be at least 4")
-        if self.actions != ACTION_COUNT:
-            raise MigError(f"action head must have {ACTION_COUNT} outputs")
 
 
 class PolicyParams:
@@ -70,8 +67,8 @@ class PolicyParams:
         self.hp = hp
         self.weights = weights  # L arrays, hidden x 6*(h_in+1)
         self.biases = biases  # L arrays, hidden
-        self.head_w = head_w  # actions x hidden
-        self.head_b = head_b  # actions
+        self.head_w = head_w  # ACTION_COUNT x hidden
+        self.head_b = head_b  # ACTION_COUNT
 
     @staticmethod
     def layer_in_dim(hp: Hyperparams, layer: int) -> int:
@@ -87,8 +84,8 @@ class PolicyParams:
             weights.append(rng.uniform(-bound, bound, size=(hp.hidden, fan_in)))
             biases.append(np.zeros(hp.hidden))
         bound = 1.0 / np.sqrt(hp.hidden)
-        head_w = rng.uniform(-bound, bound, size=(hp.actions, hp.hidden))
-        head_b = np.zeros(hp.actions)
+        head_w = rng.uniform(-bound, bound, size=(ACTION_COUNT, hp.hidden))
+        head_b = np.zeros(ACTION_COUNT)
         return cls(hp, weights, biases, head_w, head_b)
 
     @classmethod
@@ -99,7 +96,7 @@ class PolicyParams:
         ]
         biases = [np.zeros(hp.hidden) for _ in range(hp.layers)]
         return PolicyParams(
-            hp, weights, biases, np.zeros((hp.actions, hp.hidden)), np.zeros(hp.actions)
+            hp, weights, biases, np.zeros((ACTION_COUNT, hp.hidden)), np.zeros(ACTION_COUNT)
         )
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -121,8 +118,8 @@ class PolicyParams:
             6 * (BASE_FEATURES + 1) * h
             + h
             + (L - 1) * (6 * (h + 1) * h + h)
-            + hp.actions * h
-            + hp.actions
+            + ACTION_COUNT * h
+            + ACTION_COUNT
         )
 
     def clone(self) -> "PolicyParams":
@@ -176,13 +173,10 @@ def graph_fanouts(g: MigGraph) -> dict[int, list[tuple[int, int]]]:
     return fo
 
 
-def extract_neighborhood(
-    g: MigGraph, center: int, d_adj: int, fanouts=None
-) -> Neighborhood:
+def extract_neighborhood(g: MigGraph, center: int, d_adj: int) -> Neighborhood:
     if center not in g.nodes:
         raise MigError(f"center {center} is not a live node")
-    if fanouts is None:
-        fanouts = graph_fanouts(g)
+    fanouts = graph_fanouts(g)
     dist = {center: 0}
     order = [center]
     qi = 0
@@ -230,16 +224,16 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(offsets.size, dtype=np.int64)
 
 
-def _build_batch(g: MigGraph, centers: list[int], depth: int, fanouts) -> _Batch:
+def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     ids = list(g.nodes)
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
     kind = np.zeros((n, BASE_FEATURES))
     kind[np.arange(n), [_KIND_COLUMN[g.nodes[nid].kind] for nid in ids]] = 1.0
 
-    # fanout edges grouped by (producer, port), consumers in fanouts order
+    # fanout edges grouped by (producer, port), consumers in graph_fanouts order
     prod, port, cons, neg = [], [], [], []
-    for nid, consumers in fanouts.items():
+    for nid, consumers in graph_fanouts(g).items():
         j = index[nid]
         for cid, p in consumers:
             prod.append(j)
@@ -405,28 +399,23 @@ def _backward_batch(
         _scatter_add(dfeats, lay.edge_consumer, dfanout[lay.edge_bin])
 
 
-def forward(params: PolicyParams, g: MigGraph, center: int, fanouts=None) -> ActionDistribution:
+def forward(params: PolicyParams, g: MigGraph, center: int) -> ActionDistribution:
     node = g.nodes.get(center)
     if node is None or node.kind != MAJ:
         raise MigError(f"node {center} is not a live majority node")
-    probs, log_probs = _forward_batch(params, batch_for(params, g, [center], fanouts))
+    probs, log_probs = _forward_batch(params, batch_for(params, g, [center]))
     return ActionDistribution(probs[0], log_probs[0])
 
 
-def batch_for(
-    params: PolicyParams, g: MigGraph, centers=None, fanouts=None
-) -> _Batch | None:
+def batch_for(params: PolicyParams, g: MigGraph, centers=None) -> _Batch | None:
     """Index arrays for the given centers, by default every reachable
-    majority node; None when there is none. `fanouts`, if given, is
-    graph_fanouts(g)."""
+    majority node; None when there is none."""
     if centers is None:
         reach = g.reachable_nodes()
         centers = [nid for nid in sorted(reach) if g.nodes[nid].kind == MAJ]
     if not centers:
         return None
-    if fanouts is None:
-        fanouts = graph_fanouts(g)
-    return _build_batch(g, list(centers), params.hp.layers, fanouts)
+    return _build_batch(g, list(centers), params.hp.layers)
 
 
 def forward_all(params: PolicyParams, g: MigGraph) -> dict[int, ActionDistribution]:

@@ -66,7 +66,6 @@ class RewritePlan:
 class MatchDescriptor:
     root: int
     action: OmegaAction
-    binding: tuple
     footprint: frozenset[int]
     plan: RewritePlan | None
 
@@ -122,14 +121,14 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
     fan = node.fanins
 
     if action == OmegaAction.IDENTITY:
-        return MatchDescriptor(nid, action, (), frozenset(), None)
+        return MatchDescriptor(nid, action, frozenset(), None)
 
     if action in _COMM_PORTS:
         i, j = _COMM_PORTS[action]
         new = list(fan)
         new[i], new[j] = new[j], new[i]
         plan = RewritePlan(nid, tuple(new), [], frozenset((nid,)))
-        return MatchDescriptor(nid, action, (i, j), frozenset((nid,)), plan)
+        return MatchDescriptor(nid, action, frozenset((nid,)), plan)
 
     if action == OmegaAction.INV_PROP:
         cons = _consumers(g, nid)
@@ -141,7 +140,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             complements_root=True,
         )
         foot = frozenset({nid} | {cid for cid, _ in cons})
-        return MatchDescriptor(nid, action, (), foot, plan)
+        return MatchDescriptor(nid, action, foot, plan)
 
     if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
         want_compl = action == OmegaAction.COMPL_ASSOC
@@ -184,7 +183,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         frozenset((nid, child_sig.node)),
                     )
                     foot = frozenset((nid, child_sig.node))
-                    return MatchDescriptor(nid, action, (cp, up, uc), foot, plan)
+                    return MatchDescriptor(nid, action, foot, plan)
         return None
 
     if action == OmegaAction.DIST_LR:
@@ -213,7 +212,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                 frozenset((nid, child_sig.node)),
             )
             foot = frozenset((nid, child_sig.node))
-            return MatchDescriptor(nid, action, (cp, zc), foot, plan)
+            return MatchDescriptor(nid, action, foot, plan)
         return None
 
     if action == OmegaAction.DIST_RL:
@@ -250,8 +249,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                             frozenset((nid, sa.node, sb.node)),
                         )
                         foot = frozenset((nid, sa.node, sb.node))
-                        binding = (cpa, cpb, i, j, k, l)
-                        return MatchDescriptor(nid, action, binding, foot, plan)
+                        return MatchDescriptor(nid, action, foot, plan)
         return None
 
     raise MigError(f"unknown action {action}")
@@ -410,70 +408,56 @@ def lambda_majority(g: MigGraph) -> int:
         total += len(subst)
 
 
-def _canonical_triple(fanins) -> tuple[tuple, bool]:
-    tr = sorted(fanins, key=lambda s: (s.node, s.neg))
-    if sum(s.neg for s in tr) >= 2:
-        tr = sorted((s.invert() for s in tr), key=lambda s: (s.node, s.neg))
-        return tuple(tr), True
-    return tuple(tr), False
-
-
-def lambda_redundancy(g: MigGraph, canonical: bool = False) -> int:
+def lambda_redundancy(g: MigGraph) -> int:
     """Merge nodes with identical fanin triples into the lowest-id survivor.
 
-    Triples compare port-ordered including polarities. With
-    canonical=True the comparison is permutation- and polarity-invariant
-    instead (merged references then absorb the phase difference).
+    Triples compare port-ordered including polarities.
     """
     total = 0
     while True:
         subst: dict[int, Signal] = {}
-        seen: dict[tuple, tuple[int, bool]] = {}
+        seen: dict[tuple, int] = {}
         for nid in g.topological_order():
             node = g.nodes[nid]
             if node.kind != MAJ:
                 continue
             fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
             node.fanins = fanins
-            if canonical:
-                key, phase = _canonical_triple(fanins)
-            else:
-                key, phase = fanins, False
-            hit = seen.get(key)
-            if hit is None:
-                seen[key] = (nid, phase)
+            other = seen.get(fanins)
+            if other is None:
+                seen[fanins] = nid
                 continue
-            other, other_phase = hit
             if nid < other:
-                subst[other] = Signal(nid, phase ^ other_phase)
-                seen[key] = (nid, phase)
+                subst[other] = Signal(nid)
+                seen[fanins] = nid
             else:
-                subst[nid] = Signal(other, phase ^ other_phase)
+                subst[nid] = Signal(other)
             total += 1
         if not subst:
             return total
         _apply_subst(g, subst)
 
 
-def lambda_fixpoint(g: MigGraph, canonical: bool = False) -> tuple[int, int]:
+def lambda_fixpoint(g: MigGraph) -> tuple[int, int]:
     """Run both cleanup rules alternately until neither fires."""
     lm = lr = 0
     while True:
         m = lambda_majority(g)
-        r = lambda_redundancy(g, canonical=canonical)
+        r = lambda_redundancy(g)
         lm += m
         lr += r
         if m == 0 and r == 0:
             return lm, lr
 
 
-def delete_dead(g: MigGraph) -> int:
-    """Drop majority nodes unreachable from the outputs."""
+def delete_dead(g: MigGraph) -> set[int]:
+    """Drop majority nodes unreachable from the outputs; returns the
+    reachable set (all node kinds), which the deletion leaves intact."""
     keep = g.reachable_nodes()
     dead = [nid for nid, n in g.nodes.items() if n.kind == MAJ and nid not in keep]
     for nid in dead:
         del g.nodes[nid]
-    return len(dead)
+    return keep
 
 
 def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
@@ -520,9 +504,7 @@ def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
             rep.outcomes[nid] = "blocked_illegal"
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
-    delete_dead(g)
-
-    reach_after = {n for n in g.reachable_nodes() if g.nodes[n].kind == MAJ}
+    reach_after = {n for n in delete_dead(g) if g.nodes[n].kind == MAJ}
     rep.size_after = len(reach_after)
     rep.nodes_added = len(reach_after - reach_before)
     rep.nodes_removed = len(reach_before - reach_after)
@@ -541,28 +523,22 @@ def check_equivalence_exact(g1: MigGraph, g2: MigGraph) -> bool:
     return g1.simulate_truth_tables() == g2.simulate_truth_tables()
 
 
-def verify_equivalence(
-    g1: MigGraph,
-    g2: MigGraph,
-    exact_limit: int = 16,
-    seeds: tuple[int, ...] = (101, 202, 303),
-    width: int = 256,
-) -> tuple[bool, bool]:
+def verify_equivalence(g1: MigGraph, g2: MigGraph) -> tuple[bool, bool]:
     """Equivalence evidence for any input width.
 
-    Returns (equivalent, proven): an exact truth-table comparison when
-    the input count permits, otherwise seeded random signatures
-    (agreement is strong evidence but not proof).
+    Returns (equivalent, proven): an exact truth-table comparison up to
+    16 inputs, otherwise 256-bit random signatures under three fixed
+    seeds (agreement is strong evidence but not proof).
     """
     if g1.pi_count != g2.pi_count:
         raise MigError("graphs have different input counts")
     if len(g1.outputs) != len(g2.outputs):
         raise MigError("graphs have different output counts")
-    if g1.pi_count <= exact_limit:
+    if g1.pi_count <= 16:
         return check_equivalence_exact(g1, g2), True
-    for seed in seeds:
-        s1 = g1.simulate_signatures(seed, width)
-        s2 = g2.simulate_signatures(seed, width)
+    for seed in (101, 202, 303):
+        s1 = g1.simulate_signatures(seed, 256)
+        s2 = g2.simulate_signatures(seed, 256)
         if s1.output_bits != s2.output_bits:
             return False, True  # a mismatch is a definite counterexample
     return True, False

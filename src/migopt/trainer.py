@@ -9,15 +9,16 @@ the argmax, or samples when given a generator; `uniform_chooser` draws
 uniform actions without a network.
 
 The reward is terminal: initial minus final reachable gate count.
-Updates are plain gradient ascent on sum(scale * log pi) with scale =
-reward minus a moving-average baseline; only actions the environment
-actually applied contribute.
+Updates are plain gradient ascent on the mean of scale * log pi over the
+actions the environment actually applied, with scale = reward minus the
+start graph's moving-average baseline, plus an entropy bonus on every
+observed state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,18 +38,6 @@ from migopt.rewrite import OmegaAction, StepReport
 
 
 @dataclass(slots=True)
-class EpisodeConfig:
-    steps: int = 20
-    mode: str = "stochastic"  # or "greedy"
-
-    def validate(self):
-        if self.steps < 1:
-            raise ValueError("episodes need at least one step")
-        if self.mode not in ("stochastic", "greedy"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-
-
-@dataclass(slots=True)
 class TrainConfig:
     episodes: int
     steps: int = 20
@@ -58,18 +47,20 @@ class TrainConfig:
     batch_size: int = 1
     checkpoint_every: int = 0  # 0 = no periodic checkpoints
     entropy_coef: float = 0.01  # exploration pressure on every visited state
-    grad_norm: str = "mean"  # "mean": scale update by 1/#actions; "sum": raw
-    baseline_mode: str = "per_item"  # "per_item" or "global"
 
     def validate(self):
+        if self.episodes < 0:
+            raise ValueError("episode count must be non-negative")
+        if self.steps < 1:
+            raise ValueError("episodes need at least one step")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.baseline_decay < 1:
             raise ValueError("baseline decay must be in [0, 1)")
-        if self.grad_norm not in ("mean", "sum"):
-            raise ValueError(f"unknown grad_norm {self.grad_norm!r}")
-        if self.baseline_mode not in ("per_item", "global"):
-            raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint interval must be non-negative")
 
 
 @dataclass(slots=True)
@@ -143,23 +134,17 @@ def uniform_chooser(rng: np.random.Generator):
 
 
 def run_episode(
-    g0: MigGraph,
-    params: PolicyParams,
-    cfg: EpisodeConfig,
-    rng: np.random.Generator,
+    g0: MigGraph, params: PolicyParams, steps: int, rng: np.random.Generator | None
 ) -> tuple[EpisodeTrace, int]:
-    """Roll one episode on a copy of g0, keeping the forward caches."""
-    cfg.validate()
-    choose = policy_chooser(params, None if cfg.mode == "greedy" else rng, keep_cache=True)
-    g, steps = rollout(g0, cfg.steps, choose)
-    trace = EpisodeTrace(steps, g0.size(), g.size())
+    """Roll one episode on a copy of g0, keeping the forward caches;
+    greedy when rng is None, sampled otherwise."""
+    g, records = rollout(g0, steps, policy_chooser(params, rng, keep_cache=True))
+    trace = EpisodeTrace(records, g0.size(), g.size())
     return trace, trace.reward
 
 
 @dataclass(slots=True)
 class BaselineState:
-    mode: str = "per_item"
-    value: float = 0.0
     per_item: dict[str, float] = field(default_factory=dict)
 
 
@@ -170,30 +155,23 @@ def reinforce_update(
     lr: float,
     baseline_decay: float,
     entropy_coef: float = 0.0,
-    grad_norm: str = "sum",
 ) -> PolicyGradients:
     """In-place gradient-ascent update from a batch of traces.
 
     The baseline moves first and every episode is scaled by (reward -
-    baseline); a per-item baseline tracks each start graph separately,
-    which keeps the scale meaningful across items of very different
-    sizes. Only applied actions enter the reinforcement term. The entropy
-    term, when enabled, covers every observed state of every step.
+    baseline); the baseline tracks each start graph separately, which
+    keeps the scale meaningful across items of very different sizes.
+    Only applied actions enter the reinforcement term, and the gradient
+    is divided by their count. The entropy term, when enabled, covers
+    every observed state of every step.
     """
-    rewards = [r for _, r in batch]
     scales_by_trace = []
-    if baseline.mode == "global":
-        baseline.value = baseline_decay * baseline.value + (1 - baseline_decay) * (
-            sum(rewards) / len(rewards)
-        )
-        scales_by_trace = [r - baseline.value for _, r in batch]
-    else:
-        for trace, reward in batch:
-            b = baseline_decay * baseline.per_item.get(trace.item, 0.0) + (
-                1 - baseline_decay
-            ) * reward
-            baseline.per_item[trace.item] = b
-            scales_by_trace.append(reward - b)
+    for trace, reward in batch:
+        b = baseline_decay * baseline.per_item.get(trace.item, 0.0) + (
+            1 - baseline_decay
+        ) * reward
+        baseline.per_item[trace.item] = b
+        scales_by_trace.append(reward - b)
 
     grads = PolicyGradients(params.hp)
     action_count = 0
@@ -219,7 +197,7 @@ def reinforce_update(
                 grads,
                 entropy_coef=entropy_coef,
             )
-    if grad_norm == "mean" and action_count:
+    if action_count:
         for _, arr in grads.arrays():
             arr /= action_count
     params.add_scaled(grads, lr)
@@ -239,17 +217,7 @@ class EpisodeMetrics:
     wall_time: float
 
     def as_dict(self) -> dict:
-        return {
-            "episode": self.episode,
-            "item": self.item,
-            "reward": self.reward,
-            "size_before": self.size_before,
-            "size_after": self.size_after,
-            "applied": self.applied,
-            "blocked_illegal": self.blocked_illegal,
-            "blocked_collision": self.blocked_collision,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def train(
@@ -270,14 +238,13 @@ def train(
         raise ValueError("dataset is empty")
     params = params0.clone()
     rng = np.random.default_rng(cfg.seed)
-    baseline = BaselineState(mode=cfg.baseline_mode)
-    ep_cfg = EpisodeConfig(steps=cfg.steps, mode="stochastic")
+    baseline = BaselineState()
     metrics: list[EpisodeMetrics] = []
     batch: list[tuple[EpisodeTrace, float]] = []
     for ep in range(cfg.episodes):
         name, g0 = dataset[ep % len(dataset)]
         t0 = time.perf_counter()
-        trace, reward = run_episode(g0, params, ep_cfg, rng)
+        trace, reward = run_episode(g0, params, cfg.steps, rng)
         trace.item = name
         batch.append((trace, reward))
         if len(batch) >= cfg.batch_size or ep == cfg.episodes - 1:
@@ -288,7 +255,6 @@ def train(
                 cfg.lr,
                 cfg.baseline_decay,
                 entropy_coef=cfg.entropy_coef,
-                grad_norm=cfg.grad_norm,
             )
             batch = []
         metrics.append(

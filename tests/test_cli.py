@@ -61,6 +61,39 @@ def test_train_metrics_deterministic(tmp_path):
     assert (tmp_path / "p1.ckpt").read_text() == (tmp_path / "p2.ckpt").read_text()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", 0), ("--batch-size", 0), ("--episodes", -2), ("--checkpoint-every", -1),
+     ("--steps", 0)],
+)
+def test_train_rejects_bad_settings(tmp_path, capsys, flag, value):
+    d = tmp_path / "ds"
+    run("gen", "--n", 8, "--pi", 6, "--count", 1, "--seed", 2, "--out-dir", d)
+    args = {"--episodes": 1, flag: value}
+    ckpt = tmp_path / "p.ckpt"
+    argv = ["train", "--dataset", d, "--seed", 0, "--ckpt-out", ckpt]
+    assert run(*argv, *(x for kv in args.items() for x in kv)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+def test_negative_steps_rejected(tmp_path, capsys, command):
+    d = tmp_path / "ds"
+    run("gen", "--n", 8, "--pi", 6, "--count", 1, "--seed", 2, "--out-dir", d)
+    out = tmp_path / "out"
+    if command == "optimize":
+        ckpt = tmp_path / "p.ckpt"
+        fmt.save_checkpoint(PolicyParams.init(Hyperparams(layers=2, hidden=6)), ckpt)
+        argv = ["optimize", "--in", next(d.glob("*.mig")), "--ckpt", ckpt, "--out", out]
+    else:
+        argv = ["eval", "--dataset", d, "--optimizer", "random", "--report-out", out]
+    capsys.readouterr()
+    assert run(*argv, "--steps", -3) == 1
+    assert capsys.readouterr().err.startswith("error: --steps must be non-negative")
+    assert not out.exists()
+
+
 def test_optimize_roundtrip(tmp_path):
     d = tmp_path / "ds"
     run("gen", "--n", 10, "--pi", 8, "--count", 1, "--seed", 4, "--out-dir", d)

@@ -115,7 +115,7 @@ def test_report_serialization_and_reference_points():
 
 
 def test_wide_items_are_reported_unproven():
-    # beyond exact_limit (16) inputs only signatures are compared
+    # verify_equivalence proves up to 16 inputs and compares only signatures beyond
     items = [("narrow", clean_random_graph(6, 15, 3)), ("wide", clean_random_graph(20, 40, 4))]
     rep = ev.evaluate(items, ev.random_policy(0), ev.EvalConfig(steps=3))
     assert [it.proven for it in rep.items] == [True, False]

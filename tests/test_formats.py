@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,42 @@ def test_checkpoint_checksum_detects_corruption():
         fmt.parse_checkpoint(corrupted)
     with pytest.raises(MigError):
         fmt.parse_checkpoint(text.rsplit("\n", 2)[0])  # truncated
+
+
+HP_CKPT = Hyperparams(layers=2, hidden=6)
+
+
+def _payload(params: PolicyParams) -> str:
+    return fmt.checkpoint_text(params).rsplit("checksum ", 1)[0]
+
+
+def _five_action_payload(_) -> str:
+    p = PolicyParams.init(HP_CKPT, seed=0)
+    five = PolicyParams(p.hp, p.weights, p.biases, p.head_w[:5], p.head_b[:5])
+    return _payload(five).replace("actions 9\n", "actions 5\n")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p.replace("layers 2\n", ""),
+        lambda p: p.replace("hidden 6\n", "hidden six\n"),
+        lambda p: p.split("array head_b")[0],
+        lambda p: re.sub(r"(array w0 \d+ \d+\n)\S+", r"\1abc", p),
+        _five_action_payload,
+        lambda p: re.sub(r"array b0 1 6\n[^\n]*", "array b0 1 1\n0.0", p),
+    ],
+    ids=["missing-layers", "non-integer-hidden", "missing-head_b", "non-numeric-weight",
+         "five-actions", "one-value-bias"],
+)
+def test_checkpoint_malformed_payload_raises_mig_error(mutate):
+    # each payload is re-signed, so only the payload check can reject it
+    payload = _payload(PolicyParams.init(HP_CKPT, seed=0))
+    bad = mutate(payload)
+    assert bad != payload
+    digest = hashlib.sha256(bad.encode()).hexdigest()
+    with pytest.raises(MigError):
+        fmt.parse_checkpoint(bad + f"checksum {digest}\n")
 
 
 def test_dataset_round_trip(tmp_path):

@@ -44,8 +44,6 @@ def test_hyperparams_validation():
         Hyperparams(layers=0).validate()
     with pytest.raises(MigError):
         Hyperparams(hidden=2).validate()
-    with pytest.raises(MigError):
-        Hyperparams(actions=5).validate()
 
 
 def test_param_count_formula():
@@ -154,9 +152,8 @@ def test_forward_all_coverage():
 def test_forward_all_matches_single_forward():
     params = PolicyParams.init(Hyperparams(layers=3, hidden=16), seed=2)
     g = clean_random_graph(7, 18, 8)
-    fanouts = pol.graph_fanouts(g)
     for nid, d in pol.forward_all(params, g).items():
-        single = pol.forward(params, g, nid, fanouts)
+        single = pol.forward(params, g, nid)
         assert np.allclose(single.probs, d.probs, atol=1e-12)
 
 

@@ -78,9 +78,8 @@ def _cli_sample(g, params, seed):
 
 
 def _episode(g, params, mode, seed):
-    trace, reward = tr.run_episode(
-        g, params, tr.EpisodeConfig(steps=STEPS, mode=mode), np.random.default_rng(seed)
-    )
+    rng = None if mode == "greedy" else np.random.default_rng(seed)
+    trace, reward = tr.run_episode(g, params, STEPS, rng)
     return {
         "reward": reward,
         "initial": trace.initial_size,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,7 @@ def identity_forced_params():
 
 def test_identity_policy_gets_zero_reward_on_clean_graph():
     g = clean_random_graph(6, 15, 1)
-    cfg = tr.EpisodeConfig(steps=5, mode="greedy")
-    trace, reward = tr.run_episode(g, identity_forced_params(), cfg, np.random.default_rng(0))
+    trace, reward = tr.run_episode(g, identity_forced_params(), 5, None)
     assert reward == 0
     assert all(r.report.applied == 0 for r in trace.steps)
 
@@ -34,8 +35,7 @@ def test_cleanup_reward_is_free():
     o = g.add_and(m, g.pi(2))
     g.set_outputs([o])
     assert g.size() == 2
-    cfg = tr.EpisodeConfig(steps=3, mode="greedy")
-    _, reward = tr.run_episode(g, identity_forced_params(), cfg, np.random.default_rng(0))
+    _, reward = tr.run_episode(g, identity_forced_params(), 3, None)
     assert reward >= 1
 
 
@@ -43,37 +43,37 @@ def test_episode_does_not_mutate_start_graph():
     g = clean_random_graph(6, 15, 2)
     before = fmt.emit_mig(g)
     params = PolicyParams.init(HP, seed=1)
-    tr.run_episode(g, params, tr.EpisodeConfig(steps=5), np.random.default_rng(0))
+    tr.run_episode(g, params, 5, np.random.default_rng(0))
     assert fmt.emit_mig(g) == before
 
 
 def test_reward_equals_size_delta_and_step_reports():
     g = clean_random_graph(6, 20, 3)
     params = PolicyParams.init(HP, seed=2)
-    trace, reward = tr.run_episode(g, params, tr.EpisodeConfig(steps=6), np.random.default_rng(4))
+    trace, reward = tr.run_episode(g, params, 6, np.random.default_rng(4))
     assert reward == trace.initial_size - trace.final_size
     delta = sum(r.report.size_before - r.report.size_after for r in trace.steps)
     assert reward == delta
 
 
 def test_episode_config_validation():
+    # the episode settings live on TrainConfig; an episode needs a step
     with pytest.raises(ValueError):
-        tr.EpisodeConfig(steps=0).validate()
-    with pytest.raises(ValueError):
-        tr.EpisodeConfig(mode="nope").validate()
+        tr.TrainConfig(episodes=1, steps=0).validate()
+    tr.TrainConfig(episodes=1, steps=1).validate()
 
 
 def test_reinforce_zero_scale_leaves_params():
     g = clean_random_graph(5, 10, 4)
     params = PolicyParams.init(HP, seed=3)
     snap = params.clone()
-    trace, reward = tr.run_episode(g, params, tr.EpisodeConfig(steps=3), np.random.default_rng(1))
+    trace, reward = tr.run_episode(g, params, 3, np.random.default_rng(1))
     # baseline with decay 0 lands exactly on the reward -> scale 0
-    baseline = tr.BaselineState(mode="global")
+    baseline = tr.BaselineState()
     tr.reinforce_update(params, [(trace, reward)], baseline, 1e-2, 0.0)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.array_equal(a, b)
-    assert baseline.value == reward
+    assert baseline.per_item[trace.item] == reward
 
 
 def test_reinforce_increases_probability_of_rewarded_action():
@@ -82,7 +82,7 @@ def test_reinforce_increases_probability_of_rewarded_action():
     rng = np.random.default_rng(2)
     trace = None
     for _ in range(50):
-        t, _ = tr.run_episode(g, params, tr.EpisodeConfig(steps=1), rng)
+        t, _ = tr.run_episode(g, params, 1, rng)
         rec = t.steps[0]
         if any(v == "applied" for v in rec.report.outcomes.values()):
             trace = t
@@ -93,7 +93,7 @@ def test_reinforce_increases_probability_of_rewarded_action():
     action = rec.actions[nid][0]
     # a one-step episode observes its start graph
     p_before = forward_all(params, g)[nid].probs[int(action)]
-    baseline = tr.BaselineState(mode="global", value=0.0)
+    baseline = tr.BaselineState()
     tr.reinforce_update(params, [(trace, 5.0)], baseline, 1e-2, 0.5)  # scale > 0
     p_after = forward_all(params, g)[nid].probs[int(action)]
     assert p_after > p_before
@@ -104,10 +104,10 @@ def test_opposite_scales_cancel():
     params = PolicyParams.init(HP, seed=6)
     snap = params.clone()
     rng = np.random.default_rng(3)
-    trace, _ = tr.run_episode(g, params, tr.EpisodeConfig(steps=2), rng)
-    # decay 0 makes the baseline the batch mean, so rewards +-d cancel
-    baseline = tr.BaselineState(mode="global")
-    tr.reinforce_update(params, [(trace, 3.0), (trace, -3.0)], baseline, 1e-2, 0.0)
+    trace, _ = tr.run_episode(g, params, 2, rng)
+    # fresh per-item baselines with decay 0.5 give scales +1.5 and -1.5
+    batch = [(replace(trace, item="a"), 3.0), (replace(trace, item="b"), -3.0)]
+    tr.reinforce_update(params, batch, tr.BaselineState(), 1e-2, 0.5)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.allclose(a, b, atol=1e-15)
 
@@ -118,14 +118,12 @@ def test_blocked_only_trace_contributes_no_gradient():
     g.set_outputs([r])
     params = PolicyParams.zeros(HP)
     params.head_b[int(rw.OmegaAction.ASSOC)] = 50.0  # always blocked: no child
-    trace, reward = tr.run_episode(g, params, tr.EpisodeConfig(steps=3, mode="greedy"), np.random.default_rng(0))
+    trace, reward = tr.run_episode(g, params, 3, None)
     assert all(v == "blocked_illegal" for rec in trace.steps for v in rec.report.outcomes.values())
-    grads = tr.reinforce_update(
-        params, [(trace, 7.0)], tr.BaselineState(mode="global"), 1e-2, 0.0
-    )
+    grads = tr.reinforce_update(params, [(trace, 7.0)], tr.BaselineState(), 1e-2, 0.0)
     # baseline moved to 7 -> scale 0; force a nonzero scale instead
     grads = tr.reinforce_update(
-        params, [(trace, 7.0)], tr.BaselineState(mode="global", value=14.0), 1e-2, 1.0 - 1e-9
+        params, [(trace, 7.0)], tr.BaselineState({trace.item: 14.0}), 1e-2, 1.0 - 1e-9
     )
     assert grads.max_abs() == 0.0
 
@@ -174,11 +172,11 @@ def test_train_flushes_trailing_partial_batch():
 
 def test_per_item_baseline_tracks_each_graph():
     items = [("a", clean_random_graph(5, 8, 1)), ("b", clean_random_graph(5, 16, 2))]
-    baseline = tr.BaselineState(mode="per_item")
+    baseline = tr.BaselineState()
     params = PolicyParams.init(HP, seed=0)
     rng = np.random.default_rng(0)
     for name, g in items * 2:
-        trace, reward = tr.run_episode(g, params, tr.EpisodeConfig(steps=2), rng)
+        trace, reward = tr.run_episode(g, params, 2, rng)
         trace.item = name
         tr.reinforce_update(params, [(trace, reward)], baseline, 1e-4, 0.9)
     assert set(baseline.per_item) == {"a", "b"}
@@ -216,7 +214,3 @@ def test_train_config_validation():
         tr.TrainConfig(episodes=1, lr=0).validate()
     with pytest.raises(ValueError):
         tr.TrainConfig(episodes=1, baseline_decay=1.0).validate()
-    with pytest.raises(ValueError):
-        tr.TrainConfig(episodes=1, grad_norm="q").validate()
-    with pytest.raises(ValueError):
-        tr.TrainConfig(episodes=1, baseline_mode="q").validate()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from migopt.mig import MAJ, MigError, MigGraph, Signal, new_graph, pi_pattern
+from migopt.mig import MigError, MigGraph, Signal, new_graph, pi_pattern
 from migopt.rewrite import delete_dead, lambda_fixpoint
 
 
@@ -35,32 +35,6 @@ class RandomGraphSpec:
 class SopSpec:
     input_count: int
     table: int
-
-
-def _cleaned_size(g: MigGraph, outputs: list[Signal]) -> tuple[int, MigGraph]:
-    trial = g.clone()
-    trial.set_outputs(outputs)
-    lambda_fixpoint(trial)
-    delete_dead(trial)
-    return trial.size(), trial
-
-
-def _rough_size(g: MigGraph, outputs: list[Signal]) -> int:
-    seen: set[int] = set()
-    stack = [s.node for s in outputs]
-    count = 0
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        node = g.nodes[nid]
-        if node.kind == MAJ:
-            count += 1
-        for s in node.fanins:
-            if s.node not in seen:
-                stack.append(s.node)
-    return count
 
 
 def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
@@ -83,11 +57,15 @@ def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
                 Signal(rng.choice(maj), rng.random() < 0.5)
                 for _ in range(spec.po_count)
             ]
-            # cheap reachability estimate first; cleanup rarely changes it
-            # because collapse triples were rejected during construction
-            s = _rough_size(g, outs)
+            # uncleaned size first; cleanup rarely changes it because
+            # collapse triples were rejected during construction
+            g.set_outputs(outs)
+            s = g.size()
             if s == spec.size:
-                s, cleaned = _cleaned_size(g, outs)
+                cleaned = g.clone()
+                lambda_fixpoint(cleaned)
+                delete_dead(cleaned)
+                s = cleaned.size()
                 if s == spec.size:
                     cleaned.check()
                     return cleaned

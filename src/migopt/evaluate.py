@@ -158,6 +158,8 @@ def evaluate(
     """Run `optimizer(graph, steps)` on every item, verify, and score."""
     if not dataset:
         raise EvalError("dataset is empty")
+    if cfg.steps < 0:
+        raise EvalError("steps must be non-negative")
     items = []
     for idx, (name, g) in enumerate(dataset):
         t0 = time.perf_counter()

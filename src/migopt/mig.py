@@ -42,9 +42,6 @@ class Node:
     kind: str
     fanins: tuple[Signal, Signal, Signal] | tuple[()] = ()
 
-    def is_maj(self) -> bool:
-        return self.kind == MAJ
-
 
 class MigError(Exception):
     pass
@@ -78,8 +75,10 @@ def pi_pattern(k: int, n: int) -> int:
 class MigGraph:
     """DAG of 3-input majority nodes with complemented edges.
 
-    Single-writer: all mutation must be serialized per graph. Reads
-    (simulation, traversal) are safe on a graph that is not being mutated.
+    Single-writer: all mutation must be serialized per graph, and nodes
+    change only through `add_majority`, `set_fanins` and `remove`, which
+    keep the consumer index behind `fanouts` current. Reads (simulation,
+    traversal) are safe on a graph that is not being mutated.
     """
 
     def __init__(self, pi_count: int):
@@ -91,6 +90,8 @@ class MigGraph:
             self.nodes[i] = Node(PI)
         self.outputs: list[Signal] = []
         self._next_id = pi_count + 1
+        # sorted consumer ids per node that has any, built on first use
+        self._fanouts: dict[int, tuple[int, ...]] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -115,6 +116,8 @@ class MigGraph:
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = Node(MAJ, (a, b, c))
+        if self._fanouts is not None:
+            self._link(nid, {a.node, b.node, c.node})
         return Signal(nid, False)
 
     def add_and(self, a: Signal, b: Signal) -> Signal:
@@ -128,15 +131,60 @@ class MigGraph:
             self._check_live(s)
         self.outputs = list(sigs)
 
+    def set_fanins(self, nid: int, fanins: tuple[Signal, Signal, Signal]):
+        """Replace the fanins of majority node `nid`."""
+        for s in fanins:
+            self._check_live(s)
+        node = self.nodes[nid]
+        if self._fanouts is not None:
+            old = {s.node for s in node.fanins}
+            new = {s.node for s in fanins}
+            self._unlink(nid, old - new)
+            self._link(nid, new - old)
+        node.fanins = tuple(fanins)
+
+    def remove(self, nid: int):
+        """Delete node `nid`; nodes still reading it must go too, or be redirected."""
+        node = self.nodes.pop(nid)
+        if self._fanouts is not None:
+            self._fanouts.pop(nid, None)
+            self._unlink(nid, {s.node for s in node.fanins})
+
+    def _link(self, nid: int, producers: set[int]):
+        for p in producers:
+            self._fanouts[p] = tuple(sorted((*self._fanouts.get(p, ()), nid)))
+
+    def _unlink(self, nid: int, producers: set[int]):
+        for p in producers:  # a producer may be gone already
+            users = tuple(c for c in self._fanouts.pop(p, ()) if c != nid)
+            if users:
+                self._fanouts[p] = users
+
     def clone(self) -> "MigGraph":
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count
         g.nodes = {nid: Node(n.kind, n.fanins) for nid, n in self.nodes.items()}
         g.outputs = list(self.outputs)
         g._next_id = self._next_id
+        g._fanouts = None
         return g
 
     # -- traversal ----------------------------------------------------
+
+    def fanouts(self, nid: int) -> list[int]:
+        """Distinct ids of the nodes that read `nid`, in creation order."""
+        if nid not in self.nodes:
+            raise MigError(f"no live node {nid}")
+        if self._fanouts is None:
+            self._fanouts = self._scan_fanouts()
+        return list(self._fanouts.get(nid, ()))
+
+    def _scan_fanouts(self) -> dict[int, tuple[int, ...]]:
+        fo: dict[int, list[int]] = {}
+        for nid, node in self.nodes.items():  # id order
+            for p in {s.node for s in node.fanins}:
+                fo.setdefault(p, []).append(nid)
+        return {p: tuple(users) for p, users in fo.items()}
 
     def maj_ids(self) -> list[int]:
         return [nid for nid, n in self.nodes.items() if n.kind == MAJ]
@@ -222,8 +270,9 @@ class MigGraph:
         vals = self._eval_words(leaves, mask)
         return [vals[s.node] ^ (mask if s.neg else 0) for s in self.outputs]
 
-    def simulate_signatures(self, seed: int, width: int = 256) -> "SignatureSet":
-        """Bit-parallel simulation under `width` pseudo-random PI patterns.
+    def simulate_signatures(self, seed: int, width: int = 256) -> list[int]:
+        """Per-output words of bit-parallel simulation under `width`
+        pseudo-random PI patterns.
 
         Patterns depend only on (seed, width, PI index), so functionally
         equal graphs over the same inputs produce equal signatures.
@@ -236,8 +285,7 @@ class MigGraph:
         for k in range(1, self.pi_count + 1):
             leaves[k] = rng.getrandbits(width)
         vals = self._eval_words(leaves, mask)
-        outs = [vals[s.node] ^ (mask if s.neg else 0) for s in self.outputs]
-        return SignatureSet(width=width, seed=seed, node_bits=vals, output_bits=outs)
+        return [vals[s.node] ^ (mask if s.neg else 0) for s in self.outputs]
 
     def check(self):
         """Structural invariant sweep; raises MigError on corruption."""
@@ -257,17 +305,9 @@ class MigGraph:
         for s in self.outputs:
             if s.node not in self.nodes:
                 raise MigError(f"output references dead node {s.node}")
+        if self._fanouts is not None and self._fanouts != self._scan_fanouts():
+            raise MigError("fanout index disagrees with the fanins")
         self.topological_order()
-
-
-@dataclass(slots=True)
-class SignatureSet:
-    """Per-node simulated bit-vectors under seeded random patterns."""
-
-    width: int
-    seed: int
-    node_bits: dict[int, int]
-    output_bits: list[int]
 
 
 def new_graph(pi_count: int) -> MigGraph:

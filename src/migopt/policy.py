@@ -28,10 +28,9 @@ into its delta rows and into the shared background rows, whose pass is
 then backpropagated once for all centers.
 
 All arithmetic is float64. Each fanout bin sums its contributions in
-consumer creation order (the order of `graph_fanouts`). A center's
-distribution is therefore a function of its neighborhood and of the
-relative creation order of the nodes in it, not of node ids or of the
-rest of the graph.
+consumer creation order (node id order). A center's distribution is
+therefore a function of its neighborhood and of the relative creation
+order of the nodes in it, not of node ids or of the rest of the graph.
 """
 
 from __future__ import annotations
@@ -165,18 +164,9 @@ class Neighborhood:
     nodes: list[int]  # breadth-first from the center
 
 
-def graph_fanouts(g: MigGraph) -> dict[int, list[tuple[int, int]]]:
-    fo: dict[int, list[tuple[int, int]]] = {}
-    for cid, node in g.nodes.items():
-        for port, s in enumerate(node.fanins):
-            fo.setdefault(s.node, []).append((cid, port))
-    return fo
-
-
 def extract_neighborhood(g: MigGraph, center: int, d_adj: int) -> Neighborhood:
     if center not in g.nodes:
         raise MigError(f"center {center} is not a live node")
-    fanouts = graph_fanouts(g)
     dist = {center: 0}
     order = [center]
     qi = 0
@@ -190,7 +180,7 @@ def extract_neighborhood(g: MigGraph, center: int, d_adj: int) -> Neighborhood:
             if s.node not in dist:
                 dist[s.node] = d + 1
                 order.append(s.node)
-        for cid, _ in fanouts.get(nid, ()):
+        for cid in g.fanouts(nid):
             if cid not in dist:
                 dist[cid] = d + 1
                 order.append(cid)
@@ -231,15 +221,14 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     kind = np.zeros((n, BASE_FEATURES))
     kind[np.arange(n), [_KIND_COLUMN[g.nodes[nid].kind] for nid in ids]] = 1.0
 
-    # fanout edges grouped by (producer, port), consumers in graph_fanouts order
+    # edges by (producer, port); the stable sort keeps consumers in id order
     prod, port, cons, neg = [], [], [], []
-    for nid, consumers in graph_fanouts(g).items():
-        j = index[nid]
-        for cid, p in consumers:
-            prod.append(j)
+    for i, node in enumerate(g.nodes.values()):
+        for p, s in enumerate(node.fanins):
+            prod.append(index[s.node])
             port.append(p)
-            cons.append(index[cid])
-            neg.append(g.nodes[cid].fanins[p].neg)
+            cons.append(i)
+            neg.append(s.neg)
     prod, port, cons = (np.asarray(a, dtype=np.int64) for a in (prod, port, cons))
     pol = 1.0 - 2.0 * np.asarray(neg, dtype=float)
     order = np.argsort(prod * 3 + port, kind="stable")

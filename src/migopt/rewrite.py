@@ -99,15 +99,6 @@ def _virtual_ops(node_fanins, edge: Signal) -> tuple[Signal, Signal, Signal]:
     return tuple(node_fanins)
 
 
-def _consumers(g: MigGraph, nid: int) -> list[tuple[int, int]]:
-    out = []
-    for cid, node in g.nodes.items():
-        for port, s in enumerate(node.fanins):
-            if s.node == nid:
-                out.append((cid, port))
-    return out
-
-
 def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
     """Find the first applicable binding for `action` at node `nid`.
 
@@ -131,7 +122,6 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         return MatchDescriptor(nid, action, frozenset((nid,)), plan)
 
     if action == OmegaAction.INV_PROP:
-        cons = _consumers(g, nid)
         plan = RewritePlan(
             nid,
             tuple(s.invert() for s in fan),
@@ -139,7 +129,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             frozenset((nid,)),
             complements_root=True,
         )
-        foot = frozenset({nid} | {cid for cid, _ in cons})
+        foot = frozenset([nid, *g.fanouts(nid)])
         return MatchDescriptor(nid, action, foot, plan)
 
     if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
@@ -346,15 +336,14 @@ def apply_omega(g: MigGraph, desc: MatchDescriptor) -> ApplyResult:
     for fanins in plan.new_nodes:
         sig = g.add_majority(*(resolve(e) for e in fanins))
         new_ids.append(sig.node)
-    g.nodes[plan.root].fanins = tuple(resolve(ps) for ps in plan.new_root_fanins)
+    g.set_fanins(plan.root, tuple(resolve(ps) for ps in plan.new_root_fanins))
 
     if plan.complements_root:
         root = plan.root
-        for node in g.nodes.values():
-            if any(s.node == root for s in node.fanins):
-                node.fanins = tuple(
-                    s.invert() if s.node == root else s for s in node.fanins
-                )
+        # once per consumer: one that reads the root on two ports flips both
+        for cid in g.fanouts(root):
+            flipped = tuple(s.invert() if s.node == root else s for s in g.nodes[cid].fanins)
+            g.set_fanins(cid, flipped)
         g.outputs = [s.invert() if s.node == root else s for s in g.outputs]
     return ApplyResult(True, new_ids)
 
@@ -370,42 +359,43 @@ def _resolve_subst(subst: dict[int, Signal], s: Signal) -> Signal:
 
 
 def _apply_subst(g: MigGraph, subst: dict[int, Signal]):
-    for node in g.nodes.values():
-        if node.fanins and any(s.node in subst for s in node.fanins):
-            node.fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
+    users = {cid for nid in subst for cid in g.fanouts(nid)}.difference(subst)
+    for cid in users:
+        g.set_fanins(cid, tuple(_resolve_subst(subst, s) for s in g.nodes[cid].fanins))
     g.outputs = [_resolve_subst(subst, s) for s in g.outputs]
     for nid in subst:
-        del g.nodes[nid]
+        g.remove(nid)
 
 
 def lambda_majority(g: MigGraph) -> int:
     """Collapse M(x,x,z) to x and M(x,x',z) to z, to fixpoint."""
-    total = 0
-    while True:
-        subst: dict[int, Signal] = {}
-        for nid in g.topological_order():
-            node = g.nodes[nid]
-            if node.kind != MAJ:
-                continue
-            a, b, c = (_resolve_subst(subst, s) for s in node.fanins)
-            node.fanins = (a, b, c)
-            if a == b or a == c:
-                target = a
-            elif b == c:
-                target = b
-            elif a.node == b.node:  # complementary pair
-                target = c
-            elif a.node == c.node:
-                target = b
-            elif b.node == c.node:
-                target = a
-            else:
-                continue
-            subst[nid] = target
-        if not subst:
-            return total
+    # one pass suffices: in topological order a node's fanins are final
+    # (resolved through every collapse below it) before it is tested
+    subst: dict[int, Signal] = {}
+    for nid in g.topological_order():
+        node = g.nodes[nid]
+        if node.kind != MAJ:
+            continue
+        fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
+        if fanins != node.fanins:
+            g.set_fanins(nid, fanins)
+        a, b, c = fanins
+        if a == b or a == c:
+            target = a
+        elif b == c:
+            target = b
+        elif a.node == b.node:  # complementary pair
+            target = c
+        elif a.node == c.node:
+            target = b
+        elif b.node == c.node:
+            target = a
+        else:
+            continue
+        subst[nid] = target
+    if subst:
         _apply_subst(g, subst)
-        total += len(subst)
+    return len(subst)
 
 
 def lambda_redundancy(g: MigGraph) -> int:
@@ -422,7 +412,8 @@ def lambda_redundancy(g: MigGraph) -> int:
             if node.kind != MAJ:
                 continue
             fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
-            node.fanins = fanins
+            if fanins != node.fanins:
+                g.set_fanins(nid, fanins)
             other = seen.get(fanins)
             if other is None:
                 seen[fanins] = nid
@@ -456,7 +447,7 @@ def delete_dead(g: MigGraph) -> set[int]:
     keep = g.reachable_nodes()
     dead = [nid for nid, n in g.nodes.items() if n.kind == MAJ and nid not in keep]
     for nid in dead:
-        del g.nodes[nid]
+        g.remove(nid)
     return keep
 
 
@@ -537,8 +528,6 @@ def verify_equivalence(g1: MigGraph, g2: MigGraph) -> tuple[bool, bool]:
     if g1.pi_count <= 16:
         return check_equivalence_exact(g1, g2), True
     for seed in (101, 202, 303):
-        s1 = g1.simulate_signatures(seed, 256)
-        s2 = g2.simulate_signatures(seed, 256)
-        if s1.output_bits != s2.output_bits:
+        if g1.simulate_signatures(seed, 256) != g2.simulate_signatures(seed, 256):
             return False, True  # a mismatch is a definite counterexample
     return True, False

@@ -127,3 +127,5 @@ def test_wide_items_are_reported_unproven():
 def test_empty_dataset_rejected():
     with pytest.raises(ev.EvalError):
         ev.evaluate([], ev.random_policy(0), ev.EvalConfig())
+    with pytest.raises(ev.EvalError):
+        ev.evaluate(dg.enumerate_sop3()[:2], ev.random_policy(0), ev.EvalConfig(steps=-3))

@@ -167,7 +167,7 @@ def test_aiger_signatures_match_evaluator_wide():
         for j in range(0, width, 7):
             assignment = [(pi_bits[k] >> j) & 1 for k in range(20)]
             outs = eval_aig(text, assignment)
-            got = [(bits >> j) & 1 for bits in sig.output_bits]
+            got = [(bits >> j) & 1 for bits in sig]
             assert got == outs
 
 

@@ -108,12 +108,11 @@ def test_signature_determinism_and_const():
     g = crude_random_graph(8, 20, 3)
     s1 = g.simulate_signatures(seed=5, width=128)
     s2 = g.simulate_signatures(seed=5, width=128)
-    assert s1.output_bits == s2.output_bits
-    assert s1.node_bits == s2.node_bits
+    assert s1 == s2
 
     gc = new_graph(2)
     gc.set_outputs([gc.const0()])
-    assert gc.simulate_signatures(seed=1, width=64).output_bits == [0]
+    assert gc.simulate_signatures(seed=1, width=64) == [0]
 
 
 def test_signature_width_floor():
@@ -139,7 +138,7 @@ def test_signatures_agree_with_truth_tables():
             row = 0
             for k in range(1, g.pi_count + 1):
                 row |= ((pi_bits[k] >> j) & 1) << (k - 1)
-            for tt, out_bits in zip(tts, sig.output_bits):
+            for tt, out_bits in zip(tts, sig):
                 assert (out_bits >> j) & 1 == (tt >> row) & 1
 
 
@@ -177,6 +176,49 @@ def test_topological_order_chain():
     g.set_outputs([c])
     order = g.topological_order()
     assert order.index(a.node) < order.index(b.node) < order.index(c.node)
+
+
+def test_fanout_index_follows_mutations():
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    b = g.add_majority(a, a, ~g.pi(1))  # reads a on two ports
+    assert g.fanouts(a.node) == [b.node]
+    assert g.fanouts(1) == [a.node, b.node]
+    c = g.add_majority(g.pi(2), a, g.pi(3))  # built index kept current
+    assert g.fanouts(a.node) == [b.node, c.node]
+    g.set_fanins(b.node, (g.pi(3), g.pi(2), ~g.pi(1)))
+    assert g.fanouts(a.node) == [c.node]
+    assert g.fanouts(2) == [a.node, b.node, c.node]
+    g.set_fanins(a.node, (g.pi(1), g.pi(3), g.const1()))
+    assert g.fanouts(2) == [b.node, c.node]
+    assert g.fanouts(0) == [a.node]
+    g.set_outputs([c])
+    g.check()
+    g.remove(b.node)
+    assert g.fanouts(1) == [a.node]
+    assert g.fanouts(3) == [a.node, c.node]
+    g.check()
+    with pytest.raises(MigError):
+        g.fanouts(b.node)
+    with pytest.raises(MigError):
+        g.set_fanins(c.node, (b, g.pi(1), g.pi(2)))
+    h = g.clone()
+    assert all(h.fanouts(nid) == g.fanouts(nid) for nid in g.nodes)
+
+
+def test_check_detects_stale_fanout_index():
+    g = new_graph(2)
+    a = g.add_and(g.pi(1), g.pi(2))
+    b = g.add_and(a, g.pi(1))
+    g.set_outputs([b])
+    g.check()  # no index yet
+    assert g.fanouts(a.node) == [b.node]
+    g.nodes[b.node].fanins = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
+    with pytest.raises(MigError):
+        g.check()
+    h = g.clone()  # the clone drops the index and rebuilds it from the fanins
+    h.check()
+    assert h.fanouts(a.node) == []
 
 
 def test_topological_order_detects_cycles():

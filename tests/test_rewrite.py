@@ -48,6 +48,23 @@ def test_inv_prop_flips_fanins_and_references():
     assert tt(g) == before
 
 
+def test_inv_prop_flips_a_two_port_consumer_once():
+    for via_step in (False, True):
+        g = new_graph(3)
+        r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+        c = g.add_majority(r, r, ~g.pi(1))
+        g.set_outputs([c, ~r])
+        before = tt(g)
+        if via_step:
+            rep = rw.step(g, {r.node: OmegaAction.INV_PROP})
+            assert rep.applied == 1
+        else:
+            assert rw.apply_omega(g, rw.match(g, r.node, OmegaAction.INV_PROP)).applied
+            assert g.nodes[c.node].fanins == (~r, ~r, ~g.pi(1))
+        assert tt(g) == before
+        g.check()
+
+
 def test_assoc_matches_any_port_arrangement():
     # shared operand found regardless of which ports it occupies
     for xp in range(3):
@@ -302,12 +319,12 @@ def test_step_preserves_signatures_on_wide_graph():
     g = crude_random_graph(20, 40, 55)
     rw.lambda_fixpoint(g)
     rw.delete_dead(g)
-    sig0 = [g.simulate_signatures(s, 256).output_bits for s in (1, 2, 3)]
+    sig0 = [g.simulate_signatures(s, 256) for s in (1, 2, 3)]
     rng = random.Random(5)
     for _ in range(30):
         acts = {nid: rw.OmegaAction(rng.randrange(9)) for nid in g.maj_ids()}
         rw.step(g, acts)
-    sig1 = [g.simulate_signatures(s, 256).output_bits for s in (1, 2, 3)]
+    sig1 = [g.simulate_signatures(s, 256) for s in (1, 2, 3)]
     assert sig0 == sig1
 
 

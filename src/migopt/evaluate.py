@@ -130,9 +130,7 @@ def greedy_rules(g: MigGraph) -> MigGraph:
             if desc is None:
                 continue
             trial = work.clone()
-            res = rw.apply_omega(trial, desc)
-            if not res.applied:
-                continue
+            rw.apply_omega(trial, desc)
             rw.lambda_fixpoint(trial)
             rw.delete_dead(trial)
             if trial.size() < work.size():

@@ -10,10 +10,13 @@ Two rule families:
   M(x,x',z)=z and redundancy merging of nodes with identical fanin
   triples.
 
-Every agent move is gated by a local equivalence check: the affected cut
-is exhaustively simulated over its boundary variables on the old and the
-proposed structure, and the rewrite only commits when the functions agree.
-A move that fails the gate leaves the graph untouched.
+Every agent move instantiates one of the Ω identities, which are sound
+(Amarù, Gaillardon, De Micheli, "Majority-Inverter Graph", DAC 2014), and
+`match` binds only where an identity's syntactic precondition holds. So a
+matched move keeps the function without a local check; tests/test_catalog.py
+proves every binding over every operand equality pattern. Whole graphs are
+still checked with `verify_equivalence` before any output is written or
+scored.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from migopt.mig import MAJ, MigError, MigGraph, Signal, pi_pattern
+from migopt.mig import MAJ, MigError, MigGraph, Signal
 
 
 class OmegaAction(IntEnum):
@@ -47,27 +50,22 @@ _COMM_PORTS = {
 
 @dataclass(frozen=True, slots=True)
 class PlanRef:
-    """Reference to the idx-th node a rewrite plan will create."""
+    """Reference to the idx-th node a matched rewrite will create."""
 
     idx: int
-    neg: bool = False
-
-
-@dataclass(slots=True)
-class RewritePlan:
-    root: int
-    new_root_fanins: tuple
-    new_nodes: list[tuple]  # fanin triples of Signal | PlanRef
-    expanded: frozenset[int]  # nodes whose old structure the rewrite consumes
-    complements_root: bool = False
 
 
 @dataclass(slots=True)
 class MatchDescriptor:
+    """One binding of `action` at `root`: the nodes to create, then the
+    root's new fanins, both as triples of Signal | PlanRef."""
+
     root: int
     action: OmegaAction
     footprint: frozenset[int]
-    plan: RewritePlan | None
+    new_root_fanins: tuple
+    new_nodes: tuple[tuple, ...] = ()
+    complements_root: bool = False
 
 
 @dataclass(slots=True)
@@ -112,25 +110,18 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
     fan = node.fanins
 
     if action == OmegaAction.IDENTITY:
-        return MatchDescriptor(nid, action, frozenset(), None)
+        return MatchDescriptor(nid, action, frozenset(), fan)
 
     if action in _COMM_PORTS:
         i, j = _COMM_PORTS[action]
         new = list(fan)
         new[i], new[j] = new[j], new[i]
-        plan = RewritePlan(nid, tuple(new), [], frozenset((nid,)))
-        return MatchDescriptor(nid, action, frozenset((nid,)), plan)
+        return MatchDescriptor(nid, action, frozenset((nid,)), tuple(new))
 
     if action == OmegaAction.INV_PROP:
-        plan = RewritePlan(
-            nid,
-            tuple(s.invert() for s in fan),
-            [],
-            frozenset((nid,)),
-            complements_root=True,
-        )
         foot = frozenset([nid, *g.fanouts(nid)])
-        return MatchDescriptor(nid, action, foot, plan)
+        inverted = tuple(s.invert() for s in fan)
+        return MatchDescriptor(nid, action, foot, inverted, complements_root=True)
 
     if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
         want_compl = action == OmegaAction.COMPL_ASSOC
@@ -166,14 +157,8 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         nc[zc] = x
                         new_root[xp] = virt[zc]
                     new_root[cp] = PlanRef(0)
-                    plan = RewritePlan(
-                        nid,
-                        tuple(new_root),
-                        [tuple(nc)],
-                        frozenset((nid, child_sig.node)),
-                    )
                     foot = frozenset((nid, child_sig.node))
-                    return MatchDescriptor(nid, action, foot, plan)
+                    return MatchDescriptor(nid, action, foot, tuple(new_root), (tuple(nc),))
         return None
 
     if action == OmegaAction.DIST_LR:
@@ -195,14 +180,9 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             new_root[o0] = PlanRef(0)
             new_root[o1] = PlanRef(1)
             new_root[cp] = virt[zc]
-            plan = RewritePlan(
-                nid,
-                tuple(new_root),
-                [tuple(node_a), tuple(node_b)],
-                frozenset((nid, child_sig.node)),
-            )
             foot = frozenset((nid, child_sig.node))
-            return MatchDescriptor(nid, action, foot, plan)
+            new_nodes = (tuple(node_a), tuple(node_b))
+            return MatchDescriptor(nid, action, foot, tuple(new_root), new_nodes)
         return None
 
     if action == OmegaAction.DIST_RL:
@@ -232,114 +212,36 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         new_root[cpa] = p
                         new_root[cpb] = q
                         new_root[zp] = PlanRef(0)
-                        plan = RewritePlan(
-                            nid,
-                            tuple(new_root),
-                            [(ua, vb, z)],
-                            frozenset((nid, sa.node, sb.node)),
-                        )
                         foot = frozenset((nid, sa.node, sb.node))
-                        return MatchDescriptor(nid, action, foot, plan)
+                        return MatchDescriptor(nid, action, foot, tuple(new_root), ((ua, vb, z),))
         return None
 
     raise MigError(f"unknown action {action}")
 
 
-def _plan_equivalent(g: MigGraph, plan: RewritePlan) -> bool:
-    """Exhaustively simulate the cut boundary on old vs planned structure."""
-    boundary: list[int] = []
-    bset: set[int] = set()
-
-    def collect_old(nid: int):
-        for s in g.nodes[nid].fanins:
-            if s.node in plan.expanded:
-                collect_old(s.node)
-            elif s.node not in bset:
-                bset.add(s.node)
-                boundary.append(s.node)
-
-    def collect_plan(ps):
-        if isinstance(ps, PlanRef):
-            for e in plan.new_nodes[ps.idx]:
-                collect_plan(e)
-        elif ps.node in plan.expanded:
-            collect_old(ps.node)
-        elif ps.node not in bset:
-            bset.add(ps.node)
-            boundary.append(ps.node)
-
-    collect_old(plan.root)
-    for ps in plan.new_root_fanins:
-        collect_plan(ps)
-
-    k = len(boundary)
-    if k > 8:
-        return False
-    mask = (1 << (1 << k)) - 1 if k else 1
-    pats = {nid: pi_pattern(i + 1, k) for i, nid in enumerate(boundary)}
-
-    memo_old: dict[int, int] = {}
-
-    def val_old(nid: int) -> int:
-        if nid not in plan.expanded:
-            return pats[nid]
-        v = memo_old.get(nid)
-        if v is None:
-            a, b, c = (val_sig(s) for s in g.nodes[nid].fanins)
-            v = (a & b) | (a & c) | (b & c)
-            memo_old[nid] = v
-        return v
-
-    def val_sig(s: Signal) -> int:
-        return val_old(s.node) ^ (mask if s.neg else 0)
-
-    memo_new: dict[int, int] = {}
-
-    def val_plan(ps) -> int:
-        if isinstance(ps, PlanRef):
-            v = memo_new.get(ps.idx)
-            if v is None:
-                a, b, c = (val_plan(e) for e in plan.new_nodes[ps.idx])
-                v = (a & b) | (a & c) | (b & c)
-                memo_new[ps.idx] = v
-            return v ^ (mask if ps.neg else 0)
-        return val_sig(ps)
-
-    old = val_old(plan.root)
-    a, b, c = (val_plan(ps) for ps in plan.new_root_fanins)
-    new = (a & b) | (a & c) | (b & c)
-    if plan.complements_root:
-        new ^= mask
-    return new == old
-
-
 def apply_omega(g: MigGraph, desc: MatchDescriptor) -> ApplyResult:
-    """Commit a matched rewrite, or block it if the local check fails.
+    """Commit a rewrite that `match` returned for the current graph.
 
-    A blocked rewrite leaves the graph bit-identical.
+    A descriptor whose root is gone does not apply and leaves the graph
+    bit-identical.
     """
     if desc.action == OmegaAction.IDENTITY:
         return ApplyResult(True)
-    plan = desc.plan
-    if plan is None or plan.root not in g.nodes:
-        return ApplyResult(False)
-    if not _plan_equivalent(g, plan):
+    if desc.root not in g.nodes:
         return ApplyResult(False)
 
     new_ids: list[int] = []
 
     def resolve(ps) -> Signal:
-        if isinstance(ps, PlanRef):
-            return Signal(new_ids[ps.idx], ps.neg)
-        return ps
+        return Signal(new_ids[ps.idx]) if isinstance(ps, PlanRef) else ps
 
-    for fanins in plan.new_nodes:
+    for fanins in desc.new_nodes:
         sig = g.add_majority(*(resolve(e) for e in fanins))
         new_ids.append(sig.node)
-    g.set_fanins(plan.root, tuple(resolve(ps) for ps in plan.new_root_fanins))
+    g.set_fanins(desc.root, tuple(resolve(ps) for ps in desc.new_root_fanins))
 
-    if plan.complements_root:
-        root = plan.root
+    if desc.complements_root:
+        root = desc.root
         # once per consumer: one that reads the root on two ports flips both
         for cid in g.fanouts(root):
             flipped = tuple(s.invert() if s.node == root else s for s in g.nodes[cid].fanins)
@@ -454,10 +356,11 @@ def delete_dead(g: MigGraph) -> set[int]:
 def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
     """Apply one simultaneous action set, then cleanup and dead-node removal.
 
-    Acting nodes run in ascending id order. An action whose footprint
-    overlaps nodes already touched by an applied rewrite this step is
-    blocked as a collision; a failed match or failed equivalence gate is
-    blocked as illegal. Both leave the graph unchanged for that node.
+    Acting nodes run in ascending id order. An action at a node that is
+    not a live majority node, or that does not match there, is blocked as
+    illegal; one whose footprint overlaps nodes already touched by an
+    applied rewrite this step is blocked as a collision. Both leave the
+    graph unchanged for that node.
     """
     rep = StepReport()
     reach_before = {n for n in g.reachable_nodes() if g.nodes[n].kind == MAJ}
@@ -485,14 +388,10 @@ def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
             rep.outcomes[nid] = "blocked_collision"
             continue
         res = apply_omega(g, desc)
-        if res.applied:
-            rep.applied += 1
-            rep.outcomes[nid] = "applied"
-            touched |= desc.footprint
-            touched.update(res.new_ids)
-        else:
-            rep.blocked_illegal += 1
-            rep.outcomes[nid] = "blocked_illegal"
+        rep.applied += 1
+        rep.outcomes[nid] = "applied"
+        touched |= desc.footprint
+        touched.update(res.new_ids)
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
     reach_after = {n for n in delete_dead(g) if g.nodes[n].kind == MAJ}

@@ -286,24 +286,6 @@ def test_blocked_actions_leave_graph_bit_identical():
     assert fmt.emit_mig(g) == before
 
 
-def test_equivalence_gate_blocks_broken_plan():
-    # a hand-built wrong plan must be rejected and leave the graph alone
-    g = new_graph(3)
-    r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-    g.set_outputs([r])
-    before = fmt.emit_mig(g)
-    bad_plan = rw.RewritePlan(
-        root=r.node,
-        new_root_fanins=(g.pi(1), g.pi(2), ~g.pi(3)),  # changes the function
-        new_nodes=[],
-        expanded=frozenset((r.node,)),
-    )
-    desc = rw.MatchDescriptor(r.node, OmegaAction.COMM01, frozenset((r.node,)), bad_plan)
-    res = rw.apply_omega(g, desc)
-    assert not res.applied
-    assert fmt.emit_mig(g) == before
-
-
 def test_step_preserves_function_random_property():
     rng = random.Random(123)
     for seed in range(6):

@@ -148,7 +148,10 @@ def _maj8(a: int, b: int, c: int) -> int:
     return (a & b) | (a & c) | (b & c)
 
 
-def _search_exact(max_size: int = 6) -> list[int]:
+_MAX_SIZE = 6  # every 3-input function needs at most this many nodes
+
+
+def _search_exact(max_size: int = _MAX_SIZE) -> list[int]:
     """Minimum majority-node count for every 3-input function.
 
     Iterative-deepening enumeration of all majority networks over
@@ -232,6 +235,17 @@ def _cache_path() -> Path:
     return base / "optimal_sizes_3.txt"
 
 
+def _read_cache(path: Path) -> list[int] | None:
+    """The cached sizes, or None when the file is absent or corrupt."""
+    try:
+        vals = [int(x) for x in path.read_text().split()]
+    except (OSError, ValueError):
+        return None
+    if len(vals) != 256 or not all(0 <= v <= _MAX_SIZE for v in vals):
+        return None
+    return vals
+
+
 def optimal_size_3(table: int) -> int:
     """Exact minimum majority-node count realizing a 3-input function."""
     if not 0 <= table <= 0xFF:
@@ -239,10 +253,7 @@ def optimal_size_3(table: int) -> int:
     global _OPTIMAL3
     if _OPTIMAL3 is None:
         path = _cache_path()
-        if path.exists():
-            vals = [int(x) for x in path.read_text().split()]
-            if len(vals) == 256:
-                _OPTIMAL3 = vals
+        _OPTIMAL3 = _read_cache(path)
         if _OPTIMAL3 is None:
             _OPTIMAL3 = _search_exact()
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -169,21 +169,24 @@ def parse_aiger_ascii(text: str) -> MigGraph:
         return lit
 
     idx = 1
+
+    def literal_line(what: str) -> int:
+        nonlocal idx
+        if idx >= len(lines):
+            raise ParseError(len(lines), f"missing {what} line")
+        toks = lines[idx].split()
+        idx += 1
+        if not toks:
+            raise ParseError(idx, f"blank {what} line")
+        return literal(toks[0], idx)
+
     pi_var: dict[int, int] = {}
     for k in range(n_in):
-        if idx >= len(lines):
-            raise ParseError(len(lines), "missing input line")
-        lit = literal(lines[idx].split()[0], idx + 1)
+        lit = literal_line("input")
         if lit & 1 or lit == 0:
-            raise ParseError(idx + 1, f"input literal {lit} must be even nonzero")
+            raise ParseError(idx, f"input literal {lit} must be even nonzero")
         pi_var[lit >> 1] = k + 1
-        idx += 1
-    out_lits = []
-    for _ in range(n_out):
-        if idx >= len(lines):
-            raise ParseError(len(lines), "missing output line")
-        out_lits.append(literal(lines[idx].split()[0], idx + 1))
-        idx += 1
+    out_lits = [literal_line("output") for _ in range(n_out)]
     and_def: dict[int, tuple[int, int]] = {}
     and_order: list[int] = []
     for _ in range(n_and):
@@ -204,32 +207,40 @@ def parse_aiger_ascii(text: str) -> MigGraph:
     # anything after the gate section is symbols/comments; ignored
 
     g = new_graph(n_in)
-    built: dict[int, Signal] = {}
-    visiting: set[int] = set()
+    built: dict[int, Signal] = {0: g.const0()}
+    built.update((var, g.pi(k)) for var, k in pi_var.items())
 
-    def resolve(var: int) -> Signal:
-        if var == 0:
-            return g.const0()
-        if var in pi_var:
-            return g.pi(pi_var[var])
-        if var in built:
-            return built[var]
-        if var not in and_def:
-            raise ParseError(1, f"variable {var} is never defined")
-        if var in visiting:
-            raise ParseError(1, f"combinational cycle through variable {var}")
-        visiting.add(var)
-        r0, r1 = and_def[var]
-        a = resolve(r0 >> 1).xor(bool(r0 & 1))
-        b = resolve(r1 >> 1).xor(bool(r1 & 1))
-        visiting.discard(var)
-        sig = g.add_majority(a, b, g.const0())
-        built[var] = sig
-        return sig
+    def signal(lit: int) -> Signal:
+        return built[lit >> 1].xor(bool(lit & 1))
+
+    def resolve(top: int):
+        # post-order walk, first fanin first, on an explicit stack so deep
+        # netlists parse; gates are created in the order recursion would
+        stack = [top]
+        visiting: set[int] = set()  # the variables below the stack top
+        while stack:
+            var = stack[-1]
+            if var in built:
+                stack.pop()
+                continue
+            if var not in and_def:
+                raise ParseError(1, f"variable {var} is never defined")
+            visiting.add(var)
+            pending = [lit >> 1 for lit in and_def[var] if lit >> 1 not in built]
+            if pending:
+                if pending[0] in visiting:
+                    raise ParseError(1, f"combinational cycle through variable {pending[0]}")
+                stack.append(pending[0])
+                continue
+            stack.pop()
+            visiting.discard(var)
+            built[var] = g.add_majority(*map(signal, and_def[var]), g.const0())
 
     for var in and_order:
         resolve(var)
-    g.set_outputs([resolve(lit >> 1).xor(bool(lit & 1)) for lit in out_lits])
+    for lit in out_lits:
+        resolve(lit >> 1)
+    g.set_outputs([signal(lit) for lit in out_lits])
     g.check()
     return g
 

@@ -108,6 +108,20 @@ def test_optimal_size_examples(tmp_path, monkeypatch):
     assert dg.optimal_size_3(0x80) == 2
 
 
+@pytest.mark.parametrize(
+    "cached",
+    ["garbage\n", "9 " * 256, "1 " * 255],
+    ids=["unparsable", "out-of-range", "short"],
+)
+def test_optimal_size_recomputes_corrupt_cache(tmp_path, monkeypatch, cached):
+    (tmp_path / "optimal_sizes_3.txt").write_text(cached)
+    monkeypatch.setenv("MIGOPT_CACHE", str(tmp_path))
+    monkeypatch.setattr(dg, "_OPTIMAL3", None)
+    monkeypatch.setattr(dg, "_search_exact", lambda: [3] * 256)
+    assert dg.optimal_size_3(0x00) == 3
+    assert (tmp_path / "optimal_sizes_3.txt").read_text() == " ".join(["3"] * 256) + "\n"
+
+
 def test_optimal_size_lower_bound_for_and3():
     # independent check that no single majority node realizes x1&x2&x3
     bases = [0x00, 0xAA, 0xCC, 0xF0]

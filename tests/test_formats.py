@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migopt import formats as fmt
 from migopt import rewrite as rw
@@ -125,6 +127,10 @@ def test_aiger_rejects_latches_and_bad_literals():
         fmt.parse_aiger_ascii("aag 3 2 0 1 1\n2\n4\n6\n6 2 99\n")
     with pytest.raises(fmt.ParseError):
         fmt.parse_aiger_ascii("aag 3 2 0 1 1\n2\n4\n6\n7 2 4\n")
+    with pytest.raises(fmt.ParseError, match="line 2: blank input line"):
+        fmt.parse_aiger_ascii("aag 5 2 0 1 3\n\n4\n11\n6 2 4\n8 6 3\n10 8 5\n")
+    with pytest.raises(fmt.ParseError, match="line 4: blank output line"):
+        fmt.parse_aiger_ascii("aag 3 2 0 1 1\n2\n4\n \n6 2 4\n")
 
 
 def random_aag(n_inputs, n_ands, seed):
@@ -151,6 +157,33 @@ def test_aiger_matches_independent_evaluator():
         text = random_aag(5, 12, seed)
         g = fmt.parse_aiger_ascii(text)
         assert g.simulate_truth_tables() == aig_truth_tables(text, 5)
+
+
+def chain_aag(n_ands: int, reverse: bool) -> str:
+    # gate k reads gate k-1 (complemented every third) and x1 or x2
+    ands = ["6 2 4"]
+    for var in range(4, n_ands + 3):
+        ands.append(f"{2 * var} {2 * var - 2 + (var % 3 == 0)} {2 + 2 * (var % 2)}")
+    if reverse:
+        ands.reverse()
+    last = 2 * (n_ands + 2)
+    return "\n".join([f"aag {n_ands + 2} 2 0 1 {n_ands}", "2", "4", str(last + 1)] + ands) + "\n"
+
+
+def test_aiger_deep_chain_in_any_line_order():
+    forward = fmt.parse_aiger_ascii(chain_aag(3000, reverse=False))
+    backward = fmt.parse_aiger_ascii(chain_aag(3000, reverse=True))
+    assert backward.simulate_truth_tables() == forward.simulate_truth_tables()
+    assert fmt.emit_mig(backward) == fmt.emit_mig(forward)  # same creation order
+
+
+def test_aiger_rejects_cycles_and_undefined_variables():
+    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
+        fmt.parse_aiger_ascii("aag 4 1 0 1 2\n2\n8\n6 2 8\n8 6 2\n")
+    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
+        fmt.parse_aiger_ascii("aag 3 1 0 1 1\n2\n6\n6 6 2\n")
+    with pytest.raises(fmt.ParseError, match="variable 4 is never defined"):
+        fmt.parse_aiger_ascii("aag 4 1 0 1 1\n2\n6\n6 2 8\n")
 
 
 def test_aiger_signatures_match_evaluator_wide():
@@ -244,3 +277,53 @@ def test_dataset_round_trip(tmp_path):
     assert [n for n, _ in back] == [n for n, _ in items]
     for (_, a), (_, b) in zip(items, back):
         assert rw.check_equivalence_exact(a, b)
+
+
+# -- robustness -----------------------------------------------------------
+
+_BYTES = st.sampled_from(b"\n\r\t !-0123456789=(),Mnpox") | st.integers(0, 255)
+
+
+def _mutate(data, text: str) -> str:
+    """Replace, insert or delete one to three bytes of `text`, often at
+    the start of a line, where a deleted digit leaves a blank line."""
+    buf = bytearray(text.encode())
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        starts = [0] + [i + 1 for i, b in enumerate(buf) if b == ord("\n")]
+        pos = data.draw(st.sampled_from(starts) | st.integers(0, len(buf)), label="pos")
+        op = data.draw(st.sampled_from(("replace", "insert", "delete")), label="op")
+        if op == "insert" or pos == len(buf):
+            buf.insert(pos, data.draw(_BYTES, label="byte"))
+        elif op == "replace":
+            buf[pos] = data.draw(_BYTES, label="byte")
+        else:
+            del buf[pos]
+    return buf.decode("latin-1")
+
+
+def _resigned(payload: str) -> str:
+    body = "\n".join(payload.splitlines()) + "\n"
+    return body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+_FUZZ_SEEDS = {
+    "mig": (fmt.parse_mig, fmt.emit_mig(clean_random_graph(3, 4, 1))),
+    "aiger": (fmt.parse_aiger_ascii, random_aag(3, 4, 1)),
+    "checkpoint": (
+        lambda text: fmt.parse_checkpoint(_resigned(text)),
+        _payload(PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_SEEDS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parsers_raise_only_parse_errors_on_mutated_input(kind, data):
+    # checkpoint payloads are re-signed, so mutations reach the payload parser
+    parse, seed = _FUZZ_SEEDS[kind]
+    text = _mutate(data, seed)
+    try:
+        parse(text)
+    except MigError:  # ParseError is a MigError
+        pass

@@ -217,7 +217,7 @@ def parse_aiger_ascii(text: str) -> MigGraph:
         # post-order walk, first fanin first, on an explicit stack so deep
         # netlists parse; gates are created in the order recursion would
         stack = [top]
-        visiting: set[int] = set()  # the variables below the stack top
+        visiting: set[int] = set()  # open walks; reaching one again is a cycle
         while stack:
             var = stack[-1]
             if var in built:
@@ -307,14 +307,14 @@ def _checkpoint_payload(lines: list[str]):
         if head[0] != "array" or len(head) != 4:
             raise MigError(f"bad checkpoint array header: {lines[idx]!r}")
         name, rows, cols = head[1], int(head[2]), int(head[3])
-        data = np.empty((rows, cols))
+        data = []  # allocated only once the rows hold what the header claims
         for r in range(rows):
             idx += 1
             vals = lines[idx].split()
             if len(vals) != cols:
                 raise MigError(f"array {name} row {r} has {len(vals)} values")
-            data[r] = [float(v) for v in vals]
-        arrays[name] = data
+            data.append([float(v) for v in vals])
+        arrays[name] = np.array(data, dtype=float).reshape(rows, cols)
         idx += 1
 
     weights, biases = [], []

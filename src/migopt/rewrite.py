@@ -14,8 +14,8 @@ Every agent move instantiates one of the Ω identities, which are sound
 (Amarù, Gaillardon, De Micheli, "Majority-Inverter Graph", DAC 2014), and
 `match` binds only where an identity's syntactic precondition holds. So a
 matched move keeps the function without a local check; tests/test_catalog.py
-proves every binding over every operand equality pattern. Whole graphs are
-still checked with `verify_equivalence` before any output is written or
+proves every binding over every operand equality pattern. Callers check
+whole graphs with `verify_equivalence` before any output is written or
 scored.
 """
 

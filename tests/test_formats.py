@@ -131,6 +131,12 @@ def test_aiger_rejects_latches_and_bad_literals():
         fmt.parse_aiger_ascii("aag 5 2 0 1 3\n\n4\n11\n6 2 4\n8 6 3\n10 8 5\n")
     with pytest.raises(fmt.ParseError, match="line 4: blank output line"):
         fmt.parse_aiger_ascii("aag 3 2 0 1 1\n2\n4\n \n6 2 4\n")
+    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
+        fmt.parse_aiger_ascii("aag 4 1 0 1 2\n2\n8\n6 2 8\n8 6 2\n")
+    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
+        fmt.parse_aiger_ascii("aag 3 1 0 1 1\n2\n6\n6 6 2\n")
+    with pytest.raises(fmt.ParseError, match="variable 4 is never defined"):
+        fmt.parse_aiger_ascii("aag 4 1 0 1 1\n2\n6\n6 2 8\n")
 
 
 def random_aag(n_inputs, n_ands, seed):
@@ -175,15 +181,6 @@ def test_aiger_deep_chain_in_any_line_order():
     backward = fmt.parse_aiger_ascii(chain_aag(3000, reverse=True))
     assert backward.simulate_truth_tables() == forward.simulate_truth_tables()
     assert fmt.emit_mig(backward) == fmt.emit_mig(forward)  # same creation order
-
-
-def test_aiger_rejects_cycles_and_undefined_variables():
-    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
-        fmt.parse_aiger_ascii("aag 4 1 0 1 2\n2\n8\n6 2 8\n8 6 2\n")
-    with pytest.raises(fmt.ParseError, match="cycle through variable 3"):
-        fmt.parse_aiger_ascii("aag 3 1 0 1 1\n2\n6\n6 6 2\n")
-    with pytest.raises(fmt.ParseError, match="variable 4 is never defined"):
-        fmt.parse_aiger_ascii("aag 4 1 0 1 1\n2\n6\n6 2 8\n")
 
 
 def test_aiger_signatures_match_evaluator_wide():
@@ -255,9 +252,10 @@ def _five_action_payload(_) -> str:
         lambda p: re.sub(r"(array w0 \d+ \d+\n)\S+", r"\1abc", p),
         _five_action_payload,
         lambda p: re.sub(r"array b0 1 6\n[^\n]*", "array b0 1 1\n0.0", p),
+        lambda p: p.replace("array b0 1 6\n", "array b0 1 6000000000000\n"),
     ],
     ids=["missing-layers", "non-integer-hidden", "missing-head_b", "non-numeric-weight",
-         "five-actions", "one-value-bias"],
+         "five-actions", "one-value-bias", "huge-column-count"],
 )
 def test_checkpoint_malformed_payload_raises_mig_error(mutate):
     # each payload is re-signed, so only the payload check can reject it

@@ -148,7 +148,7 @@ def _maj8(a: int, b: int, c: int) -> int:
     return (a & b) | (a & c) | (b & c)
 
 
-_MAX_SIZE = 6  # every 3-input function needs at most this many nodes
+_MAX_SIZE = 6  # search bound; the search fails if a function needs more
 
 
 def _search_exact(max_size: int = _MAX_SIZE) -> list[int]:

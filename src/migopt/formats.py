@@ -100,12 +100,12 @@ def parse_mig(text: str) -> MigGraph:
     if min(pi_count, po_count, maj_count) < 0 or po_count == 0:
         raise ParseError(lineno, "bad header counts")
 
-    g = new_graph(pi_count)
     body = lines[1:]
     if len(body) != maj_count + po_count:
         raise ParseError(
             lines[-1][0], f"expected {maj_count} node and {po_count} output lines"
         )
+    g = new_graph(pi_count)
     for k in range(maj_count):
         lineno, ln = body[k]
         m = _NODE_RE.match(ln)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from migopt.mig import CONST, MAJ, PI, MigError, MigGraph
-from migopt.rewrite import ACTION_COUNT, OmegaAction
+from migopt.rewrite import ACTION_COUNT
 
 BASE_FEATURES = 4  # [is_self, is_pi, is_const, is_majority]
 _KIND_COLUMN = {PI: 1, CONST: 2, MAJ: 3}
@@ -130,61 +130,13 @@ class PolicyParams:
             self.head_b.copy(),
         )
 
-    def add_scaled(self, grads: "PolicyGradients", scale: float):
+    def add_scaled(self, grads: "PolicyParams", scale: float):
         for w, gw in zip(self.weights, grads.weights):
             w += scale * gw
         for b, gb in zip(self.biases, grads.biases):
             b += scale * gb
         self.head_w += scale * grads.head_w
         self.head_b += scale * grads.head_b
-
-
-class PolicyGradients(PolicyParams):
-    """Gradient accumulator: zero arrays in the layout of PolicyParams."""
-
-    def __init__(self, hp: Hyperparams):
-        zero = PolicyParams.zeros(hp)
-        super().__init__(hp, zero.weights, zero.biases, zero.head_w, zero.head_b)
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a))) if a.size else 0.0 for _, a in self.arrays())
-
-
-@dataclass(slots=True)
-class ActionDistribution:
-    probs: np.ndarray  # (actions,)
-    log_probs: np.ndarray
-
-
-@dataclass(slots=True)
-class Neighborhood:
-    """Nodes within d_adj undirected edge traversals of the center."""
-
-    center: int
-    nodes: list[int]  # breadth-first from the center
-
-
-def extract_neighborhood(g: MigGraph, center: int, d_adj: int) -> Neighborhood:
-    if center not in g.nodes:
-        raise MigError(f"center {center} is not a live node")
-    dist = {center: 0}
-    order = [center]
-    qi = 0
-    while qi < len(order):
-        nid = order[qi]
-        qi += 1
-        d = dist[nid]
-        if d == d_adj:
-            continue
-        for s in g.nodes[nid].fanins:
-            if s.node not in dist:
-                dist[s.node] = d + 1
-                order.append(s.node)
-        for cid in g.fanouts(nid):
-            if cid not in dist:
-                dist[cid] = d + 1
-                order.append(cid)
-    return Neighborhood(center, order)
 
 
 @dataclass(slots=True)
@@ -350,7 +302,7 @@ def _backward_batch(
     probs: np.ndarray,
     action_idx: np.ndarray,
     scales: np.ndarray,
-    grads: PolicyGradients,
+    grads: PolicyParams,
     entropy_coef: float = 0.0,
 ):
     """Accumulate sum_i scales[i] * grad log pi(action_i | center_i).
@@ -388,58 +340,14 @@ def _backward_batch(
         _scatter_add(dfeats, lay.edge_consumer, dfanout[lay.edge_bin])
 
 
-def forward(params: PolicyParams, g: MigGraph, center: int) -> ActionDistribution:
-    node = g.nodes.get(center)
-    if node is None or node.kind != MAJ:
-        raise MigError(f"node {center} is not a live majority node")
-    probs, log_probs = _forward_batch(params, batch_for(params, g, [center]))
-    return ActionDistribution(probs[0], log_probs[0])
+def batch_for(params: PolicyParams, g: MigGraph, centers: list[int]) -> _Batch:
+    """Index arrays for a pass over the given majority nodes (at least one)."""
+    return _build_batch(g, centers, params.hp.layers)
 
 
-def batch_for(params: PolicyParams, g: MigGraph, centers=None) -> _Batch | None:
-    """Index arrays for the given centers, by default every reachable
-    majority node; None when there is none."""
-    if centers is None:
-        reach = g.reachable_nodes()
-        centers = [nid for nid in sorted(reach) if g.nodes[nid].kind == MAJ]
-    if not centers:
-        return None
-    return _build_batch(g, list(centers), params.hp.layers)
-
-
-def forward_all(params: PolicyParams, g: MigGraph) -> dict[int, ActionDistribution]:
-    batch = batch_for(params, g)
-    if batch is None:
-        return {}
-    probs, log_probs = _forward_batch(params, batch)
-    return {
-        c: ActionDistribution(probs[i], log_probs[i])
-        for i, c in enumerate(batch.centers)
-    }
-
-
-def sample_actions(
-    dists: dict[int, ActionDistribution], rng: np.random.Generator
-) -> dict[int, tuple[OmegaAction, float]]:
-    """Independent categorical draw per node; deterministic for a fixed rng."""
-    if not dists:
-        return {}
-    nids = sorted(dists)
-    probs = np.stack([dists[n].probs for n in nids])
+def sample_actions(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One categorical draw per row of probs, in row order; deterministic
+    for a fixed rng."""
     cum = np.cumsum(probs, axis=1)
-    draws = rng.random(len(nids))
-    idxs = (cum < draws[:, None]).sum(axis=1)
-    np.clip(idxs, 0, probs.shape[1] - 1, out=idxs)
-    return {
-        n: (OmegaAction(int(i)), float(dists[n].log_probs[int(i)]))
-        for n, i in zip(nids, idxs)
-    }
-
-
-def argmax_actions(dists: dict[int, ActionDistribution]) -> dict[int, tuple[OmegaAction, float]]:
-    out = {}
-    for nid in sorted(dists):
-        d = dists[nid]
-        idx = int(np.argmax(d.probs))
-        out[nid] = (OmegaAction(idx), float(d.log_probs[idx]))
-    return out
+    idx = (cum < rng.random(len(probs))[:, None]).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1)

@@ -2,10 +2,13 @@
 
 Training episodes, greedy deployment, sampled `optimize` and the
 uniform-random baseline all run one loop, `rollout(g0, steps, choose)`:
-it clones the start graph once, then on each step asks the chooser for
-one action per acting node and applies the whole action set through the
-environment. `policy_chooser` runs the network over the graph and takes
-the argmax, or samples when given a generator; `uniform_chooser` draws
+it clones the start graph once, then on each step takes the acting
+nodes (the reachable majority nodes, in ascending id order), asks the
+chooser for one action per acting node and applies the whole action set
+through the environment. Actions travel as arrays in that center order,
+from the chooser through `StepRecord` to `reinforce_update`.
+`policy_chooser` runs the network over the acting nodes and takes the
+argmax, or samples when given a generator; `uniform_chooser` draws
 uniform actions without a network.
 
 The reward is terminal: initial minus final reachable gate count.
@@ -25,12 +28,9 @@ import numpy as np
 from migopt import rewrite as rw
 from migopt.mig import MAJ, MigGraph
 from migopt.policy import (
-    ActionDistribution,
-    PolicyGradients,
     PolicyParams,
     _backward_batch,
     _forward_batch,
-    argmax_actions,
     batch_for,
     sample_actions,
 )
@@ -65,10 +65,12 @@ class TrainConfig:
 
 @dataclass(slots=True)
 class StepRecord:
-    actions: dict[int, tuple[OmegaAction, float]]  # node -> (action, log-prob)
+    centers: list[int]  # acting nodes, ascending id
+    actions: np.ndarray  # action index per center
+    log_probs: np.ndarray  # log-prob of each chosen action
     report: StepReport
     batch: object = None  # forward cache for the gradient pass, if kept
-    probs: object = None  # per-center distributions, center order
+    probs: object = None  # (centers, actions) distributions, if kept
 
 
 @dataclass(slots=True)
@@ -86,49 +88,47 @@ class EpisodeTrace:
 def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord]]:
     """Run `steps` environment steps on a copy of g0; g0 is never mutated.
 
-    choose(g) returns (actions, batch, probs): node -> (action, log-prob)
-    for every acting node, plus what the step record keeps for a gradient
-    pass (None when nothing is kept).
+    choose(g, centers) gets the acting nodes and returns (actions,
+    log_probs, batch, probs): the action index and its log-prob per
+    center, in center order, plus what the step record keeps for a
+    gradient pass (None when nothing is kept).
     """
     g = g0.clone()
     records: list[StepRecord] = []
     for _ in range(steps):
-        acts, batch, probs = choose(g)
-        report = rw.step(g, {nid: a for nid, (a, _) in acts.items()})
-        records.append(StepRecord(acts, report, batch, probs))
+        centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
+        actions, log_probs, batch, probs = choose(g, centers)
+        report = rw.step(g, {c: OmegaAction(int(a)) for c, a in zip(centers, actions)})
+        records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
     return g, records
 
 
 def policy_chooser(
     params: PolicyParams, rng: np.random.Generator | None = None, keep_cache: bool = False
 ):
-    """Argmax actions when rng is None, sampled ones otherwise. With
-    keep_cache the forward intermediates, which are O(nodes * layers),
-    stay in the step record for the gradient pass."""
+    """Argmax actions when rng is None, one draw per center in center
+    order otherwise. With keep_cache the forward intermediates, which are
+    O(nodes * layers), stay in the step record for the gradient pass."""
 
-    def choose(g: MigGraph):
-        batch = batch_for(params, g)
-        if batch is None:
-            return {}, None, None
+    def choose(g: MigGraph, centers: list[int]):
+        if not centers:
+            return np.zeros(0, dtype=np.int64), np.zeros(0), None, None
+        batch = batch_for(params, g, centers)
         probs, log_probs = _forward_batch(params, batch, keep_cache=keep_cache)
-        dists = {
-            c: ActionDistribution(probs[i], log_probs[i])
-            for i, c in enumerate(batch.centers)
-        }
-        acts = argmax_actions(dists) if rng is None else sample_actions(dists, rng)
-        return (acts, batch, probs) if keep_cache else (acts, None, None)
+        idx = probs.argmax(axis=1) if rng is None else sample_actions(probs, rng)
+        chosen = log_probs[np.arange(idx.size), idx]
+        return (idx, chosen, batch, probs) if keep_cache else (idx, chosen, None, None)
 
     return choose
 
 
 def uniform_chooser(rng: np.random.Generator):
-    """One uniform draw per reachable majority node, in ascending id order."""
+    """One uniform draw per center, in center order."""
     log_p = -float(np.log(rw.ACTION_COUNT))
 
-    def choose(g: MigGraph):
-        centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
-        acts = {n: (OmegaAction(int(rng.integers(rw.ACTION_COUNT))), log_p) for n in centers}
-        return acts, None, None
+    def choose(g: MigGraph, centers: list[int]):
+        n = len(centers)
+        return rng.integers(rw.ACTION_COUNT, size=n), np.full(n, log_p), None, None
 
     return choose
 
@@ -155,7 +155,7 @@ def reinforce_update(
     lr: float,
     baseline_decay: float,
     entropy_coef: float = 0.0,
-) -> PolicyGradients:
+) -> PolicyParams:
     """In-place gradient-ascent update from a batch of traces.
 
     The baseline moves first and every episode is scaled by (reward -
@@ -173,27 +173,24 @@ def reinforce_update(
         baseline.per_item[trace.item] = b
         scales_by_trace.append(reward - b)
 
-    grads = PolicyGradients(params.hp)
+    grads = PolicyParams.zeros(params.hp)
     action_count = 0
     for (trace, _reward), scale in zip(batch, scales_by_trace):
         for rec in trace.steps:
             if rec.batch is None:
                 continue  # no acting node, so no action
             # zero-scale rows contribute nothing, so reuse the full batch
-            actions = [rec.actions[c][0] for c in rec.batch.centers]
-            scales = [
-                scale if rec.report.outcomes.get(c) == "applied" else 0.0
-                for c in rec.batch.centers
-            ]
-            action_count += sum(1 for s in scales if s)
-            if not any(scales) and not entropy_coef:
+            applied = [rec.report.outcomes.get(c) == "applied" for c in rec.centers]
+            scales = np.where(applied, scale, 0.0)
+            action_count += int(np.count_nonzero(scales))
+            if not scales.any() and not entropy_coef:
                 continue
             _backward_batch(
                 params,
                 rec.batch,
                 rec.probs,
-                np.asarray([int(a) for a in actions], dtype=np.int64),
-                np.asarray(scales, dtype=float),
+                rec.actions,
+                scales,
                 grads,
                 entropy_coef=entropy_coef,
             )

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from migopt.mig import MigGraph, Signal, new_graph
+from migopt.mig import MAJ, MigGraph, Signal, new_graph
 from migopt import rewrite as rw
+from migopt.policy import _forward_batch, batch_for
 
 
 def crude_random_graph(pi_count: int, node_count: int, seed: int, po_count: int = 2) -> MigGraph:
@@ -28,6 +29,16 @@ def clean_random_graph(pi_count: int, node_count: int, seed: int) -> MigGraph:
     rw.lambda_fixpoint(g)
     rw.delete_dead(g)
     return g
+
+
+def acting_nodes(g: MigGraph) -> list[int]:
+    """Reachable majority nodes in ascending id order: a rollout step's centers."""
+    return [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
+
+
+def dists(params, g: MigGraph, centers: list[int]):
+    """(probs, log_probs), one row per center in center order, from one batch."""
+    return _forward_batch(params, batch_for(params, g, centers))
 
 
 @pytest.fixture

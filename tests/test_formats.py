@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt.mig import MigError, new_graph
-from migopt.policy import Hyperparams, PolicyParams, forward_all
+from migopt.policy import Hyperparams, PolicyParams
 
-from conftest import clean_random_graph
+from conftest import acting_nodes, clean_random_graph, dists
 
 
 def test_parse_and_graph():
@@ -59,6 +59,16 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_wrong_body_length():
     with pytest.raises(fmt.ParseError):
         fmt.parse_mig("mig 2 1 2\nn1 = M(x1,x2,0)\npo0 = n1\n")
+
+
+def test_parse_checks_body_length_before_allocating(monkeypatch):
+    # the header's input count must not size an allocation for a bad body
+    def refuse(pi_count):
+        raise AssertionError(f"allocated a {pi_count}-input graph")
+
+    monkeypatch.setattr(fmt, "new_graph", refuse)
+    with pytest.raises(fmt.ParseError):
+        fmt.parse_mig("mig 200000 1 0\npo0 = 0\nextra\n")
 
 
 # -- AIGER ---------------------------------------------------------------
@@ -214,10 +224,9 @@ def test_checkpoint_round_trip_bit_identical():
         assert np.array_equal(a, b)
 
     g = clean_random_graph(5, 10, 2)
-    d1 = forward_all(params, g)
-    d2 = forward_all(loaded, g)
-    for nid in d1:
-        assert np.array_equal(d1[nid].probs, d2[nid].probs)
+    p1, _ = dists(params, g, acting_nodes(g))
+    p2, _ = dists(loaded, g, acting_nodes(g))
+    assert np.array_equal(p1, p2)
 
 
 def test_checkpoint_checksum_detects_corruption():

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,9 @@ from migopt import datagen
 from migopt import policy as pol
 from migopt import rewrite as rw
 from migopt.mig import MigError, Signal, new_graph
-from migopt.policy import Hyperparams, PolicyGradients, PolicyParams
+from migopt.policy import Hyperparams, PolicyParams
 
-from conftest import clean_random_graph
+from conftest import acting_nodes, clean_random_graph, dists
 
 GOLDEN = Path(__file__).parent / "data" / "policy_golden.npz"
 # every depth at both widths; each depth sees both graph kinds
@@ -18,6 +19,37 @@ GOLDEN_CASES = [
     for layers in (1, 2, 3, 4)
     for hidden in (5, 16)
 ]
+
+
+@dataclass(slots=True)
+class Neighborhood:
+    """Nodes within d_adj undirected edge traversals of the center."""
+
+    center: int
+    nodes: list[int]  # breadth-first from the center
+
+
+def extract_neighborhood(g, center: int, d_adj: int) -> Neighborhood:
+    if center not in g.nodes:
+        raise MigError(f"center {center} is not a live node")
+    dist = {center: 0}
+    order = [center]
+    qi = 0
+    while qi < len(order):
+        nid = order[qi]
+        qi += 1
+        d = dist[nid]
+        if d == d_adj:
+            continue
+        for s in g.nodes[nid].fanins:
+            if s.node not in dist:
+                dist[s.node] = d + 1
+                order.append(s.node)
+        for cid in g.fanouts(nid):
+            if cid not in dist:
+                dist[cid] = d + 1
+                order.append(cid)
+    return Neighborhood(center, order)
 
 
 def motif_graph(junk_nodes=0, filler_nodes=0, pis=8):
@@ -60,58 +92,51 @@ def test_param_count_formula():
 def test_zero_params_give_uniform_distribution():
     g, center = motif_graph()
     params = PolicyParams.zeros(Hyperparams(layers=2, hidden=5))
-    d = pol.forward(params, g, center)
-    assert np.allclose(d.probs, 1.0 / 9.0)
-    assert abs(d.probs.sum() - 1.0) < 1e-9
+    probs = dists(params, g, [center])[0][0]
+    assert np.allclose(probs, 1.0 / 9.0)
+    assert abs(probs.sum() - 1.0) < 1e-9
 
 
 def test_forward_deterministic():
     g, center = motif_graph()
     params = PolicyParams.init(Hyperparams(layers=3, hidden=16), seed=4)
-    d1 = pol.forward(params, g, center)
-    d2 = pol.forward(params, g, center)
-    assert np.array_equal(d1.probs, d2.probs)
-
-
-def test_forward_rejects_non_majority_center():
-    g, _ = motif_graph()
-    params = PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)
-    with pytest.raises(MigError):
-        pol.forward(params, g, 1)  # a primary input
+    p1, _ = dists(params, g, [center])
+    p2, _ = dists(params, g, [center])
+    assert np.array_equal(p1, p2)
 
 
 def test_forward_relabeling_invariance_bitwise():
     params = PolicyParams.init(Hyperparams(layers=2, hidden=8), seed=11)
     g1, c1 = motif_graph(junk_nodes=0)
     g2, c2 = motif_graph(junk_nodes=7)
-    n1 = pol.extract_neighborhood(g1, c1, 2)
-    n2 = pol.extract_neighborhood(g2, c2, 2)
+    n1 = extract_neighborhood(g1, c1, 2)
+    n2 = extract_neighborhood(g2, c2, 2)
     assert len(n1.nodes) == len(n2.nodes)
-    d1 = pol.forward(params, g1, c1)
-    d2 = pol.forward(params, g2, c2)
-    assert np.array_equal(d1.probs, d2.probs)
+    p1, _ = dists(params, g1, [c1])
+    p2, _ = dists(params, g2, [c2])
+    assert np.array_equal(p1, p2)
 
 
 def test_forward_sensitive_to_edge_polarity():
     params = PolicyParams.init(Hyperparams(layers=2, hidden=8), seed=11)
     g1, c1 = motif_graph()
-    d1 = pol.forward(params, g1, c1)
+    p1, _ = dists(params, g1, [c1])
     g2, c2 = motif_graph()
     node = g2.nodes[c2]
     f = list(node.fanins)
     f[1] = f[1].invert()
     node.fanins = tuple(f)
-    d2 = pol.forward(params, g2, c2)
-    assert not np.array_equal(d1.probs, d2.probs)
+    p2, _ = dists(params, g2, [c2])
+    assert not np.array_equal(p1, p2)
 
 
 def test_distribution_normalization_random_graphs():
     params = PolicyParams.init(Hyperparams(), seed=1)
     for seed in range(4):
         g = clean_random_graph(6, 15, seed)
-        for d in pol.forward_all(params, g).values():
-            assert abs(d.probs.sum() - 1.0) < 1e-9
-            assert (d.probs >= 0).all()
+        for probs in dists(params, g, acting_nodes(g))[0]:
+            assert abs(probs.sum() - 1.0) < 1e-9
+            assert (probs >= 0).all()
 
 
 def test_neighborhood_chain_radius():
@@ -122,7 +147,7 @@ def test_neighborhood_chain_radius():
     n3 = g.add_majority(n2, g.pi(6), g.pi(7))
     n4 = g.add_majority(n3, g.pi(8), g.pi(9))
     g.set_outputs([n4])
-    members = set(pol.extract_neighborhood(g, n1.node, 2).nodes)
+    members = set(extract_neighborhood(g, n1.node, 2).nodes)
     assert {n1.node, n2.node, n3.node} <= members
     assert n4.node not in members
 
@@ -130,58 +155,39 @@ def test_neighborhood_chain_radius():
 def test_neighborhood_isolated_pi():
     g = new_graph(3)
     g.set_outputs([g.pi(1)])
-    nb = pol.extract_neighborhood(g, 2, 2)
+    nb = extract_neighborhood(g, 2, 2)
     assert nb.nodes == [2]
-
-
-def test_forward_all_coverage():
-    params = PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)
-    g = new_graph(2)
-    g.set_outputs([g.pi(1)])
-    assert pol.forward_all(params, g) == {}
-
-    h = clean_random_graph(6, 15, 3)
-    dists = pol.forward_all(params, h)
-    reach = {n for n in h.reachable_nodes() if h.nodes[n].kind == "maj"}
-    assert set(dists) == reach
-    # the dead node below must receive no distribution
-    h.add_majority(h.pi(1), h.pi(2), h.const0())
-    assert set(pol.forward_all(params, h)) == reach
 
 
 def test_forward_all_matches_single_forward():
     params = PolicyParams.init(Hyperparams(layers=3, hidden=16), seed=2)
     g = clean_random_graph(7, 18, 8)
-    for nid, d in pol.forward_all(params, g).items():
-        single = pol.forward(params, g, nid)
-        assert np.allclose(single.probs, d.probs, atol=1e-12)
+    centers = acting_nodes(g)
+    probs, _ = dists(params, g, centers)
+    for nid, row in zip(centers, probs):
+        single = dists(params, g, [nid])[0][0]
+        assert np.allclose(single, row, atol=1e-12)
 
 
 def test_sample_actions_degenerate_and_deterministic():
     probs = np.zeros(9)
     probs[int(rw.OmegaAction.IDENTITY)] = 1.0
-    dist = pol.ActionDistribution(probs, np.log(np.maximum(probs, 1e-300)))
-    acts = pol.sample_actions({5: dist}, np.random.default_rng(0))
-    assert acts[5][0] == rw.OmegaAction.IDENTITY
+    acts = pol.sample_actions(probs[None], np.random.default_rng(0))
+    assert acts[0] == rw.OmegaAction.IDENTITY
 
     g, center = motif_graph()
     params = PolicyParams.init(Hyperparams(layers=2, hidden=8), seed=0)
-    dists = pol.forward_all(params, g)
-    a1 = pol.sample_actions(dists, np.random.default_rng(7))
-    a2 = pol.sample_actions(dists, np.random.default_rng(7))
-    assert a1 == a2
+    probs, _ = dists(params, g, acting_nodes(g))
+    a1 = pol.sample_actions(probs, np.random.default_rng(7))
+    a2 = pol.sample_actions(probs, np.random.default_rng(7))
+    assert np.array_equal(a1, a2)
 
 
 def test_sample_actions_frequencies():
-    probs = np.full(9, 1.0 / 9.0)
-    dist = pol.ActionDistribution(probs, np.log(probs))
     rng = np.random.default_rng(123)
     n = 100_000
-    counts = np.zeros(9)
-    dists = {0: dist}
-    for _ in range(n):
-        a, _ = pol.sample_actions(dists, rng)[0]
-        counts[int(a)] += 1
+    # n rows in one call draw the same stream as n one-row calls
+    counts = np.bincount(pol.sample_actions(np.full((n, 9), 1.0 / 9.0), rng), minlength=9)
     p = 1.0 / 9.0
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 3 * sigma + 1e-12)
@@ -198,9 +204,9 @@ def test_backward_zero_scale():
     g, center = motif_graph()
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=0)
-    grads = PolicyGradients(hp)
+    grads = PolicyParams.zeros(hp)
     backward_one(params, g, center, rw.OmegaAction.ASSOC, 0.0, grads)
-    assert grads.max_abs() == 0.0
+    assert max(float(np.max(np.abs(a))) for _, a in grads.arrays()) == 0.0
 
 
 def test_backward_head_bias_is_softmax_identity():
@@ -208,11 +214,11 @@ def test_backward_head_bias_is_softmax_identity():
     g, center = motif_graph()
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=5)
-    d = pol.forward(params, g, center)
-    grads = PolicyGradients(hp)
+    probs = dists(params, g, [center])[0][0]
+    grads = PolicyParams.zeros(hp)
     action = rw.OmegaAction.DIST_RL
     backward_one(params, g, center, action, 1.0, grads)
-    want = -d.probs.copy()
+    want = -probs.copy()
     want[int(action)] += 1.0
     assert np.allclose(grads.head_b, want, atol=1e-12)
 
@@ -221,9 +227,9 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
     """Worst relative gap between the analytic gradient and central differences.
 
     centers="one": log pi(a | c) at one random center, through backward_one
-    and forward. centers="all": every majority node is a center with its own
-    action and scale plus an entropy term, through one batch, so the
-    centers' adjoints meet in the shared background rows.
+    and a one-center forward. centers="all": every majority node is a
+    center with its own action and scale plus an entropy term, through one
+    batch, so the centers' adjoints meet in the shared background rows.
     """
     rng = np.random.default_rng(seed)
     hp = Hyperparams(layers=layers, hidden=hidden)
@@ -238,14 +244,14 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
         sigs.append(g_sig)
     g.set_outputs([sigs[-1]])
     maj = g.maj_ids()
-    grads = PolicyGradients(hp)
+    grads = PolicyParams.zeros(hp)
     if centers == "one":
         center = maj[int(rng.integers(len(maj)))]
         action = rw.OmegaAction(int(rng.integers(9)))
         backward_one(params, g, center, action, 1.0, grads)
 
         def objective():
-            return float(pol.forward(params, g, center).log_probs[int(action)])
+            return float(dists(params, g, [center])[1][0][int(action)])
 
     else:
         actions = rng.integers(9, size=len(maj))
@@ -258,8 +264,8 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
         def objective():
             total = 0.0
             for c, a, s in zip(maj, actions, scales):
-                d = pol.forward(params, g, c)
-                total += s * d.log_probs[a] - coef * float((d.probs * d.log_probs).sum())
+                probs, logp = (row[0] for row in dists(params, g, [c]))
+                total += s * logp[a] - coef * float((probs * logp).sum())
             return total
 
     eps = 1e-5
@@ -299,13 +305,13 @@ def test_entropy_gradient_matches_finite_differences():
     params = PolicyParams.init(hp, seed=8)
     batch = pol.batch_for(params, g, [center])
     probs, _ = pol._forward_batch(params, batch, keep_cache=True)
-    grads = PolicyGradients(hp)
+    grads = PolicyParams.zeros(hp)
     action = np.array([int(rw.OmegaAction.IDENTITY)])
     pol._backward_batch(params, batch, probs, action, np.zeros(1), grads, entropy_coef=1.0)
 
     def entropy():
-        d = pol.forward(params, g, center)
-        return float(-(d.probs * d.log_probs).sum())
+        probs, logp = dists(params, g, [center])
+        return float(-(probs * logp).sum())
 
     eps = 1e-6
     worst = 0.0
@@ -330,15 +336,15 @@ def test_identical_neighborhood_across_graph_sizes():
     big, c_big = motif_graph(junk_nodes=11, filler_nodes=400, pis=9)
     huge, c_huge = motif_graph(junk_nodes=5, filler_nodes=2000, pis=9)  # deployment scale
     assert small.size() < big.size() < 2000 <= huge.size()
-    d_small = pol.forward(params, small, c_small)
-    d_big = pol.forward(params, big, c_big)
-    d_huge = pol.forward(params, huge, c_huge)
-    assert np.array_equal(d_small.probs, d_big.probs)
-    assert np.array_equal(d_small.probs, d_huge.probs)
+    p_small, _ = dists(params, small, [c_small])
+    p_big, _ = dists(params, big, [c_big])
+    p_huge, _ = dists(params, huge, [c_huge])
+    assert np.array_equal(p_small, p_big)
+    assert np.array_equal(p_small, p_huge)
 
 
 def golden_values(layers, hidden, kind):
-    """Per-center log-probs of forward_all, and the gradient summed over all
+    """Log-probs at every acting node, and the gradient summed over all
     centers with mixed scales and entropy, on a seeded graph.
 
     tests/data/policy_golden.npz holds these values as computed by the
@@ -349,20 +355,15 @@ def golden_values(layers, hidden, kind):
     else:
         g = clean_random_graph(6, 18, seed)
     params = PolicyParams.init(Hyperparams(layers=layers, hidden=hidden), seed=seed)
-    dists = pol.forward_all(params, g)
-    centers = sorted(dists)
-    out = {
-        "centers": np.asarray(centers),
-        "logp": np.stack([dists[c].log_probs for c in centers]),
-    }
+    centers = acting_nodes(g)
+    batch = pol.batch_for(params, g, centers)
+    probs, logp = pol._forward_batch(params, batch, keep_cache=True)
+    out = {"centers": np.asarray(centers), "logp": logp}
     rng = np.random.default_rng(seed)
     actions = rng.integers(rw.ACTION_COUNT, size=len(centers))
     scales = rng.normal(size=len(centers))
     scales[::3] = 0.0
-    batch = pol.batch_for(params, g)
-    assert list(batch.centers) == centers
-    probs, _ = pol._forward_batch(params, batch, keep_cache=True)
-    grads = PolicyGradients(params.hp)
+    grads = PolicyParams.zeros(params.hp)
     pol._backward_batch(params, batch, probs, actions, scales, grads, entropy_coef=0.01)
     out.update(grads.arrays())
     return out

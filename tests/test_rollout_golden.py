@@ -86,7 +86,10 @@ def _episode(g, params, mode, seed):
         "final": trace.final_size,
         "steps": [
             {
-                "actions": {nid: [int(a), lp] for nid, (a, lp) in rec.actions.items()},
+                "actions": {
+                    nid: [int(a), lp]
+                    for nid, a, lp in zip(rec.centers, rec.actions, rec.log_probs)
+                },
                 "report": _report(rec.report),
             }
             for rec in trace.steps

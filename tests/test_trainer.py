@@ -7,10 +7,10 @@ from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr
-from migopt.mig import new_graph
-from migopt.policy import Hyperparams, PolicyParams, forward_all
+from migopt.mig import MAJ, new_graph
+from migopt.policy import Hyperparams, PolicyParams
 
-from conftest import clean_random_graph
+from conftest import clean_random_graph, dists
 
 HP = Hyperparams(layers=2, hidden=6)
 
@@ -90,12 +90,13 @@ def test_reinforce_increases_probability_of_rewarded_action():
     assert trace is not None
     rec = trace.steps[0]
     nid = next(n for n, v in rec.report.outcomes.items() if v == "applied")
-    action = rec.actions[nid][0]
+    i = rec.centers.index(nid)
+    action = rec.actions[i]
     # a one-step episode observes its start graph
-    p_before = forward_all(params, g)[nid].probs[int(action)]
+    p_before = dists(params, g, rec.centers)[0][i, action]
     baseline = tr.BaselineState()
     tr.reinforce_update(params, [(trace, 5.0)], baseline, 1e-2, 0.5)  # scale > 0
-    p_after = forward_all(params, g)[nid].probs[int(action)]
+    p_after = dists(params, g, rec.centers)[0][i, action]
     assert p_after > p_before
 
 
@@ -125,7 +126,36 @@ def test_blocked_only_trace_contributes_no_gradient():
     grads = tr.reinforce_update(
         params, [(trace, 7.0)], tr.BaselineState({trace.item: 14.0}), 1e-2, 1.0 - 1e-9
     )
-    assert grads.max_abs() == 0.0
+    assert max(float(np.max(np.abs(a))) for _, a in grads.arrays()) == 0.0
+
+
+def test_empty_acting_set_gives_empty_records():
+    # the only output is an input, so no step has an acting node
+    g = new_graph(2)
+    g.set_outputs([g.pi(1)])
+    params = PolicyParams.init(HP, seed=0)
+    snap = params.clone()
+    _, greedy = tr.rollout(g, 2, tr.policy_chooser(params))
+    _, uniform = tr.rollout(g, 2, tr.uniform_chooser(np.random.default_rng(0)))
+    trace, _ = tr.run_episode(g, params, 2, np.random.default_rng(0))
+    for rec in greedy + uniform + trace.steps:
+        assert rec.centers == []
+        assert rec.actions.size == 0 and rec.log_probs.size == 0
+    tr.reinforce_update(params, [(trace, 3.0)], tr.BaselineState(), 1e-2, 0.5, 0.01)
+    for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
+        assert np.array_equal(a, b)
+
+
+def test_acting_set_skips_dead_nodes():
+    h = clean_random_graph(6, 15, 3)
+    reach = sorted(n for n in h.reachable_nodes() if h.nodes[n].kind == MAJ)
+    h.add_majority(h.pi(1), h.pi(2), h.const0())  # dead: no output reads it
+    params = PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)
+    trace, _ = tr.run_episode(h, params, 1, np.random.default_rng(0))
+    rec = trace.steps[0]
+    assert rec.centers == reach
+    assert rec.actions.shape == rec.log_probs.shape == (len(reach),)
+    assert rec.probs.shape == (len(reach), rw.ACTION_COUNT)
 
 
 def test_train_zero_episodes_returns_initial_params():

@@ -19,6 +19,8 @@ from migopt.policy import Hyperparams, PolicyParams
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     items = []
     for i in range(args.count):
         spec = datagen.RandomGraphSpec(

@@ -41,6 +41,8 @@ def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
     """Random MIG with exactly `spec.size` reachable majority nodes."""
     if spec.size < 1:
         raise MigError("target size must be at least 1")
+    if spec.pi_count < 2 or spec.po_count < 1:  # fanins are 3 distinct nodes of 0 and the PIs
+        raise MigError("random graphs need at least 2 inputs and 1 output")
     rng = random.Random(spec.seed)
     pool_target = max(spec.size + 2, int(spec.size * 1.6))
     for _ in range(max_attempts):

@@ -140,6 +140,7 @@ def greedy_rules(g: MigGraph) -> MigGraph:
                 progress = True
         if not progress:
             break
+    work.drop_fanout_index()
     return work
 
 

@@ -160,6 +160,10 @@ class MigGraph:
             if users:
                 self._fanouts[p] = users
 
+    def drop_fanout_index(self):
+        """Free the consumer index; the next `fanouts` call rebuilds it."""
+        self._fanouts = None
+
     def clone(self) -> "MigGraph":
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count

@@ -156,7 +156,7 @@ class _Batch:
 
     x0: np.ndarray  # (N + C, 4): one row per graph node, then each center's
     layers: list[_Layer]
-    centers: list[int] = field(default_factory=list)  # node ids, center order
+    centers: list[int] = field(default_factory=list)  # the caller's list, not a copy
     caches: list = field(default_factory=list)
 
 
@@ -251,7 +251,7 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
             rows = tuple(np.concatenate(pair) for pair in zip(background, rows))
         layers.append(_Layer(*rows))
         below, below_base = keys, base
-    return _Batch(x0, layers, centers=list(centers))
+    return _Batch(x0, layers, centers=centers)
 
 
 def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False):

@@ -8,7 +8,8 @@ Two rule families:
   how operands happen to be arranged;
 * always-applied cleanup rules: majority collapse M(x,x,z)=x /
   M(x,x',z)=z and redundancy merging of nodes with identical fanin
-  triples.
+  triples. Each runs to its own fixpoint as repeated passes over the
+  nodes in id order, with no topological sort.
 
 Every agent move instantiates one of the Ω identities, which are sound
 (Amarù, Gaillardon, De Micheli, "Majority-Inverter Graph", DAC 2014), and
@@ -269,70 +270,58 @@ def _apply_subst(g: MigGraph, subst: dict[int, Signal]):
         g.remove(nid)
 
 
-def lambda_majority(g: MigGraph) -> int:
-    """Collapse M(x,x,z) to x and M(x,x',z) to z, to fixpoint."""
-    # one pass suffices: in topological order a node's fanins are final
-    # (resolved through every collapse below it) before it is tested
-    subst: dict[int, Signal] = {}
-    for nid in g.topological_order():
-        node = g.nodes[nid]
-        if node.kind != MAJ:
-            continue
-        fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
-        if fanins != node.fanins:
-            g.set_fanins(nid, fanins)
-        a, b, c = fanins
-        if a == b or a == c:
-            target = a
-        elif b == c:
-            target = b
-        elif a.node == b.node:  # complementary pair
-            target = c
-        elif a.node == c.node:
-            target = b
-        elif b.node == c.node:
-            target = a
-        else:
-            continue
-        subst[nid] = target
-    if subst:
-        _apply_subst(g, subst)
-    return len(subst)
-
-
-def lambda_redundancy(g: MigGraph) -> int:
-    """Merge nodes with identical fanin triples into the lowest-id survivor.
-
-    Triples compare port-ordered including polarities.
-    """
+def _sweep(g: MigGraph, rule) -> int:
+    """Replace nodes by rule(nid, fanins, seen) until a pass replaces none;
+    returns the count. A pass visits every majority node, dead ones too, in
+    id order (the order of `g.nodes`: ids only grow), with fanins resolved
+    through its earlier replacements and a fresh `seen`; a node whose fanin
+    has a higher id sees that fanin's replacement a pass later."""
     total = 0
     while True:
         subst: dict[int, Signal] = {}
         seen: dict[tuple, int] = {}
-        for nid in g.topological_order():
-            node = g.nodes[nid]
+        for nid, node in g.nodes.items():
             if node.kind != MAJ:
                 continue
-            fanins = tuple(_resolve_subst(subst, s) for s in node.fanins)
-            if fanins != node.fanins:
-                g.set_fanins(nid, fanins)
-            other = seen.get(fanins)
-            if other is None:
-                seen[fanins] = nid
-                continue
-            if nid < other:
-                subst[other] = Signal(nid)
-                seen[fanins] = nid
-            else:
-                subst[nid] = Signal(other)
-            total += 1
+            target = rule(nid, tuple(_resolve_subst(subst, s) for s in node.fanins), seen)
+            if target is not None:
+                subst[nid] = target
         if not subst:
             return total
+        total += len(subst)
         _apply_subst(g, subst)
 
 
+def _collapse(nid: int, fanins: tuple, seen: dict) -> Signal | None:
+    a, b, c = fanins  # M(x,x,z) = x, M(x,x',z) = z
+    if a.node == b.node:
+        return a if a == b else c
+    if a.node == c.node:
+        return a if a == c else b
+    if b.node == c.node:
+        return b if b == c else a
+    return None
+
+
+def _merge(nid: int, fanins: tuple, seen: dict) -> Signal | None:
+    other = seen.setdefault(fanins, nid)  # in id order the first holder is the lowest
+    return None if other == nid else Signal(other)
+
+
+def lambda_majority(g: MigGraph) -> int:
+    """Collapse M(x,x,z) to x and M(x,x',z) to z, to this rule's fixpoint."""
+    return _sweep(g, _collapse)
+
+
+def lambda_redundancy(g: MigGraph) -> int:
+    """Merge nodes with identical port-ordered fanin triples (polarities
+    included) into the lowest id, to this rule's fixpoint."""
+    return _sweep(g, _merge)
+
+
 def lambda_fixpoint(g: MigGraph) -> tuple[int, int]:
-    """Run both cleanup rules alternately until neither fires."""
+    """Run each cleanup rule to its own fixpoint, collapse first, and
+    alternate until neither fires; returns the (collapse, merge) counts."""
     lm = lr = 0
     while True:
         m = lambda_majority(g)

@@ -100,6 +100,7 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
         actions, log_probs, batch, probs = choose(g, centers)
         report = rw.step(g, {c: OmegaAction(int(a)) for c, a in zip(centers, actions)})
         records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
+    g.drop_fanout_index()
     return g, records
 
 

@@ -31,6 +31,20 @@ def test_gen_empty_dataset(tmp_path):
     assert manifest["count"] == 0 and manifest["items"] == []
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--po", 0, "random graphs need at least 2 inputs and 1 output"),
+     ("--pi", 1, "random graphs need at least 2 inputs and 1 output"),
+     ("--count", -1, "--count must be non-negative")],
+)
+def test_gen_rejects_bad_settings(tmp_path, capsys, flag, value, message):
+    d = tmp_path / "ds"
+    args = {"--n": 10, "--count": 2, "--seed": 1, flag: value}
+    assert run("gen", *(x for kv in args.items() for x in kv), "--out-dir", d) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not d.exists()
+
+
 def test_train_zero_episodes_writes_initial_checkpoint(tmp_path):
     d = tmp_path / "ds"
     run("gen", "--n", 8, "--pi", 6, "--count", 2, "--seed", 2, "--out-dir", d)

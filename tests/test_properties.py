@@ -34,3 +34,4 @@ def test_steps_keep_function_and_fanout_index(inputs, gates, seed, data):
         rw.step(g, dict(zip(ids, acts)))
         g.check()
         assert g.simulate_truth_tables() == ref
+        assert rw.lambda_fixpoint(g.clone()) == (0, 0)

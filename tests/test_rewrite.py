@@ -4,7 +4,7 @@ import pytest
 
 from migopt import formats as fmt
 from migopt import rewrite as rw
-from migopt.mig import MigError, Signal, new_graph
+from migopt.mig import MigError, MigGraph, Signal, new_graph
 from migopt.rewrite import OmegaAction
 
 from conftest import clean_random_graph, crude_random_graph
@@ -225,6 +225,45 @@ def test_lambda_redundancy_is_port_ordered_by_default():
     assert rw.lambda_redundancy(g) == 0
 
 
+def test_lambda_majority_reaches_a_lower_id_reader():
+    # rewrites can give a node a fanin with a higher id than its own
+    g = new_graph(3)
+    x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
+    low = g.add_majority(x1, x2, x3)
+    high = g.add_majority(x1, x1, x2)  # == x1
+    g.set_fanins(low.node, (high, ~x1, x3))  # becomes M(x1,!x1,x3) == x3
+    g.set_outputs([low])
+    assert rw.lambda_majority(g) == 2
+    assert g.outputs == [x3]
+
+
+def test_lambda_redundancy_finds_a_lower_id_twin_after_a_merge():
+    g = new_graph(3)
+    x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
+    low = g.add_majority(x1, x2, x3)
+    a = g.add_majority(x1, x2, ~x3)
+    a_twin = g.add_majority(x1, x2, ~x3)
+    high = g.add_majority(a, x1, x2)
+    g.set_fanins(low.node, (a_twin, x1, x2))  # a twin of `high` once a_twin merges into a
+    g.set_outputs([low, high])
+    assert rw.lambda_redundancy(g) == 2
+    assert g.maj_ids() == [low.node, a.node]
+    assert g.outputs == [low, low]
+
+
+def test_lambda_rules_each_reach_their_own_fixpoint():
+    g = new_graph(4)
+    x1, x2, x3, z = g.pi(1), g.pi(2), g.pi(3), g.pi(4)
+    a = g.add_majority(x1, x2, x3)
+    b = g.add_majority(x1, x2, x3)
+    t1 = g.add_majority(a, b, z)
+    t2 = g.add_majority(a, b, z)
+    g.set_outputs([t1, ~t2])
+    # merge b into a and t2 into t1, then collapse t1 = M(a,a,z) to a
+    assert rw.lambda_fixpoint(g) == (1, 2)
+    assert g.outputs == [a, ~a]
+
+
 def test_lambda_counts_zero_on_clean_graph():
     g = clean_random_graph(6, 20, 4)
     assert rw.lambda_fixpoint(g) == (0, 0)
@@ -308,6 +347,24 @@ def test_step_preserves_signatures_on_wide_graph():
         rw.step(g, acts)
     sig1 = [g.simulate_signatures(s, 256) for s in (1, 2, 3)]
     assert sig0 == sig1
+
+
+def test_step_never_sorts_the_graph(monkeypatch):
+    g = crude_random_graph(6, 30, 3)
+    ref = tt(g)
+
+    def refuse(self):
+        raise AssertionError("topological_order called on the step path")
+
+    monkeypatch.setattr(MigGraph, "topological_order", refuse)
+    rng = random.Random(8)
+    fired = 0
+    for _ in range(10):
+        rep = rw.step(g, {nid: OmegaAction(rng.randrange(9)) for nid in g.maj_ids()})
+        fired += rep.lambda_m_count + rep.lambda_r_count
+    monkeypatch.undo()
+    assert fired > 0
+    assert tt(g) == ref
 
 
 def test_lambda_fixpoint_idempotent():

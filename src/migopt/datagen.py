@@ -123,6 +123,7 @@ def sop_decompose(spec: SopSpec) -> MigGraph:
     g.set_outputs([out])
     lambda_fixpoint(g)
     delete_dead(g)
+    g.drop_fanout_index()  # the cleanup built it; callers keep these graphs
     return g
 
 

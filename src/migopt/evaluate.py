@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from migopt import rewrite as rw
-from migopt.mig import MigGraph
+from migopt.mig import MAJ, MigGraph
 from migopt.policy import PolicyParams
 from migopt.trainer import greedy_optimize, random_rollout
 
@@ -116,13 +116,17 @@ def random_policy(seed: int):
     return run
 
 
+def _maj_count(g: MigGraph, nodes) -> int:
+    return sum(1 for nid in nodes if g.nodes[nid].kind == MAJ)
+
+
 def greedy_rules(g: MigGraph) -> MigGraph:
     """Rule-driven hill climbing: factor with the shrinking distributivity
     move whenever it strictly reduces the cleaned size, plus cleanup;
     at most 50 passes over the nodes."""
     work = g.clone()
     rw.lambda_fixpoint(work)
-    rw.delete_dead(work)
+    size = _maj_count(work, rw.delete_dead(work))
     for _ in range(50):
         progress = False
         for nid in sorted(work.maj_ids()):
@@ -134,9 +138,9 @@ def greedy_rules(g: MigGraph) -> MigGraph:
             trial = work.clone()
             rw.apply_omega(trial, desc)
             rw.lambda_fixpoint(trial)
-            rw.delete_dead(trial)
-            if trial.size() < work.size():
-                work = trial
+            trial_size = _maj_count(trial, rw.delete_dead(trial))
+            if trial_size < size:
+                work, size = trial, trial_size
                 progress = True
         if not progress:
             break

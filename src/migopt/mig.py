@@ -133,9 +133,11 @@ class MigGraph:
 
     def set_fanins(self, nid: int, fanins: tuple[Signal, Signal, Signal]):
         """Replace the fanins of majority node `nid`."""
+        node = self.nodes.get(nid)
+        if node is None or node.kind != MAJ:
+            raise MigError(f"node {nid} is not a live majority node")
         for s in fanins:
             self._check_live(s)
-        node = self.nodes[nid]
         if self._fanouts is not None:
             old = {s.node for s in node.fanins}
             new = {s.node for s in fanins}
@@ -167,7 +169,10 @@ class MigGraph:
     def clone(self) -> "MigGraph":
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count
-        g.nodes = {nid: Node(n.kind, n.fanins) for nid, n in self.nodes.items()}
+        # terminal nodes never change (set_fanins refuses them), so share them
+        g.nodes = {
+            nid: Node(MAJ, n.fanins) if n.kind == MAJ else n for nid, n in self.nodes.items()
+        }
         g.outputs = list(self.outputs)
         g._next_id = self._next_id
         g._fanouts = None

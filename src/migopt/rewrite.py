@@ -283,7 +283,10 @@ def _sweep(g: MigGraph, rule) -> int:
         for nid, node in g.nodes.items():
             if node.kind != MAJ:
                 continue
-            target = rule(nid, tuple(_resolve_subst(subst, s) for s in node.fanins), seen)
+            fanins = node.fanins
+            if subst:  # before the pass's first replacement nothing resolves
+                fanins = tuple(_resolve_subst(subst, s) for s in fanins)
+            target = rule(nid, fanins, seen)
             if target is not None:
                 subst[nid] = target
         if not subst:
@@ -342,8 +345,12 @@ def delete_dead(g: MigGraph) -> set[int]:
     return keep
 
 
-def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
+def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) -> StepReport:
     """Apply one simultaneous action set, then cleanup and dead-node removal.
+
+    `live` holds the reachable majority ids when the caller already has
+    them; when it is None the step walks the graph for them. Afterwards
+    every majority node left in the graph is reachable.
 
     Acting nodes run in ascending id order. An action at a node that is
     not a live majority node, or that does not match there, is blocked as
@@ -352,7 +359,10 @@ def step(g: MigGraph, actions: dict[int, OmegaAction]) -> StepReport:
     graph unchanged for that node.
     """
     rep = StepReport()
-    reach_before = {n for n in g.reachable_nodes() if g.nodes[n].kind == MAJ}
+    if live is None:
+        reach_before = {n for n in g.reachable_nodes() if g.nodes[n].kind == MAJ}
+    else:
+        reach_before = set(live)
     rep.size_before = len(reach_before)
 
     touched: set[int] = set()

@@ -2,11 +2,13 @@
 
 Training episodes, greedy deployment, sampled `optimize` and the
 uniform-random baseline all run one loop, `rollout(g0, steps, choose)`:
-it clones the start graph once, then on each step takes the acting
-nodes (the reachable majority nodes, in ascending id order), asks the
-chooser for one action per acting node and applies the whole action set
-through the environment. Actions travel as arrays in that center order,
-from the chooser through `StepRecord` to `reinforce_update`.
+it clones the start graph once and walks it once for the acting nodes
+(the reachable majority nodes, in ascending id order). A step leaves
+only live majority nodes, so later steps take all of them. Each step
+asks the chooser for one action per acting node and applies the whole
+action set through the environment. Actions travel as arrays in that
+center order, from the chooser through `StepRecord` to
+`reinforce_update`.
 `policy_chooser` runs the network over the acting nodes and takes the
 argmax, or samples when given a generator; `uniform_chooser` draws
 uniform actions without a network.
@@ -34,7 +36,7 @@ from migopt.policy import (
     batch_for,
     sample_actions,
 )
-from migopt.rewrite import OmegaAction, StepReport
+from migopt.rewrite import StepReport
 
 
 @dataclass(slots=True)
@@ -95,11 +97,13 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     """
     g = g0.clone()
     records: list[StepRecord] = []
+    # g0 may hold dead nodes, so walk once; a step leaves only live ones
+    centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
     for _ in range(steps):
-        centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
         actions, log_probs, batch, probs = choose(g, centers)
-        report = rw.step(g, {c: OmegaAction(int(a)) for c, a in zip(centers, actions)})
+        report = rw.step(g, dict(zip(centers, actions.tolist())), centers)
         records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
+        centers = g.maj_ids()
     g.drop_fanout_index()
     return g, records
 

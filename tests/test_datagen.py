@@ -80,6 +80,11 @@ def test_enumerate_sop3():
     assert len(set(names)) == 256
 
 
+def test_sop3_graphs_carry_no_fanout_index():
+    # the cleanup builds the index; a dataset held for a whole run must not keep it
+    assert all(g._fanouts is None for _, g in dg.enumerate_sop3())
+
+
 def test_enumerate_sop4_deterministic():
     a = dg.enumerate_sop4(30, seed=5)
     b = dg.enumerate_sop4(30, seed=5)

@@ -250,6 +250,28 @@ def test_clone_is_independent():
     assert len(h.nodes) == len(g.nodes) + 1
 
 
+def test_set_fanins_refuses_terminal_and_unknown_nodes():
+    g = new_graph(2)
+    a = g.add_and(g.pi(1), g.pi(2))
+    g.set_outputs([a])
+    for nid in (0, 1, 2, 99):
+        with pytest.raises(MigError):
+            g.set_fanins(nid, (g.pi(1), g.pi(2), g.const0()))
+    assert g.nodes[1].fanins == () and g.nodes[0].fanins == ()
+    g.check()
+
+
+def test_clone_shares_only_terminal_nodes():
+    g = crude_random_graph(100, 12, 3)
+    h = g.clone()
+    assert all(h.nodes[k] is g.nodes[k] for k in range(g.pi_count + 1))
+    maj = g.maj_ids()
+    assert all(h.nodes[nid] is not g.nodes[nid] for nid in maj)
+    before = [g.nodes[nid].fanins for nid in maj]
+    h.set_fanins(maj[-1], (h.pi(1), h.pi(2), h.const1()))
+    assert [g.nodes[nid].fanins for nid in maj] == before
+
+
 def test_node_ids_never_reused():
     g = new_graph(2)
     a = g.add_and(g.pi(1), g.pi(2))

@@ -33,5 +33,6 @@ def test_steps_keep_function_and_fanout_index(inputs, gates, seed, data):
         )
         rw.step(g, dict(zip(ids, acts)))
         g.check()
+        assert set(g.maj_ids()) <= g.reachable_nodes()  # rollout acts on maj_ids()
         assert g.simulate_truth_tables() == ref
         assert rw.lambda_fixpoint(g.clone()) == (0, 0)

@@ -7,7 +7,7 @@ from migopt import rewrite as rw
 from migopt.mig import MigError, MigGraph, Signal, new_graph
 from migopt.rewrite import OmegaAction
 
-from conftest import clean_random_graph, crude_random_graph
+from conftest import acting_nodes, clean_random_graph, crude_random_graph
 
 
 def tt(g):
@@ -313,6 +313,20 @@ def test_step_determinism():
     r2 = rw.step(g2, acts)
     assert fmt.emit_mig(g1) == fmt.emit_mig(g2)
     assert r1 == r2
+
+
+def test_step_with_handed_in_live_set_matches_its_own_walk():
+    rng = random.Random(6)
+    for seed in range(40):
+        g = crude_random_graph(2 + seed % 4, 5 + seed % 25, 900 + seed)
+        live = acting_nodes(g)
+        assert len(live) < len(g.maj_ids())  # dead nodes on the first step
+        walked = g.clone()
+        for _ in range(3):
+            acts = {nid: rng.randrange(rw.ACTION_COUNT) for nid in live}
+            assert rw.step(g, acts, live) == rw.step(walked, acts)
+            assert fmt.emit_mig(g) == fmt.emit_mig(walked)
+            live = g.maj_ids()
 
 
 def test_blocked_actions_leave_graph_bit_identical():

@@ -7,10 +7,10 @@ from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr
-from migopt.mig import MAJ, new_graph
+from migopt.mig import MAJ, MigGraph, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 
-from conftest import clean_random_graph, dists
+from conftest import clean_random_graph, crude_random_graph, dists
 
 HP = Hyperparams(layers=2, hidden=6)
 
@@ -156,6 +156,28 @@ def test_acting_set_skips_dead_nodes():
     assert rec.centers == reach
     assert rec.actions.shape == rec.log_probs.shape == (len(reach),)
     assert rec.probs.shape == (len(reach), rw.ACTION_COUNT)
+
+
+def test_rollout_walks_the_graph_once_plus_once_per_step(monkeypatch):
+    g = crude_random_graph(5, 30, 4)
+    assert len(g.maj_ids()) > g.size()  # starts with dead nodes
+    walks = []
+    walk = MigGraph.reachable_nodes
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
+    for k in (1, 4, 7):
+        walks.clear()
+        out, records = tr.rollout(g, k, tr.uniform_chooser(np.random.default_rng(k)))
+        assert len(records) == k
+        assert len(walks) == k + 1  # the start, then `delete_dead` in each step
+    monkeypatch.undo()
+    assert all(rec.centers == sorted(rec.centers) for rec in records)
+    assert records[-1].centers  # the last step still had acting nodes
+    assert set(out.maj_ids()) <= out.reachable_nodes()
 
 
 def test_train_zero_episodes_returns_initial_params():

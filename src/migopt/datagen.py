@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from migopt.mig import MigError, MigGraph, Signal, new_graph, pi_pattern
+from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
 from migopt.rewrite import delete_dead, lambda_fixpoint
 
 
@@ -50,13 +50,13 @@ def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
         pool = list(range(spec.pi_count + 1))
         for _ in range(pool_target):
             ids = rng.sample(pool, 3)
-            fanins = tuple(Signal(i, rng.random() < 0.5) for i in ids)
-            pool.append(g.add_majority(*fanins).node)
+            fanins = tuple(lit(i, rng.random() < 0.5) for i in ids)
+            pool.append(g.add_majority(*fanins) >> 1)
         maj = pool[spec.pi_count + 1 :]
         sizes = []
         for _ in range(30):
             outs = [
-                Signal(rng.choice(maj), rng.random() < 0.5)
+                lit(rng.choice(maj), rng.random() < 0.5)
                 for _ in range(spec.po_count)
             ]
             # uncleaned size first; cleanup rarely changes it because
@@ -105,17 +105,17 @@ def sop_decompose(spec: SopSpec) -> MigGraph:
             g.set_outputs([g.pi(j)])
             return g
         if table == pat ^ full:
-            g.set_outputs([~g.pi(j)])
+            g.set_outputs([g.pi(j) ^ 1])
             return g
 
     minterms = []
     for r in range(rows):
         if not (table >> r) & 1:
             continue
-        lits = [Signal(j, not ((r >> (j - 1)) & 1)) for j in range(1, k + 1)]
+        lits = [lit(j, not ((r >> (j - 1)) & 1)) for j in range(1, k + 1)]
         acc = lits[0]
-        for lit in lits[1:]:
-            acc = g.add_and(acc, lit)
+        for x in lits[1:]:
+            acc = g.add_and(acc, x)
         minterms.append(acc)
     out = minterms[0]
     for m in minterms[1:]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from migopt.mig import MAJ, MigError, MigGraph, Signal, new_graph
+from migopt.mig import MAJ, MigError, MigGraph, lit, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import ACTION_COUNT
 
@@ -32,13 +32,13 @@ from migopt.rewrite import ACTION_COUNT
 # -- native MIG text ----------------------------------------------------
 
 
-def _sig_str(s: Signal, file_ids: dict[int, int], pi_count: int) -> str:
-    neg = "!" if s.neg else ""
-    if s.node == 0:
+def _sig_str(s: int, file_ids: dict[int, int], pi_count: int) -> str:
+    nid, neg = s >> 1, "!" if s & 1 else ""
+    if nid == 0:
         return f"{neg}0"
-    if s.node <= pi_count:
-        return f"{neg}x{s.node}"
-    return f"{neg}n{file_ids[s.node]}"
+    if nid <= pi_count:
+        return f"{neg}x{nid}"
+    return f"{neg}n{file_ids[nid]}"
 
 
 def emit_mig(g: MigGraph) -> str:
@@ -66,22 +66,22 @@ class ParseError(MigError):
         self.lineno = lineno
 
 
-def _parse_sig(tok: str, lineno: int, g: MigGraph, defined: int) -> Signal:
+def _parse_sig(tok: str, lineno: int, g: MigGraph, defined: int) -> int:
     m = _SIG_RE.match(tok.strip())
     if not m:
         raise ParseError(lineno, f"bad signal {tok!r}")
     neg = m.group(1) == "!"
     if m.group(2) == "0":
-        return Signal(0, neg)
+        return lit(0, neg)
     if m.group(3) is not None:
         j = int(m.group(3))
         if not 1 <= j <= g.pi_count:
             raise ParseError(lineno, f"input x{j} out of range")
-        return Signal(j, neg)
+        return lit(j, neg)
     k = int(m.group(4))
     if not 1 <= k <= defined:
         raise ParseError(lineno, f"reference to undefined node n{k}")
-    return Signal(g.pi_count + k, neg)
+    return lit(g.pi_count + k, neg)
 
 
 def parse_mig(text: str) -> MigGraph:
@@ -207,11 +207,11 @@ def parse_aiger_ascii(text: str) -> MigGraph:
     # anything after the gate section is symbols/comments; ignored
 
     g = new_graph(n_in)
-    built: dict[int, Signal] = {0: g.const0()}
+    built: dict[int, int] = {0: g.const0()}  # AIGER variable -> MIG literal
     built.update((var, g.pi(k)) for var, k in pi_var.items())
 
-    def signal(lit: int) -> Signal:
-        return built[lit >> 1].xor(bool(lit & 1))
+    def signal(lit: int) -> int:
+        return built[lit >> 1] ^ (lit & 1)
 
     def resolve(top: int):
         # post-order walk, first fanin first, on an explicit stack so deep

@@ -1,7 +1,9 @@
 """Majority-inverter graph core: nodes, signals, simulation, size.
 
 A MIG is a DAG whose only gate is the 3-input majority function.
-Inversion lives on edges (``Signal.neg``), never as a separate node.
+Inversion lives on edges, never as a separate node: a signal is the int
+literal ``2 * node + neg`` (as in AIGER), so ``lit >> 1`` is its node and
+``lit ^ 1`` its complement; ``~lit`` is negative and names no node.
 Node 0 is the single constant-0 node; nodes 1..pi_count are the primary
 inputs; everything above is a majority gate. Node identifiers grow
 monotonically and are never reused, even after deletion.
@@ -17,30 +19,15 @@ PI = "pi"
 MAJ = "maj"
 
 
-@dataclass(frozen=True, slots=True)
-class Signal:
-    """A directed, optionally complemented reference to a node."""
-
-    node: int
-    neg: bool = False
-
-    def invert(self) -> "Signal":
-        return Signal(self.node, not self.neg)
-
-    def __invert__(self) -> "Signal":
-        return Signal(self.node, not self.neg)
-
-    def xor(self, flip: bool) -> "Signal":
-        return Signal(self.node, self.neg ^ flip) if flip else self
-
-    def __repr__(self):
-        return f"{'!' if self.neg else ''}@{self.node}"
+def lit(node: int, neg: bool = False) -> int:
+    """The literal of `node`, complemented when `neg` is set."""
+    return 2 * node + neg
 
 
 @dataclass(slots=True)
 class Node:
     kind: str
-    fanins: tuple[Signal, Signal, Signal] | tuple[()] = ()
+    fanins: tuple[int, int, int] | tuple[()] = ()  # literals
 
 
 class MigError(Exception):
@@ -88,50 +75,50 @@ class MigGraph:
         self.nodes: dict[int, Node] = {0: Node(CONST)}
         for i in range(1, pi_count + 1):
             self.nodes[i] = Node(PI)
-        self.outputs: list[Signal] = []
+        self.outputs: list[int] = []  # literals
         self._next_id = pi_count + 1
         # sorted consumer ids per node that has any, built on first use
         self._fanouts: dict[int, tuple[int, ...]] | None = None
 
     # -- construction -------------------------------------------------
 
-    def const0(self) -> Signal:
-        return Signal(0, False)
+    def const0(self) -> int:
+        return 0
 
-    def const1(self) -> Signal:
-        return Signal(0, True)
+    def const1(self) -> int:
+        return 1
 
-    def pi(self, k: int) -> Signal:
+    def pi(self, k: int) -> int:
         if not 1 <= k <= self.pi_count:
             raise MigError(f"no primary input x{k}")
-        return Signal(k, False)
+        return 2 * k
 
-    def _check_live(self, s: Signal):
-        if s.node not in self.nodes:
-            raise MigError(f"signal references dead or unknown node {s.node}")
+    def _check_live(self, s: int):
+        if s >> 1 not in self.nodes:
+            raise MigError(f"literal {s} references a dead or unknown node")
 
-    def add_majority(self, a: Signal, b: Signal, c: Signal) -> Signal:
+    def add_majority(self, a: int, b: int, c: int) -> int:
         for s in (a, b, c):
             self._check_live(s)
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = Node(MAJ, (a, b, c))
         if self._fanouts is not None:
-            self._link(nid, {a.node, b.node, c.node})
-        return Signal(nid, False)
+            self._link(nid, {a >> 1, b >> 1, c >> 1})
+        return 2 * nid
 
-    def add_and(self, a: Signal, b: Signal) -> Signal:
-        return self.add_majority(a, b, self.const0())
+    def add_and(self, a: int, b: int) -> int:
+        return self.add_majority(a, b, 0)
 
-    def add_or(self, a: Signal, b: Signal) -> Signal:
-        return self.add_majority(a, b, self.const1())
+    def add_or(self, a: int, b: int) -> int:
+        return self.add_majority(a, b, 1)
 
-    def set_outputs(self, sigs: list[Signal]):
+    def set_outputs(self, sigs: list[int]):
         for s in sigs:
             self._check_live(s)
         self.outputs = list(sigs)
 
-    def set_fanins(self, nid: int, fanins: tuple[Signal, Signal, Signal]):
+    def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
         """Replace the fanins of majority node `nid`."""
         node = self.nodes.get(nid)
         if node is None or node.kind != MAJ:
@@ -139,8 +126,8 @@ class MigGraph:
         for s in fanins:
             self._check_live(s)
         if self._fanouts is not None:
-            old = {s.node for s in node.fanins}
-            new = {s.node for s in fanins}
+            old = {s >> 1 for s in node.fanins}
+            new = {s >> 1 for s in fanins}
             self._unlink(nid, old - new)
             self._link(nid, new - old)
         node.fanins = tuple(fanins)
@@ -150,7 +137,7 @@ class MigGraph:
         node = self.nodes.pop(nid)
         if self._fanouts is not None:
             self._fanouts.pop(nid, None)
-            self._unlink(nid, {s.node for s in node.fanins})
+            self._unlink(nid, {s >> 1 for s in node.fanins})
 
     def _link(self, nid: int, producers: set[int]):
         for p in producers:
@@ -191,7 +178,7 @@ class MigGraph:
     def _scan_fanouts(self) -> dict[int, tuple[int, ...]]:
         fo: dict[int, list[int]] = {}
         for nid, node in self.nodes.items():  # id order
-            for p in {s.node for s in node.fanins}:
+            for p in {s >> 1 for s in node.fanins}:
                 fo.setdefault(p, []).append(nid)
         return {p: tuple(users) for p, users in fo.items()}
 
@@ -201,7 +188,7 @@ class MigGraph:
     def reachable_nodes(self) -> set[int]:
         """Transitive fanin closure of the outputs (all node kinds)."""
         seen: set[int] = set()
-        stack = [s.node for s in self.outputs]
+        stack = [s >> 1 for s in self.outputs]
         while stack:
             nid = stack.pop()
             if nid in seen:
@@ -211,8 +198,8 @@ class MigGraph:
                 raise MigError(f"output cone references dead node {nid}")
             seen.add(nid)
             for s in node.fanins:
-                if s.node not in seen:
-                    stack.append(s.node)
+                if s >> 1 not in seen:
+                    stack.append(s >> 1)
         return seen
 
     def topological_order(self) -> list[int]:
@@ -232,7 +219,7 @@ class MigGraph:
                 node = self.nodes[nid]
                 advanced = False
                 for i in range(idx, len(node.fanins)):
-                    child = node.fanins[i].node
+                    child = node.fanins[i] >> 1
                     st = state.get(child)
                     if st == 1:
                         raise MigError(f"cycle through node {child}: graph corrupted")
@@ -261,9 +248,9 @@ class MigGraph:
             if node.kind != MAJ:
                 continue
             a, b, c = node.fanins
-            va = vals[a.node] ^ (mask if a.neg else 0)
-            vb = vals[b.node] ^ (mask if b.neg else 0)
-            vc = vals[c.node] ^ (mask if c.neg else 0)
+            va = vals[a >> 1] ^ (mask if a & 1 else 0)
+            vb = vals[b >> 1] ^ (mask if b & 1 else 0)
+            vc = vals[c >> 1] ^ (mask if c & 1 else 0)
             vals[nid] = _maj_word(va, vb, vc)
         return vals
 
@@ -277,7 +264,7 @@ class MigGraph:
         for k in range(1, n + 1):
             leaves[k] = pi_pattern(k, n)
         vals = self._eval_words(leaves, mask)
-        return [vals[s.node] ^ (mask if s.neg else 0) for s in self.outputs]
+        return [vals[s >> 1] ^ (mask if s & 1 else 0) for s in self.outputs]
 
     def simulate_signatures(self, seed: int, width: int = 256) -> list[int]:
         """Per-output words of bit-parallel simulation under `width`
@@ -294,7 +281,7 @@ class MigGraph:
         for k in range(1, self.pi_count + 1):
             leaves[k] = rng.getrandbits(width)
         vals = self._eval_words(leaves, mask)
-        return [vals[s.node] ^ (mask if s.neg else 0) for s in self.outputs]
+        return [vals[s >> 1] ^ (mask if s & 1 else 0) for s in self.outputs]
 
     def check(self):
         """Structural invariant sweep; raises MigError on corruption."""
@@ -309,11 +296,11 @@ class MigGraph:
             if node.kind != MAJ and node.fanins:
                 raise MigError(f"terminal node {nid} must have no fanins")
             for s in node.fanins:
-                if s.node not in self.nodes:
-                    raise MigError(f"node {nid} references dead node {s.node}")
+                if s >> 1 not in self.nodes:
+                    raise MigError(f"node {nid} references dead node {s >> 1}")
         for s in self.outputs:
-            if s.node not in self.nodes:
-                raise MigError(f"output references dead node {s.node}")
+            if s >> 1 not in self.nodes:
+                raise MigError(f"output references dead node {s >> 1}")
         if self._fanouts is not None and self._fanouts != self._scan_fanouts():
             raise MigError("fanout index disagrees with the fanins")
         self.topological_order()

@@ -36,14 +36,14 @@ order of the nodes in it, not of node ids or of the rest of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from migopt.mig import CONST, MAJ, PI, MigError, MigGraph
+from migopt.mig import MigError, MigGraph
 from migopt.rewrite import ACTION_COUNT
 
 BASE_FEATURES = 4  # [is_self, is_pi, is_const, is_majority]
-_KIND_COLUMN = {PI: 1, CONST: 2, MAJ: 3}
 
 
 @dataclass(slots=True)
@@ -166,34 +166,39 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(offsets.size, dtype=np.int64)
 
 
-def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
-    ids = list(g.nodes)
-    index = {nid: i for i, nid in enumerate(ids)}
-    n = len(ids)
+def _graph_arrays(g: MigGraph) -> tuple[np.ndarray, ...]:
+    """Rows of g's nodes in id order, (ids, kind, fanin_idx, fanin_pol), and
+    its edges (prod, port, cons, pol) by (producer, port), consumers in id
+    order. g.nodes holds the constant, the inputs, then the majority nodes."""
+    n = len(g.nodes)
+    ids = np.fromiter(g.nodes, dtype=np.int64, count=n)
+    first = g.pi_count + 1  # row of the first majority node
     kind = np.zeros((n, BASE_FEATURES))
-    kind[np.arange(n), [_KIND_COLUMN[g.nodes[nid].kind] for nid in ids]] = 1.0
+    kind[0, 2] = kind[1:first, 1] = kind[first:, 3] = 1.0
+    maj = islice(g.nodes.values(), first, None)
+    lits = np.fromiter((s for node in maj for s in node.fanins), np.int64, 3 * (n - first))
+    fanin_idx = np.full((n, 3), -1, dtype=np.int64)
+    fanin_idx[first:] = np.searchsorted(ids, lits >> 1).reshape(-1, 3)
+    fanin_pol = np.zeros((n, 3))
+    fanin_pol[first:] = (1.0 - 2.0 * (lits & 1)).reshape(-1, 3)
 
-    # edges by (producer, port); the stable sort keeps consumers in id order
-    prod, port, cons, neg = [], [], [], []
-    for i, node in enumerate(g.nodes.values()):
-        for p, s in enumerate(node.fanins):
-            prod.append(index[s.node])
-            port.append(p)
-            cons.append(i)
-            neg.append(s.neg)
-    prod, port, cons = (np.asarray(a, dtype=np.int64) for a in (prod, port, cons))
-    pol = 1.0 - 2.0 * np.asarray(neg, dtype=float)
-    order = np.argsort(prod * 3 + port, kind="stable")
-    prod, port, cons, pol = prod[order], port[order], cons[order], pol[order]
+    edge_prod = fanin_idx[first:].ravel()  # edge e is port e % 3 of row first + e // 3
+    order = np.argsort(edge_prod * 3 + np.arange(edge_prod.size) % 3, kind="stable")
+    pol = fanin_pol[first:].ravel()[order]
+    return ids, kind, fanin_idx, fanin_pol, edge_prod[order], order % 3, first + order // 3, pol
+
+
+def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
+    ids, kind, fanin_idx, fanin_pol, prod, port, cons, pol = _graph_arrays(g)
+    n = ids.size
     fo_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(prod, minlength=n), out=fo_ptr[1:])
-    fanin_idx = np.full((n, 3), -1, dtype=np.int64)
-    fanin_idx[cons, port] = prod
-    fanin_pol = np.zeros((n, 3))
-    fanin_pol[cons, port] = pol
 
     # (center, node) pairs within depth // 2 undirected hops, by center then hop
-    cidx = np.asarray([index[c] for c in centers], dtype=np.int64)
+    wanted = np.asarray(centers, dtype=np.int64)
+    cidx = np.minimum(np.searchsorted(ids, wanted), n - 1)
+    if (ids[cidx] != wanted).any() or (kind[cidx, 3] == 0).any():
+        raise MigError("every center must be a live majority node")
     pair_key = np.arange(cidx.size, dtype=np.int64) * n + cidx
     pair_dist = np.zeros(cidx.size, dtype=np.int64)
     if depth >= 2:

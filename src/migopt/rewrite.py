@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from migopt.mig import MAJ, MigError, MigGraph, Signal
+from migopt.mig import MAJ, MigError, MigGraph
 
 
 class OmegaAction(IntEnum):
@@ -59,7 +59,7 @@ class PlanRef:
 @dataclass(slots=True)
 class MatchDescriptor:
     """One binding of `action` at `root`: the nodes to create, then the
-    root's new fanins, both as triples of Signal | PlanRef."""
+    root's new fanins, both as triples of int literals and PlanRefs."""
 
     root: int
     action: OmegaAction
@@ -90,12 +90,13 @@ class StepReport:
     outcomes: dict[int, str] = field(default_factory=dict)
 
 
-def _virtual_ops(node_fanins, edge: Signal) -> tuple[Signal, Signal, Signal]:
+def _virtual_ops(node_fanins, edge: int) -> tuple[int, int, int]:
     # Fold a complemented child edge into the child operands:
     # not M(a,b,c) == M(!a,!b,!c).
-    if edge.neg:
-        return tuple(s.invert() for s in node_fanins)
-    return tuple(node_fanins)
+    if edge & 1:
+        a, b, c = node_fanins
+        return a ^ 1, b ^ 1, c ^ 1
+    return node_fanins
 
 
 def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
@@ -121,22 +122,22 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
 
     if action == OmegaAction.INV_PROP:
         foot = frozenset([nid, *g.fanouts(nid)])
-        inverted = tuple(s.invert() for s in fan)
+        inverted = tuple(s ^ 1 for s in fan)
         return MatchDescriptor(nid, action, foot, inverted, complements_root=True)
 
     if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
         want_compl = action == OmegaAction.COMPL_ASSOC
         for cp in range(3):
             child_sig = fan[cp]
-            child = g.nodes[child_sig.node]
-            if child.kind != MAJ or child_sig.node == nid:
+            child = g.nodes[child_sig >> 1]
+            if child.kind != MAJ or child_sig >> 1 == nid:
                 continue
             virt = _virtual_ops(child.fanins, child_sig)
             for up in range(3):
                 if up == cp:
                     continue
                 u = fan[up]
-                needle = u.invert() if want_compl else u
+                needle = u ^ 1 if want_compl else u
                 for uc in range(3):
                     if virt[uc] != needle:
                         continue
@@ -158,7 +159,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         nc[zc] = x
                         new_root[xp] = virt[zc]
                     new_root[cp] = PlanRef(0)
-                    foot = frozenset((nid, child_sig.node))
+                    foot = frozenset((nid, child_sig >> 1))
                     return MatchDescriptor(nid, action, foot, tuple(new_root), (tuple(nc),))
         return None
 
@@ -166,8 +167,8 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         # M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)
         for cp in range(3):
             child_sig = fan[cp]
-            child = g.nodes[child_sig.node]
-            if child.kind != MAJ or child_sig.node == nid:
+            child = g.nodes[child_sig >> 1]
+            if child.kind != MAJ or child_sig >> 1 == nid:
                 continue
             virt = _virtual_ops(child.fanins, child_sig)
             zc = 0
@@ -181,7 +182,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             new_root[o0] = PlanRef(0)
             new_root[o1] = PlanRef(1)
             new_root[cp] = virt[zc]
-            foot = frozenset((nid, child_sig.node))
+            foot = frozenset((nid, child_sig >> 1))
             new_nodes = (tuple(node_a), tuple(node_b))
             return MatchDescriptor(nid, action, foot, tuple(new_root), new_nodes)
         return None
@@ -190,10 +191,11 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         # M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z))
         for cpa, cpb in ((0, 1), (0, 2), (1, 2)):
             sa, sb = fan[cpa], fan[cpb]
-            na, nb = g.nodes[sa.node], g.nodes[sb.node]
+            a, b = sa >> 1, sb >> 1
+            na, nb = g.nodes[a], g.nodes[b]
             if na.kind != MAJ or nb.kind != MAJ:
                 continue
-            if sa.node == nid or sb.node == nid:
+            if a == nid or b == nid:
                 continue
             virt_a = _virtual_ops(na.fanins, sa)
             virt_b = _virtual_ops(nb.fanins, sb)
@@ -213,7 +215,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         new_root[cpa] = p
                         new_root[cpb] = q
                         new_root[zp] = PlanRef(0)
-                        foot = frozenset((nid, sa.node, sb.node))
+                        foot = frozenset((nid, a, b))
                         return MatchDescriptor(nid, action, foot, tuple(new_root), ((ua, vb, z),))
         return None
 
@@ -233,35 +235,33 @@ def apply_omega(g: MigGraph, desc: MatchDescriptor) -> ApplyResult:
 
     new_ids: list[int] = []
 
-    def resolve(ps) -> Signal:
-        return Signal(new_ids[ps.idx]) if isinstance(ps, PlanRef) else ps
+    def resolve(ps) -> int:
+        return 2 * new_ids[ps.idx] if isinstance(ps, PlanRef) else ps
 
     for fanins in desc.new_nodes:
-        sig = g.add_majority(*(resolve(e) for e in fanins))
-        new_ids.append(sig.node)
+        new_ids.append(g.add_majority(*(resolve(e) for e in fanins)) >> 1)
     g.set_fanins(desc.root, tuple(resolve(ps) for ps in desc.new_root_fanins))
 
     if desc.complements_root:
         root = desc.root
         # once per consumer: one that reads the root on two ports flips both
         for cid in g.fanouts(root):
-            flipped = tuple(s.invert() if s.node == root else s for s in g.nodes[cid].fanins)
+            flipped = tuple(s ^ 1 if s >> 1 == root else s for s in g.nodes[cid].fanins)
             g.set_fanins(cid, flipped)
-        g.outputs = [s.invert() if s.node == root else s for s in g.outputs]
+        g.outputs = [s ^ 1 if s >> 1 == root else s for s in g.outputs]
     return ApplyResult(True, new_ids)
 
 
 # -- always-applied cleanup rules --------------------------------------
 
 
-def _resolve_subst(subst: dict[int, Signal], s: Signal) -> Signal:
-    while s.node in subst:
-        t = subst[s.node]
-        s = Signal(t.node, t.neg ^ s.neg)
+def _resolve_subst(subst: dict[int, int], s: int) -> int:
+    while s >> 1 in subst:
+        s = subst[s >> 1] ^ (s & 1)
     return s
 
 
-def _apply_subst(g: MigGraph, subst: dict[int, Signal]):
+def _apply_subst(g: MigGraph, subst: dict[int, int]):
     users = {cid for nid in subst for cid in g.fanouts(nid)}.difference(subst)
     for cid in users:
         g.set_fanins(cid, tuple(_resolve_subst(subst, s) for s in g.nodes[cid].fanins))
@@ -278,7 +278,7 @@ def _sweep(g: MigGraph, rule) -> int:
     has a higher id sees that fanin's replacement a pass later."""
     total = 0
     while True:
-        subst: dict[int, Signal] = {}
+        subst: dict[int, int] = {}
         seen: dict[tuple, int] = {}
         for nid, node in g.nodes.items():
             if node.kind != MAJ:
@@ -295,20 +295,20 @@ def _sweep(g: MigGraph, rule) -> int:
         _apply_subst(g, subst)
 
 
-def _collapse(nid: int, fanins: tuple, seen: dict) -> Signal | None:
+def _collapse(nid: int, fanins: tuple, seen: dict) -> int | None:
     a, b, c = fanins  # M(x,x,z) = x, M(x,x',z) = z
-    if a.node == b.node:
+    if a >> 1 == b >> 1:
         return a if a == b else c
-    if a.node == c.node:
+    if a >> 1 == c >> 1:
         return a if a == c else b
-    if b.node == c.node:
+    if b >> 1 == c >> 1:
         return b if b == c else a
     return None
 
 
-def _merge(nid: int, fanins: tuple, seen: dict) -> Signal | None:
+def _merge(nid: int, fanins: tuple, seen: dict) -> int | None:
     other = seen.setdefault(fanins, nid)  # in id order the first holder is the lowest
-    return None if other == nid else Signal(other)
+    return None if other == nid else 2 * other
 
 
 def lambda_majority(g: MigGraph) -> int:

@@ -97,8 +97,10 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     """
     g = g0.clone()
     records: list[StepRecord] = []
-    # g0 may hold dead nodes, so walk once; a step leaves only live ones
-    centers = [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
+    # g0 may hold dead nodes, so walk once; a step leaves only live ones.
+    # Filtering g.nodes (id order) keeps the graph's own id objects.
+    live = g.reachable_nodes()
+    centers = [n for n, node in g.nodes.items() if node.kind == MAJ and n in live]
     for _ in range(steps):
         actions, log_probs, batch, probs = choose(g, centers)
         report = rw.step(g, dict(zip(centers, actions.tolist())), centers)
@@ -144,7 +146,10 @@ def run_episode(
     """Roll one episode on a copy of g0, keeping the forward caches;
     greedy when rng is None, sampled otherwise."""
     g, records = rollout(g0, steps, policy_chooser(params, rng, keep_cache=True))
-    trace = EpisodeTrace(records, g0.size(), g.size())
+    if records:  # the step reports counted both sizes already
+        trace = EpisodeTrace(records, records[0].report.size_before, records[-1].report.size_after)
+    else:
+        trace = EpisodeTrace(records, g0.size(), g.size())
     return trace, trace.reward
 
 

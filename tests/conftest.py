@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from migopt.mig import MAJ, MigGraph, Signal, new_graph
+from migopt.mig import MAJ, MigGraph, lit, new_graph
 from migopt import rewrite as rw
 from migopt.policy import _forward_batch, batch_for
 
@@ -14,12 +14,12 @@ def crude_random_graph(pi_count: int, node_count: int, seed: int, po_count: int 
     pool = list(range(pi_count + 1))
     for _ in range(node_count):
         ids = rng.sample(pool, 3)
-        s = g.add_majority(*(Signal(i, rng.random() < 0.5) for i in ids))
-        pool.append(s.node)
+        s = g.add_majority(*(lit(i, rng.random() < 0.5) for i in ids))
+        pool.append(s >> 1)
     maj = pool[pi_count + 1 :]
-    outs = [Signal(maj[-1], rng.random() < 0.5)]
+    outs = [lit(maj[-1], rng.random() < 0.5)]
     for _ in range(po_count - 1):
-        outs.append(Signal(rng.choice(maj), rng.random() < 0.5))
+        outs.append(lit(rng.choice(maj), rng.random() < 0.5))
     g.set_outputs(outs)
     return g
 

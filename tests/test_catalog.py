@@ -16,7 +16,7 @@ from itertools import permutations, product
 import pytest
 
 from migopt import rewrite as rw
-from migopt.mig import Signal, new_graph
+from migopt.mig import lit, new_graph
 from migopt.rewrite import OmegaAction
 
 ONE_CHILD_ACTIONS = (
@@ -31,7 +31,7 @@ ONE_CHILD_ACTIONS = (
 )
 
 
-def slot_patterns(n: int) -> list[tuple[Signal, ...]]:
+def slot_patterns(n: int) -> list[tuple[int, ...]]:
     """Every equality pattern of n operand slots, over inputs 1..n."""
     out = []
 
@@ -42,7 +42,7 @@ def slot_patterns(n: int) -> list[tuple[Signal, ...]]:
         for c in range(classes + 1):
             fresh = c == classes
             for neg in (False,) if fresh else (False, True):
-                grow(prefix + (Signal(c + 1, neg),), classes + fresh)
+                grow(prefix + (lit(c + 1, neg),), classes + fresh)
 
     grow((), 0)
     return out
@@ -82,12 +82,12 @@ def one_child_roots():
                 child = g.add_majority(*pat[:3])
                 leaves = iter(pat[3:])
                 fan = [None, None, None]
-                fan[cp] = child.xor(child_neg)
+                fan[cp] = child ^ child_neg
                 for port, neg in zip(others, second):
-                    fan[port] = next(leaves) if neg is None else child.xor(neg)
+                    fan[port] = next(leaves) if neg is None else child ^ neg
                 root = g.add_majority(*fan)
                 g.set_outputs([root, child])
-                yield g, root.node
+                yield g, root >> 1
 
 
 def test_one_child_catalog_is_sound():
@@ -98,7 +98,7 @@ def test_one_child_catalog_is_sound():
     assert all(hits.values()), hits
 
 
-def placed(ports, ops) -> list[Signal]:
+def placed(ports, ops) -> list[int]:
     out = [None, None, None]
     for port, s in zip(ports, ops):
         out[port] = s
@@ -121,11 +121,11 @@ def test_dist_rl_catalog_is_sound():
         for p, q, ua, vb, z in PATTERNS[5]:
             for a_ports, b_ports in product(a_arrangements, arrangements):
                 g = new_graph(5)
-                a = g.add_majority(*(s.xor(a_neg) for s in placed(a_ports, (p, q, ua))))
-                b = g.add_majority(*(s.xor(b_neg) for s in placed(b_ports, (p, q, vb))))
+                a = g.add_majority(*(s ^ a_neg for s in placed(a_ports, (p, q, ua))))
+                b = g.add_majority(*(s ^ b_neg for s in placed(b_ports, (p, q, vb))))
                 fan = [z, z, z]
-                fan[cpa], fan[cpb] = a.xor(a_neg), b.xor(b_neg)
+                fan[cpa], fan[cpb] = a ^ a_neg, b ^ b_neg
                 root = g.add_majority(*fan)
                 g.set_outputs([root, a, b])
-                hits += check_binding(g, root.node, OmegaAction.DIST_RL)
+                hits += check_binding(g, root >> 1, OmegaAction.DIST_RL)
     assert hits == 3 * 4 * len(PATTERNS[5]) * 3 * 6  # every case binds

@@ -144,7 +144,7 @@ def test_optimize_refuses_broken_rewrites(tmp_path, monkeypatch):
 
     def sabotage(g, params, steps):
         out = g.clone()
-        out.outputs = [~out.outputs[0]] + out.outputs[1:]
+        out.outputs = [out.outputs[0] ^ 1] + out.outputs[1:]
         return out, []
 
     monkeypatch.setattr(trainer, "greedy_optimize", sabotage)

@@ -50,7 +50,7 @@ def test_equivalence_failure_aborts_with_item_name():
 
     def broken(graph, steps, idx=0):
         out = graph.clone()
-        out.outputs = [~out.outputs[0]]
+        out.outputs = [out.outputs[0] ^ 1]
         return out
 
     with pytest.raises(ev.EvalError, match="bad_item"):

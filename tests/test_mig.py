@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from migopt.mig import MigError, Signal, new_graph, pi_pattern
+from migopt.mig import MigError, lit, new_graph, pi_pattern
 from migopt import rewrite as rw
 
 from conftest import crude_random_graph
@@ -47,14 +47,42 @@ def test_majority_table():
 
 def test_complemented_output():
     g = new_graph(1)
-    g.set_outputs([~g.pi(1)])
+    g.set_outputs([g.pi(1) ^ 1])
     assert g.simulate_truth_tables() == [0b01]
 
 
 def test_add_majority_rejects_dead_fanin():
     g = new_graph(2)
     with pytest.raises(MigError):
-        g.add_majority(g.pi(1), g.pi(2), Signal(99, False))
+        g.add_majority(g.pi(1), g.pi(2), lit(99, False))
+
+
+def test_writers_reject_complemented_by_tilde_and_removed_literals():
+    # bitwise not on a literal s is no complement: it gives -s - 1, which names no node
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    b = g.add_majority(a, g.pi(2), g.pi(3))
+    gone = g.add_majority(g.pi(1), g.pi(2), g.pi(3) ^ 1)
+    g.remove(gone >> 1)
+    for bad in (-g.pi(1) - 1, -a - 1, -g.const0() - 1, gone, gone ^ 1):
+        with pytest.raises(MigError):
+            g.add_majority(g.pi(1), bad, g.pi(2))
+        with pytest.raises(MigError):
+            g.set_fanins(b >> 1, (a, g.pi(1), bad))
+        with pytest.raises(MigError):
+            g.set_outputs([b, bad])
+    assert g.nodes[b >> 1].fanins == (a, g.pi(2), g.pi(3))
+    assert g.outputs == []
+    g.check()
+
+
+def test_literal_encoding():
+    g = new_graph(2)
+    assert (g.const0(), g.const1(), g.pi(1), g.pi(2)) == (0, 1, 2, 4)
+    assert (lit(3), lit(3, True), lit(0, True)) == (6, 7, 1)
+    m = g.add_majority(g.pi(1), g.pi(2) ^ 1, g.const1())
+    assert m == lit(3) and m ^ 1 == lit(3, True)
+    assert g.nodes[3].fanins == (2, 5, 1)
 
 
 def test_pi_out_of_range():
@@ -148,10 +176,10 @@ def test_majority_identities_bitwise():
         g = crude_random_graph(5, 10, 200 + seed)
         maj = g.maj_ids()
         rng = random.Random(seed)
-        x = Signal(rng.choice(maj), rng.random() < 0.5)
+        x = lit(rng.choice(maj), rng.random() < 0.5)
         z = g.pi(rng.randrange(5) + 1)
         a = g.add_majority(x, x, z)
-        b = g.add_majority(x, ~x, z)
+        b = g.add_majority(x, x ^ 1, z)
         g.set_outputs([a, b, x, z])
         ta, tb, tx, tz = g.simulate_truth_tables()
         assert ta == tx
@@ -164,7 +192,7 @@ def test_reachable_excludes_unreferenced():
     g.add_or(g.pi(1), g.pi(2))  # never an output
     g.set_outputs([a])
     reach = g.reachable_nodes()
-    assert a.node in reach
+    assert a >> 1 in reach
     assert len([n for n in reach if g.nodes[n].kind == "maj"]) == 1
 
 
@@ -175,33 +203,33 @@ def test_topological_order_chain():
     c = g.add_and(b, g.const1())
     g.set_outputs([c])
     order = g.topological_order()
-    assert order.index(a.node) < order.index(b.node) < order.index(c.node)
+    assert order.index(a >> 1) < order.index(b >> 1) < order.index(c >> 1)
 
 
 def test_fanout_index_follows_mutations():
     g = new_graph(3)
     a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-    b = g.add_majority(a, a, ~g.pi(1))  # reads a on two ports
-    assert g.fanouts(a.node) == [b.node]
-    assert g.fanouts(1) == [a.node, b.node]
+    b = g.add_majority(a, a, g.pi(1) ^ 1)  # reads a on two ports
+    assert g.fanouts(a >> 1) == [b >> 1]
+    assert g.fanouts(1) == [a >> 1, b >> 1]
     c = g.add_majority(g.pi(2), a, g.pi(3))  # built index kept current
-    assert g.fanouts(a.node) == [b.node, c.node]
-    g.set_fanins(b.node, (g.pi(3), g.pi(2), ~g.pi(1)))
-    assert g.fanouts(a.node) == [c.node]
-    assert g.fanouts(2) == [a.node, b.node, c.node]
-    g.set_fanins(a.node, (g.pi(1), g.pi(3), g.const1()))
-    assert g.fanouts(2) == [b.node, c.node]
-    assert g.fanouts(0) == [a.node]
+    assert g.fanouts(a >> 1) == [b >> 1, c >> 1]
+    g.set_fanins(b >> 1, (g.pi(3), g.pi(2), g.pi(1) ^ 1))
+    assert g.fanouts(a >> 1) == [c >> 1]
+    assert g.fanouts(2) == [a >> 1, b >> 1, c >> 1]
+    g.set_fanins(a >> 1, (g.pi(1), g.pi(3), g.const1()))
+    assert g.fanouts(2) == [b >> 1, c >> 1]
+    assert g.fanouts(0) == [a >> 1]
     g.set_outputs([c])
     g.check()
-    g.remove(b.node)
-    assert g.fanouts(1) == [a.node]
-    assert g.fanouts(3) == [a.node, c.node]
+    g.remove(b >> 1)
+    assert g.fanouts(1) == [a >> 1]
+    assert g.fanouts(3) == [a >> 1, c >> 1]
     g.check()
     with pytest.raises(MigError):
-        g.fanouts(b.node)
+        g.fanouts(b >> 1)
     with pytest.raises(MigError):
-        g.set_fanins(c.node, (b, g.pi(1), g.pi(2)))
+        g.set_fanins(c >> 1, (b, g.pi(1), g.pi(2)))
     h = g.clone()
     assert all(h.fanouts(nid) == g.fanouts(nid) for nid in g.nodes)
 
@@ -212,13 +240,13 @@ def test_check_detects_stale_fanout_index():
     b = g.add_and(a, g.pi(1))
     g.set_outputs([b])
     g.check()  # no index yet
-    assert g.fanouts(a.node) == [b.node]
-    g.nodes[b.node].fanins = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
+    assert g.fanouts(a >> 1) == [b >> 1]
+    g.nodes[b >> 1].fanins = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
     with pytest.raises(MigError):
         g.check()
     h = g.clone()  # the clone drops the index and rebuilds it from the fanins
     h.check()
-    assert h.fanouts(a.node) == []
+    assert h.fanouts(a >> 1) == []
 
 
 def test_topological_order_detects_cycles():
@@ -226,7 +254,7 @@ def test_topological_order_detects_cycles():
     a = g.add_and(g.pi(1), g.pi(2))
     b = g.add_and(a, g.pi(1))
     g.set_outputs([b])
-    g.nodes[a.node].fanins = (b, g.pi(1), g.const0())  # corrupt
+    g.nodes[a >> 1].fanins = (b, g.pi(1), g.const0())  # corrupt
     with pytest.raises(MigError):
         g.topological_order()
 
@@ -277,6 +305,6 @@ def test_node_ids_never_reused():
     a = g.add_and(g.pi(1), g.pi(2))
     g.set_outputs([g.pi(1)])
     rw.delete_dead(g)
-    assert a.node not in g.nodes
+    assert a >> 1 not in g.nodes
     b = g.add_and(g.pi(1), g.pi(2))
-    assert b.node > a.node
+    assert b >> 1 > a >> 1

@@ -7,10 +7,10 @@ import pytest
 from migopt import datagen
 from migopt import policy as pol
 from migopt import rewrite as rw
-from migopt.mig import MigError, Signal, new_graph
+from migopt.mig import CONST, MAJ, PI, MigError, lit, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 
-from conftest import acting_nodes, clean_random_graph, dists
+from conftest import acting_nodes, clean_random_graph, crude_random_graph, dists
 
 GOLDEN = Path(__file__).parent / "data" / "policy_golden.npz"
 # every depth at both widths; each depth sees both graph kinds
@@ -42,9 +42,9 @@ def extract_neighborhood(g, center: int, d_adj: int) -> Neighborhood:
         if d == d_adj:
             continue
         for s in g.nodes[nid].fanins:
-            if s.node not in dist:
-                dist[s.node] = d + 1
-                order.append(s.node)
+            if s >> 1 not in dist:
+                dist[s >> 1] = d + 1
+                order.append(s >> 1)
         for cid in g.fanouts(nid):
             if cid not in dist:
                 dist[cid] = d + 1
@@ -52,23 +52,49 @@ def extract_neighborhood(g, center: int, d_adj: int) -> Neighborhood:
     return Neighborhood(center, order)
 
 
+def reference_graph_arrays(g):
+    """`policy._graph_arrays` as the per-edge loop over an id -> row dict
+    that preceded reading the fanin literals into one array."""
+    ids = list(g.nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    kind = np.zeros((n, pol.BASE_FEATURES))
+    kind[np.arange(n), [{PI: 1, CONST: 2, MAJ: 3}[g.nodes[nid].kind] for nid in ids]] = 1.0
+    prod, port, cons, neg = [], [], [], []
+    for i, node in enumerate(g.nodes.values()):
+        for p, s in enumerate(node.fanins):
+            prod.append(index[s >> 1])
+            port.append(p)
+            cons.append(i)
+            neg.append(s & 1)
+    prod, port, cons = (np.asarray(a, dtype=np.int64) for a in (prod, port, cons))
+    polarity = 1.0 - 2.0 * np.asarray(neg, dtype=float)
+    order = np.argsort(prod * 3 + port, kind="stable")
+    prod, port, cons, polarity = prod[order], port[order], cons[order], polarity[order]
+    fanin_idx = np.full((n, 3), -1, dtype=np.int64)
+    fanin_idx[cons, port] = prod
+    fanin_pol = np.zeros((n, 3))
+    fanin_pol[cons, port] = polarity
+    return np.asarray(ids), kind, fanin_idx, fanin_pol, prod, port, cons, polarity
+
+
 def motif_graph(junk_nodes=0, filler_nodes=0, pis=8):
     """Fixed 4-node motif; optional id offset and far-away filler."""
     g = new_graph(pis)
     for _ in range(junk_nodes):
-        g.add_majority(g.pi(7), g.pi(8), ~g.pi(7))
-    a = g.add_majority(g.pi(1), ~g.pi(2), g.pi(3))
-    b = g.add_majority(g.pi(2), g.pi(4), ~g.pi(5))
-    c = g.add_majority(a, ~b, g.pi(6))
-    d = g.add_majority(c, g.pi(1), ~g.pi(3))
+        g.add_majority(g.pi(7), g.pi(8), g.pi(7) ^ 1)
+    a = g.add_majority(g.pi(1), g.pi(2) ^ 1, g.pi(3))
+    b = g.add_majority(g.pi(2), g.pi(4), g.pi(5) ^ 1)
+    c = g.add_majority(a, b ^ 1, g.pi(6))
+    d = g.add_majority(c, g.pi(1), g.pi(3) ^ 1)
     outs = [d]
     if filler_nodes:
-        f = g.add_majority(g.pi(7), ~g.pi(8), g.pi(7 if pis < 9 else 9))
+        f = g.add_majority(g.pi(7), g.pi(8) ^ 1, g.pi(7 if pis < 9 else 9))
         for k in range(filler_nodes - 1):
-            f = g.add_majority(f, g.pi(7 + (k % 2)), ~g.pi(8))
+            f = g.add_majority(f, g.pi(7 + (k % 2)), g.pi(8) ^ 1)
         outs.append(f)
     g.set_outputs(outs)
-    return g, c.node
+    return g, c >> 1
 
 
 def test_hyperparams_validation():
@@ -124,7 +150,7 @@ def test_forward_sensitive_to_edge_polarity():
     g2, c2 = motif_graph()
     node = g2.nodes[c2]
     f = list(node.fanins)
-    f[1] = f[1].invert()
+    f[1] = f[1] ^ 1
     node.fanins = tuple(f)
     p2, _ = dists(params, g2, [c2])
     assert not np.array_equal(p1, p2)
@@ -147,9 +173,9 @@ def test_neighborhood_chain_radius():
     n3 = g.add_majority(n2, g.pi(6), g.pi(7))
     n4 = g.add_majority(n3, g.pi(8), g.pi(9))
     g.set_outputs([n4])
-    members = set(extract_neighborhood(g, n1.node, 2).nodes)
-    assert {n1.node, n2.node, n3.node} <= members
-    assert n4.node not in members
+    members = set(extract_neighborhood(g, n1 >> 1, 2).nodes)
+    assert {n1 >> 1, n2 >> 1, n3 >> 1} <= members
+    assert n4 >> 1 not in members
 
 
 def test_neighborhood_isolated_pi():
@@ -167,6 +193,52 @@ def test_forward_all_matches_single_forward():
     for nid, row in zip(centers, probs):
         single = dists(params, g, [nid])[0][0]
         assert np.allclose(single, row, atol=1e-12)
+
+
+def batch_graphs():
+    """Graphs with dead nodes, with gaps in the ids, and with a node that
+    reads one producer on two ports."""
+    out = []
+    for seed in range(6):
+        g = crude_random_graph(5 + seed, 12 + 4 * seed, seed)
+        assert len(g.maj_ids()) > g.size()  # dead nodes
+        out.append(g)
+        stepped = g.clone()
+        rw.step(stepped, {n: rw.OmegaAction.DIST_LR for n in stepped.maj_ids()})
+        assert len(stepped.maj_ids()) < stepped._next_id - stepped.pi_count - 1  # gaps
+        out.append(stepped)
+        twice = g.clone()
+        a = twice.outputs[0]
+        twice.set_outputs([twice.add_majority(a, a ^ 1, twice.pi(1)), *twice.outputs])
+        out.append(twice)
+    return out
+
+
+def test_batch_build_matches_the_per_edge_loop(monkeypatch):
+    for g in batch_graphs():
+        for depth in (1, 2, 3, 4):
+            got = pol._build_batch(g, g.maj_ids(), depth)
+            with monkeypatch.context() as m:
+                m.setattr(pol, "_graph_arrays", reference_graph_arrays)
+                want = pol._build_batch(g, g.maj_ids(), depth)
+            assert np.array_equal(got.x0, want.x0)
+            assert len(got.layers) == len(want.layers) == depth
+            for lg, lw in zip(got.layers, want.layers):
+                for name in lg.__slots__:
+                    a, b = getattr(lg, name), getattr(lw, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_batch_for_rejects_centers_that_are_not_live_majority_nodes():
+    g = crude_random_graph(6, 20, 1)
+    params = PolicyParams.init(Hyperparams(layers=2, hidden=4), seed=0)
+    gone = g.add_majority(g.pi(1), g.pi(2), g.pi(3)) >> 1
+    g.add_majority(g.pi(1), g.pi(2), g.pi(4))
+    g.remove(gone)  # leaves a gap in the ids: a search would land on a neighbour
+    g.check()
+    for bad in (gone, 0, 1, g.pi_count, g._next_id, g._next_id + 5, -1):
+        with pytest.raises(MigError):
+            pol.batch_for(params, g, [g.maj_ids()[0], bad])
 
 
 def test_sample_actions_degenerate_and_deterministic():
@@ -239,7 +311,7 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
     for _ in range(4):
         ids = rng.choice(len(sigs), size=3, replace=False)
         g_sig = g.add_majority(
-            *(Signal(sigs[i].node, bool(rng.integers(2))) for i in ids)
+            *(lit(sigs[i] >> 1, bool(rng.integers(2))) for i in ids)
         )
         sigs.append(g_sig)
     g.set_outputs([sigs[-1]])

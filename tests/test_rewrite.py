@@ -4,7 +4,7 @@ import pytest
 
 from migopt import formats as fmt
 from migopt import rewrite as rw
-from migopt.mig import MigError, MigGraph, Signal, new_graph
+from migopt.mig import MigError, MigGraph, lit, new_graph
 from migopt.rewrite import OmegaAction
 
 from conftest import acting_nodes, clean_random_graph, crude_random_graph
@@ -19,9 +19,9 @@ def test_comm_swaps_ports():
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
     before = tt(g)
-    desc = rw.match(g, r.node, OmegaAction.COMM01)
+    desc = rw.match(g, r >> 1, OmegaAction.COMM01)
     assert rw.apply_omega(g, desc).applied
-    assert g.nodes[r.node].fanins == (g.pi(2), g.pi(1), g.pi(3))
+    assert g.nodes[r >> 1].fanins == (g.pi(2), g.pi(1), g.pi(3))
     assert tt(g) == before
 
 
@@ -29,21 +29,21 @@ def test_identity_always_matches_with_empty_footprint():
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
-    desc = rw.match(g, r.node, OmegaAction.IDENTITY)
+    desc = rw.match(g, r >> 1, OmegaAction.IDENTITY)
     assert desc is not None and desc.footprint == frozenset()
 
 
 def test_inv_prop_flips_fanins_and_references():
     g = new_graph(3)
     m1 = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-    m2 = g.add_and(m1, ~g.pi(1))
-    g.set_outputs([~m1, m2])
+    m2 = g.add_and(m1, g.pi(1) ^ 1)
+    g.set_outputs([m1 ^ 1, m2])
     before = tt(g)
-    desc = rw.match(g, m1.node, OmegaAction.INV_PROP)
-    assert m2.node in desc.footprint
+    desc = rw.match(g, m1 >> 1, OmegaAction.INV_PROP)
+    assert m2 >> 1 in desc.footprint
     assert rw.apply_omega(g, desc).applied
-    assert g.nodes[m1.node].fanins == (~g.pi(1), ~g.pi(2), ~g.pi(3))
-    assert g.nodes[m2.node].fanins[0] == ~m1  # consumer edge flipped
+    assert g.nodes[m1 >> 1].fanins == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
+    assert g.nodes[m2 >> 1].fanins[0] == m1 ^ 1  # consumer edge flipped
     assert g.outputs[0] == m1  # output polarity flipped
     assert tt(g) == before
 
@@ -52,15 +52,15 @@ def test_inv_prop_flips_a_two_port_consumer_once():
     for via_step in (False, True):
         g = new_graph(3)
         r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-        c = g.add_majority(r, r, ~g.pi(1))
-        g.set_outputs([c, ~r])
+        c = g.add_majority(r, r, g.pi(1) ^ 1)
+        g.set_outputs([c, r ^ 1])
         before = tt(g)
         if via_step:
-            rep = rw.step(g, {r.node: OmegaAction.INV_PROP})
+            rep = rw.step(g, {r >> 1: OmegaAction.INV_PROP})
             assert rep.applied == 1
         else:
-            assert rw.apply_omega(g, rw.match(g, r.node, OmegaAction.INV_PROP)).applied
-            assert g.nodes[c.node].fanins == (~r, ~r, ~g.pi(1))
+            assert rw.apply_omega(g, rw.match(g, r >> 1, OmegaAction.INV_PROP)).applied
+            assert g.nodes[c >> 1].fanins == (r ^ 1, r ^ 1, g.pi(1) ^ 1)
         assert tt(g) == before
         g.check()
 
@@ -86,7 +86,7 @@ def test_assoc_matches_any_port_arrangement():
             r = g.add_majority(*root_fanins)
             g.set_outputs([r])
             before = tt(g)
-            desc = rw.match(g, r.node, OmegaAction.ASSOC)
+            desc = rw.match(g, r >> 1, OmegaAction.ASSOC)
             assert desc is not None, (xp, uc)
             assert rw.apply_omega(g, desc).applied
             assert tt(g) == before
@@ -96,17 +96,17 @@ def test_assoc_needs_majority_child():
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
-    assert rw.match(g, r.node, OmegaAction.ASSOC) is None
+    assert rw.match(g, r >> 1, OmegaAction.ASSOC) is None
 
 
 def test_assoc_through_complemented_child_edge():
     g = new_graph(4)
     x, u, y, z = (g.pi(i) for i in range(1, 5))
-    child = g.add_majority(y, ~u, z)
-    r = g.add_majority(x, u, ~child)  # !child presents (!y, u, !z)
+    child = g.add_majority(y, u ^ 1, z)
+    r = g.add_majority(x, u, child ^ 1)  # !child presents (!y, u, !z)
     g.set_outputs([r])
     before = tt(g)
-    desc = rw.match(g, r.node, OmegaAction.ASSOC)
+    desc = rw.match(g, r >> 1, OmegaAction.ASSOC)
     assert desc is not None
     assert rw.apply_omega(g, desc).applied
     assert tt(g) == before
@@ -115,11 +115,11 @@ def test_assoc_through_complemented_child_edge():
 def test_compl_assoc():
     g = new_graph(4)
     x, u, y, z = (g.pi(i) for i in range(1, 5))
-    child = g.add_majority(y, ~u, z)
+    child = g.add_majority(y, u ^ 1, z)
     r = g.add_majority(x, u, child)
     g.set_outputs([r])
     before = tt(g)
-    desc = rw.match(g, r.node, OmegaAction.COMPL_ASSOC)
+    desc = rw.match(g, r >> 1, OmegaAction.COMPL_ASSOC)
     assert desc is not None
     assert rw.apply_omega(g, desc).applied
     assert tt(g) == before
@@ -130,7 +130,7 @@ def test_compl_assoc_no_match_without_complement_pair():
     child = g.add_majority(g.pi(3), g.pi(4), g.pi(5))
     r = g.add_majority(g.pi(1), g.pi(2), child)
     g.set_outputs([r])
-    assert rw.match(g, r.node, OmegaAction.COMPL_ASSOC) is None
+    assert rw.match(g, r >> 1, OmegaAction.COMPL_ASSOC) is None
 
 
 def test_dist_rl_shrinks():
@@ -142,7 +142,7 @@ def test_dist_rl_shrinks():
     g.set_outputs([r])
     before = tt(g)
     assert g.size() == 3
-    rep = rw.step(g, {r.node: OmegaAction.DIST_RL})
+    rep = rw.step(g, {r >> 1: OmegaAction.DIST_RL})
     assert rep.applied == 1
     assert g.size() == 2
     assert tt(g) == before
@@ -156,7 +156,7 @@ def test_dist_rl_finds_pair_across_ports():
     r = g.add_majority(a, z, b)
     g.set_outputs([r])
     before = tt(g)
-    rep = rw.step(g, {r.node: OmegaAction.DIST_RL})
+    rep = rw.step(g, {r >> 1: OmegaAction.DIST_RL})
     assert rep.applied == 1 and g.size() == 2
     assert tt(g) == before
 
@@ -168,7 +168,7 @@ def test_dist_lr_grows_by_one():
     r = g.add_majority(x, y, c)
     g.set_outputs([r])
     before = tt(g)
-    rep = rw.step(g, {r.node: OmegaAction.DIST_LR})
+    rep = rw.step(g, {r >> 1: OmegaAction.DIST_LR})
     assert rep.applied == 1
     assert g.size() == 3
     assert tt(g) == before
@@ -182,7 +182,7 @@ def test_lambda_majority_collapses():
     assert g.outputs == [g.pi(1)]
 
     g2 = new_graph(2)
-    m2 = g2.add_majority(g2.pi(1), ~g2.pi(1), g2.pi(2))
+    m2 = g2.add_majority(g2.pi(1), g2.pi(1) ^ 1, g2.pi(2))
     g2.set_outputs([m2])
     assert rw.lambda_majority(g2) == 1
     assert g2.outputs == [g2.pi(2)]
@@ -191,16 +191,16 @@ def test_lambda_majority_collapses():
 def test_lambda_majority_composes_polarity():
     g = new_graph(2)
     m = g.add_majority(g.pi(1), g.pi(1), g.pi(2))
-    g.set_outputs([~m])
+    g.set_outputs([m ^ 1])
     rw.lambda_majority(g)
-    assert g.outputs == [~g.pi(1)]
+    assert g.outputs == [g.pi(1) ^ 1]
     assert tt(g) == [0b0101]
 
 
 def test_lambda_majority_cascades():
     g = new_graph(2)
     a = g.add_majority(g.pi(1), g.pi(1), g.pi(2))  # == x1
-    b = g.add_majority(a, ~g.pi(1), g.pi(2))  # becomes M(x1,!x1,x2) == x2
+    b = g.add_majority(a, g.pi(1) ^ 1, g.pi(2))  # becomes M(x1,!x1,x2) == x2
     g.set_outputs([b])
     assert rw.lambda_majority(g) == 2
     assert g.outputs == [g.pi(2)]
@@ -213,8 +213,8 @@ def test_lambda_redundancy_merges_lowest_id():
     o = g.add_or(a, b)  # becomes M(a,a,1) after the merge
     g.set_outputs([o])
     assert rw.lambda_redundancy(g) == 1
-    assert b.node not in g.nodes
-    assert a.node in g.nodes
+    assert b >> 1 not in g.nodes
+    assert a >> 1 in g.nodes
 
 
 def test_lambda_redundancy_is_port_ordered_by_default():
@@ -231,7 +231,7 @@ def test_lambda_majority_reaches_a_lower_id_reader():
     x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
     low = g.add_majority(x1, x2, x3)
     high = g.add_majority(x1, x1, x2)  # == x1
-    g.set_fanins(low.node, (high, ~x1, x3))  # becomes M(x1,!x1,x3) == x3
+    g.set_fanins(low >> 1, (high, x1 ^ 1, x3))  # becomes M(x1,!x1,x3) == x3
     g.set_outputs([low])
     assert rw.lambda_majority(g) == 2
     assert g.outputs == [x3]
@@ -241,13 +241,13 @@ def test_lambda_redundancy_finds_a_lower_id_twin_after_a_merge():
     g = new_graph(3)
     x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
     low = g.add_majority(x1, x2, x3)
-    a = g.add_majority(x1, x2, ~x3)
-    a_twin = g.add_majority(x1, x2, ~x3)
+    a = g.add_majority(x1, x2, x3 ^ 1)
+    a_twin = g.add_majority(x1, x2, x3 ^ 1)
     high = g.add_majority(a, x1, x2)
-    g.set_fanins(low.node, (a_twin, x1, x2))  # a twin of `high` once a_twin merges into a
+    g.set_fanins(low >> 1, (a_twin, x1, x2))  # a twin of `high` once a_twin merges into a
     g.set_outputs([low, high])
     assert rw.lambda_redundancy(g) == 2
-    assert g.maj_ids() == [low.node, a.node]
+    assert g.maj_ids() == [low >> 1, a >> 1]
     assert g.outputs == [low, low]
 
 
@@ -258,10 +258,10 @@ def test_lambda_rules_each_reach_their_own_fixpoint():
     b = g.add_majority(x1, x2, x3)
     t1 = g.add_majority(a, b, z)
     t2 = g.add_majority(a, b, z)
-    g.set_outputs([t1, ~t2])
+    g.set_outputs([t1, t2 ^ 1])
     # merge b into a and t2 into t1, then collapse t1 = M(a,a,z) to a
     assert rw.lambda_fixpoint(g) == (1, 2)
-    assert g.outputs == [a, ~a]
+    assert g.outputs == [a, a ^ 1]
 
 
 def test_lambda_counts_zero_on_clean_graph():
@@ -287,7 +287,7 @@ def test_step_collision_blocking():
     r = g.add_majority(g.pi(4), u, c2)
     g.set_outputs([r])
     before = tt(g)
-    rep = rw.step(g, {c2.node: OmegaAction.ASSOC, r.node: OmegaAction.ASSOC})
+    rep = rw.step(g, {c2 >> 1: OmegaAction.ASSOC, r >> 1: OmegaAction.ASSOC})
     assert rep.applied == 1
     assert rep.blocked_collision == 1
     assert tt(g) == before
@@ -334,7 +334,7 @@ def test_blocked_actions_leave_graph_bit_identical():
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
     before = fmt.emit_mig(g)
-    rep = rw.step(g, {r.node: OmegaAction.ASSOC})  # no majority child
+    rep = rw.step(g, {r >> 1: OmegaAction.ASSOC})  # no majority child
     assert rep.blocked_illegal == 1
     assert fmt.emit_mig(g) == before
 
@@ -423,7 +423,7 @@ def test_verify_equivalence_signature_mode():
     assert eq and not proven
 
     h = g.clone()
-    h.outputs = [~h.outputs[0]] + h.outputs[1:]
+    h.outputs = [h.outputs[0] ^ 1] + h.outputs[1:]
     eq, proven = rw.verify_equivalence(g, h)
     assert not eq and proven
 

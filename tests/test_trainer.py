@@ -56,6 +56,29 @@ def test_reward_equals_size_delta_and_step_reports():
     assert reward == delta
 
 
+def test_episode_sizes_come_from_the_step_reports(monkeypatch):
+    params = PolicyParams.init(HP, seed=3)
+    walks = []
+    walk = MigGraph.reachable_nodes
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    for seed, steps in ((5, 0), (5, 1), (6, 4), (7, 9)):
+        g0 = crude_random_graph(6, 25, seed)
+        assert len(g0.maj_ids()) > g0.size()  # starts with dead nodes
+        walks.clear()
+        monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
+        trace, reward = tr.run_episode(g0, params, steps, np.random.default_rng(seed))
+        monkeypatch.undo()
+        # the rollout's walks only; no steps means two more, for the sizes
+        assert len(walks) == (steps + 1 if steps else 3)
+        g, _ = tr.rollout(g0, steps, tr.policy_chooser(params, np.random.default_rng(seed)))
+        assert (trace.initial_size, trace.final_size) == (g0.size(), g.size())
+        assert reward == trace.reward
+
+
 def test_episode_config_validation():
     # the episode settings live on TrainConfig; an episode needs a step
     with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ from pathlib import Path
 from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
 from migopt.rewrite import delete_dead, lambda_fixpoint
 
+_MAX_ATTEMPTS = 400  # pool-size corrections before `random_mig` gives up
+
 
 @dataclass(slots=True)
 class RandomGraphSpec:
@@ -37,7 +39,7 @@ class SopSpec:
     table: int
 
 
-def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
+def random_mig(spec: RandomGraphSpec) -> MigGraph:
     """Random MIG with exactly `spec.size` reachable majority nodes."""
     if spec.size < 1:
         raise MigError("target size must be at least 1")
@@ -45,7 +47,7 @@ def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
         raise MigError("random graphs need at least 2 inputs and 1 output")
     rng = random.Random(spec.seed)
     pool_target = max(spec.size + 2, int(spec.size * 1.6))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         g = new_graph(spec.pi_count)
         pool = list(range(spec.pi_count + 1))
         for _ in range(pool_target):
@@ -77,7 +79,7 @@ def random_mig(spec: RandomGraphSpec, max_attempts: int = 400) -> MigGraph:
         if step == 0:
             step = 1 if mean < spec.size else -1
         pool_target = max(spec.size + 2, pool_target + step)
-    raise MigError(f"could not hit target size {spec.size} after {max_attempts} attempts")
+    raise MigError(f"could not hit target size {spec.size} after {_MAX_ATTEMPTS} attempts")
 
 
 def sop_decompose(spec: SopSpec) -> MigGraph:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from migopt import rewrite as rw
-from migopt.mig import MAJ, MigGraph
+from migopt.mig import MigGraph
 from migopt.policy import PolicyParams
 from migopt.trainer import greedy_optimize, random_rollout
 
@@ -117,7 +117,7 @@ def random_policy(seed: int):
 
 
 def _maj_count(g: MigGraph, nodes) -> int:
-    return sum(1 for nid in nodes if g.nodes[nid].kind == MAJ)
+    return sum(1 for nid in nodes if nid > g.pi_count)
 
 
 def greedy_rules(g: MigGraph) -> MigGraph:
@@ -129,7 +129,7 @@ def greedy_rules(g: MigGraph) -> MigGraph:
     size = _maj_count(work, rw.delete_dead(work))
     for _ in range(50):
         progress = False
-        for nid in sorted(work.maj_ids()):
+        for nid in work.maj_ids():
             if nid not in work.nodes:
                 continue
             desc = rw.match(work, nid, rw.OmegaAction.DIST_RL)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from migopt.mig import MAJ, MigError, MigGraph, lit, new_graph
+from migopt.mig import MigError, MigGraph, lit, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import ACTION_COUNT
 
@@ -42,13 +42,11 @@ def _sig_str(s: int, file_ids: dict[int, int], pi_count: int) -> str:
 
 
 def emit_mig(g: MigGraph) -> str:
-    maj_order = [nid for nid in g.topological_order() if g.nodes[nid].kind == MAJ]
+    maj_order = [nid for nid in g.topological_order() if nid > g.pi_count]
     file_ids = {nid: i + 1 for i, nid in enumerate(maj_order)}
     lines = [f"mig {g.pi_count} {len(g.outputs)} {len(maj_order)}"]
     for nid in maj_order:
-        a, b, c = (
-            _sig_str(s, file_ids, g.pi_count) for s in g.nodes[nid].fanins
-        )
+        a, b, c = (_sig_str(s, file_ids, g.pi_count) for s in g.nodes[nid])
         lines.append(f"n{file_ids[nid]} = M({a},{b},{c})")
     for k, s in enumerate(g.outputs):
         lines.append(f"po{k} = {_sig_str(s, file_ids, g.pi_count)}")

@@ -4,30 +4,23 @@ A MIG is a DAG whose only gate is the 3-input majority function.
 Inversion lives on edges, never as a separate node: a signal is the int
 literal ``2 * node + neg`` (as in AIGER), so ``lit >> 1`` is its node and
 ``lit ^ 1`` its complement; ``~lit`` is negative and names no node.
-Node 0 is the single constant-0 node; nodes 1..pi_count are the primary
-inputs; everything above is a majority gate. Node identifiers grow
-monotonically and are never reused, even after deletion.
+
+A node is its fanin tuple: `MigGraph.nodes` maps each live id to its
+fanin literals, ``()`` for a terminal. Its kind is given by its id, as in
+AIGER: node 0 is the single constant-0 node, nodes 1..pi_count are the
+primary inputs, and every id above is a majority gate. Node identifiers
+grow monotonically and are never reused, even after deletion, so
+`nodes` iterates in ascending id order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-
-CONST = "const"
-PI = "pi"
-MAJ = "maj"
 
 
 def lit(node: int, neg: bool = False) -> int:
     """The literal of `node`, complemented when `neg` is set."""
     return 2 * node + neg
-
-
-@dataclass(slots=True)
-class Node:
-    kind: str
-    fanins: tuple[int, int, int] | tuple[()] = ()  # literals
 
 
 class MigError(Exception):
@@ -72,9 +65,7 @@ class MigGraph:
         if pi_count < 0:
             raise MigError("pi_count must be non-negative")
         self.pi_count = pi_count
-        self.nodes: dict[int, Node] = {0: Node(CONST)}
-        for i in range(1, pi_count + 1):
-            self.nodes[i] = Node(PI)
+        self.nodes: dict[int, tuple[int, ...]] = dict.fromkeys(range(pi_count + 1), ())
         self.outputs: list[int] = []  # literals
         self._next_id = pi_count + 1
         # sorted consumer ids per node that has any, built on first use
@@ -102,7 +93,7 @@ class MigGraph:
             self._check_live(s)
         nid = self._next_id
         self._next_id += 1
-        self.nodes[nid] = Node(MAJ, (a, b, c))
+        self.nodes[nid] = (a, b, c)
         if self._fanouts is not None:
             self._link(nid, {a >> 1, b >> 1, c >> 1})
         return 2 * nid
@@ -120,24 +111,28 @@ class MigGraph:
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
         """Replace the fanins of majority node `nid`."""
-        node = self.nodes.get(nid)
-        if node is None or node.kind != MAJ:
+        old = self.nodes.get(nid)
+        if not old:
             raise MigError(f"node {nid} is not a live majority node")
         for s in fanins:
             self._check_live(s)
         if self._fanouts is not None:
-            old = {s >> 1 for s in node.fanins}
-            new = {s >> 1 for s in fanins}
-            self._unlink(nid, old - new)
-            self._link(nid, new - old)
-        node.fanins = tuple(fanins)
+            before = {s >> 1 for s in old}
+            after = {s >> 1 for s in fanins}
+            self._unlink(nid, before - after)
+            self._link(nid, after - before)
+        self.nodes[nid] = tuple(fanins)  # same key, so id order holds
 
     def remove(self, nid: int):
-        """Delete node `nid`; nodes still reading it must go too, or be redirected."""
-        node = self.nodes.pop(nid)
+        """Delete majority node `nid`; nodes still reading it must go too,
+        or be redirected."""
+        fanins = self.nodes.get(nid)
+        if not fanins:
+            raise MigError(f"node {nid} is not a live majority node")
+        del self.nodes[nid]
         if self._fanouts is not None:
             self._fanouts.pop(nid, None)
-            self._unlink(nid, {s >> 1 for s in node.fanins})
+            self._unlink(nid, {s >> 1 for s in fanins})
 
     def _link(self, nid: int, producers: set[int]):
         for p in producers:
@@ -156,10 +151,7 @@ class MigGraph:
     def clone(self) -> "MigGraph":
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count
-        # terminal nodes never change (set_fanins refuses them), so share them
-        g.nodes = {
-            nid: Node(MAJ, n.fanins) if n.kind == MAJ else n for nid, n in self.nodes.items()
-        }
+        g.nodes = dict(self.nodes)  # fanin tuples are immutable, so share them
         g.outputs = list(self.outputs)
         g._next_id = self._next_id
         g._fanouts = None
@@ -177,13 +169,13 @@ class MigGraph:
 
     def _scan_fanouts(self) -> dict[int, tuple[int, ...]]:
         fo: dict[int, list[int]] = {}
-        for nid, node in self.nodes.items():  # id order
-            for p in {s >> 1 for s in node.fanins}:
+        for nid, fanins in self.nodes.items():  # id order
+            for p in {s >> 1 for s in fanins}:
                 fo.setdefault(p, []).append(nid)
         return {p: tuple(users) for p, users in fo.items()}
 
     def maj_ids(self) -> list[int]:
-        return [nid for nid, n in self.nodes.items() if n.kind == MAJ]
+        return [nid for nid in self.nodes if nid > self.pi_count]
 
     def reachable_nodes(self) -> set[int]:
         """Transitive fanin closure of the outputs (all node kinds)."""
@@ -193,11 +185,11 @@ class MigGraph:
             nid = stack.pop()
             if nid in seen:
                 continue
-            node = self.nodes.get(nid)
-            if node is None:
+            fanins = self.nodes.get(nid)
+            if fanins is None:
                 raise MigError(f"output cone references dead node {nid}")
             seen.add(nid)
-            for s in node.fanins:
+            for s in fanins:
                 if s >> 1 not in seen:
                     stack.append(s >> 1)
         return seen
@@ -206,7 +198,7 @@ class MigGraph:
         """Live node ids, fanins before fanouts. Raises on a cycle."""
         order: list[int] = []
         state: dict[int, int] = {}  # 1 = on stack, 2 = done
-        for root in sorted(self.nodes):
+        for root in self.nodes:  # ascending ids
             if state.get(root):
                 continue
             stack: list[tuple[int, int]] = [(root, 0)]
@@ -216,10 +208,10 @@ class MigGraph:
                     if state.get(nid) == 2:
                         continue
                     state[nid] = 1
-                node = self.nodes[nid]
+                fanins = self.nodes[nid]
                 advanced = False
-                for i in range(idx, len(node.fanins)):
-                    child = node.fanins[i] >> 1
+                for i in range(idx, len(fanins)):
+                    child = fanins[i] >> 1
                     st = state.get(child)
                     if st == 1:
                         raise MigError(f"cycle through node {child}: graph corrupted")
@@ -237,17 +229,16 @@ class MigGraph:
 
     def size(self) -> int:
         """Number of majority nodes in the output cone."""
-        return sum(1 for nid in self.reachable_nodes() if self.nodes[nid].kind == MAJ)
+        return sum(1 for nid in self.reachable_nodes() if nid > self.pi_count)
 
     # -- simulation ---------------------------------------------------
 
     def _eval_words(self, leaf_vals: dict[int, int], mask: int) -> dict[int, int]:
         vals = dict(leaf_vals)
         for nid in self.topological_order():
-            node = self.nodes[nid]
-            if node.kind != MAJ:
+            if nid <= self.pi_count:
                 continue
-            a, b, c = node.fanins
+            a, b, c = self.nodes[nid]
             va = vals[a >> 1] ^ (mask if a & 1 else 0)
             vb = vals[b >> 1] ^ (mask if b & 1 else 0)
             vc = vals[c >> 1] ^ (mask if c & 1 else 0)
@@ -285,17 +276,19 @@ class MigGraph:
 
     def check(self):
         """Structural invariant sweep; raises MigError on corruption."""
-        if self.nodes.get(0, Node(MAJ)).kind != CONST:
+        if 0 not in self.nodes:
             raise MigError("node 0 must be the constant")
         for k in range(1, self.pi_count + 1):
-            if self.nodes.get(k, Node(MAJ)).kind != PI:
+            if k not in self.nodes:
                 raise MigError(f"node {k} must be primary input x{k}")
-        for nid, node in self.nodes.items():
-            if node.kind == MAJ and len(node.fanins) != 3:
+        if list(self.nodes) != sorted(self.nodes):
+            raise MigError("node ids out of order")
+        for nid, fanins in self.nodes.items():
+            if nid > self.pi_count and len(fanins) != 3:
                 raise MigError(f"majority node {nid} needs 3 fanins")
-            if node.kind != MAJ and node.fanins:
+            if nid <= self.pi_count and fanins:
                 raise MigError(f"terminal node {nid} must have no fanins")
-            for s in node.fanins:
+            for s in fanins:
                 if s >> 1 not in self.nodes:
                     raise MigError(f"node {nid} references dead node {s >> 1}")
         for s in self.outputs:

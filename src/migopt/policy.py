@@ -176,7 +176,7 @@ def _graph_arrays(g: MigGraph) -> tuple[np.ndarray, ...]:
     kind = np.zeros((n, BASE_FEATURES))
     kind[0, 2] = kind[1:first, 1] = kind[first:, 3] = 1.0
     maj = islice(g.nodes.values(), first, None)
-    lits = np.fromiter((s for node in maj for s in node.fanins), np.int64, 3 * (n - first))
+    lits = np.fromiter((s for fanins in maj for s in fanins), np.int64, 3 * (n - first))
     fanin_idx = np.full((n, 3), -1, dtype=np.int64)
     fanin_idx[first:] = np.searchsorted(ids, lits >> 1).reshape(-1, 3)
     fanin_pol = np.zeros((n, 3))

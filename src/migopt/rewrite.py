@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from migopt.mig import MAJ, MigError, MigGraph
+from migopt.mig import MigError, MigGraph
 
 
 class OmegaAction(IntEnum):
@@ -106,10 +106,9 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
     so the binding is deterministic for a given graph state. Returns None
     when the pattern does not occur; that is a normal outcome.
     """
-    node = g.nodes.get(nid)
-    if node is None or node.kind != MAJ:
+    fan = g.nodes.get(nid)
+    if not fan:  # gone, or a terminal
         return None
-    fan = node.fanins
 
     if action == OmegaAction.IDENTITY:
         return MatchDescriptor(nid, action, frozenset(), fan)
@@ -130,9 +129,9 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
-            if child.kind != MAJ or child_sig >> 1 == nid:
+            if not child or child_sig >> 1 == nid:
                 continue
-            virt = _virtual_ops(child.fanins, child_sig)
+            virt = _virtual_ops(child, child_sig)
             for up in range(3):
                 if up == cp:
                     continue
@@ -168,9 +167,9 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
-            if child.kind != MAJ or child_sig >> 1 == nid:
+            if not child or child_sig >> 1 == nid:
                 continue
-            virt = _virtual_ops(child.fanins, child_sig)
+            virt = _virtual_ops(child, child_sig)
             zc = 0
             pa, pb = 1, 2
             o0, o1 = [p for p in range(3) if p != cp]
@@ -193,12 +192,12 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             sa, sb = fan[cpa], fan[cpb]
             a, b = sa >> 1, sb >> 1
             na, nb = g.nodes[a], g.nodes[b]
-            if na.kind != MAJ or nb.kind != MAJ:
+            if not na or not nb:
                 continue
             if a == nid or b == nid:
                 continue
-            virt_a = _virtual_ops(na.fanins, sa)
-            virt_b = _virtual_ops(nb.fanins, sb)
+            virt_a = _virtual_ops(na, sa)
+            virt_b = _virtual_ops(nb, sb)
             zp = 3 - cpa - cpb
             z = fan[zp]
             for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -246,7 +245,7 @@ def apply_omega(g: MigGraph, desc: MatchDescriptor) -> ApplyResult:
         root = desc.root
         # once per consumer: one that reads the root on two ports flips both
         for cid in g.fanouts(root):
-            flipped = tuple(s ^ 1 if s >> 1 == root else s for s in g.nodes[cid].fanins)
+            flipped = tuple(s ^ 1 if s >> 1 == root else s for s in g.nodes[cid])
             g.set_fanins(cid, flipped)
         g.outputs = [s ^ 1 if s >> 1 == root else s for s in g.outputs]
     return ApplyResult(True, new_ids)
@@ -264,7 +263,7 @@ def _resolve_subst(subst: dict[int, int], s: int) -> int:
 def _apply_subst(g: MigGraph, subst: dict[int, int]):
     users = {cid for nid in subst for cid in g.fanouts(nid)}.difference(subst)
     for cid in users:
-        g.set_fanins(cid, tuple(_resolve_subst(subst, s) for s in g.nodes[cid].fanins))
+        g.set_fanins(cid, tuple(_resolve_subst(subst, s) for s in g.nodes[cid]))
     g.outputs = [_resolve_subst(subst, s) for s in g.outputs]
     for nid in subst:
         g.remove(nid)
@@ -280,10 +279,9 @@ def _sweep(g: MigGraph, rule) -> int:
     while True:
         subst: dict[int, int] = {}
         seen: dict[tuple, int] = {}
-        for nid, node in g.nodes.items():
-            if node.kind != MAJ:
+        for nid, fanins in g.nodes.items():
+            if not fanins:  # a terminal
                 continue
-            fanins = node.fanins
             if subst:  # before the pass's first replacement nothing resolves
                 fanins = tuple(_resolve_subst(subst, s) for s in fanins)
             target = rule(nid, fanins, seen)
@@ -339,7 +337,7 @@ def delete_dead(g: MigGraph) -> set[int]:
     """Drop majority nodes unreachable from the outputs; returns the
     reachable set (all node kinds), which the deletion leaves intact."""
     keep = g.reachable_nodes()
-    dead = [nid for nid, n in g.nodes.items() if n.kind == MAJ and nid not in keep]
+    dead = [nid for nid in g.nodes if nid > g.pi_count and nid not in keep]
     for nid in dead:
         g.remove(nid)
     return keep
@@ -360,7 +358,7 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
     """
     rep = StepReport()
     if live is None:
-        reach_before = {n for n in g.reachable_nodes() if g.nodes[n].kind == MAJ}
+        reach_before = {n for n in g.reachable_nodes() if n > g.pi_count}
     else:
         reach_before = set(live)
     rep.size_before = len(reach_before)
@@ -368,8 +366,7 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
     touched: set[int] = set()
     for nid in sorted(actions):
         act = actions[nid]
-        node = g.nodes.get(nid)
-        if node is None or node.kind != MAJ:
+        if not g.nodes.get(nid):  # gone, or a terminal
             rep.blocked_illegal += 1
             rep.outcomes[nid] = "blocked_illegal"
             continue
@@ -393,7 +390,7 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
         touched.update(res.new_ids)
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
-    reach_after = {n for n in delete_dead(g) if g.nodes[n].kind == MAJ}
+    reach_after = {n for n in delete_dead(g) if n > g.pi_count}
     rep.size_after = len(reach_after)
     rep.nodes_added = len(reach_after - reach_before)
     rep.nodes_removed = len(reach_before - reach_after)

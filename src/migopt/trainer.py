@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from migopt import rewrite as rw
-from migopt.mig import MAJ, MigGraph
+from migopt.mig import MigGraph
 from migopt.policy import (
     PolicyParams,
     _backward_batch,
@@ -37,6 +37,8 @@ from migopt.policy import (
     sample_actions,
 )
 from migopt.rewrite import StepReport
+
+ENTROPY_COEF = 0.01  # exploration pressure on every visited state
 
 
 @dataclass(slots=True)
@@ -48,7 +50,6 @@ class TrainConfig:
     seed: int = 0
     batch_size: int = 1
     checkpoint_every: int = 0  # 0 = no periodic checkpoints
-    entropy_coef: float = 0.01  # exploration pressure on every visited state
 
     def validate(self):
         if self.episodes < 0:
@@ -100,7 +101,7 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     # g0 may hold dead nodes, so walk once; a step leaves only live ones.
     # Filtering g.nodes (id order) keeps the graph's own id objects.
     live = g.reachable_nodes()
-    centers = [n for n, node in g.nodes.items() if node.kind == MAJ and n in live]
+    centers = [n for n in g.nodes if n > g.pi_count and n in live]
     for _ in range(steps):
         actions, log_probs, batch, probs = choose(g, centers)
         report = rw.step(g, dict(zip(centers, actions.tolist())), centers)
@@ -261,7 +262,7 @@ def train(
                 baseline,
                 cfg.lr,
                 cfg.baseline_decay,
-                entropy_coef=cfg.entropy_coef,
+                entropy_coef=ENTROPY_COEF,
             )
             batch = []
         metrics.append(

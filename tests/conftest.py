@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from migopt.mig import MAJ, MigGraph, lit, new_graph
+from migopt.mig import MigGraph, lit, new_graph
 from migopt import rewrite as rw
 from migopt.policy import _forward_batch, batch_for
 
@@ -33,7 +33,7 @@ def clean_random_graph(pi_count: int, node_count: int, seed: int) -> MigGraph:
 
 def acting_nodes(g: MigGraph) -> list[int]:
     """Reachable majority nodes in ascending id order: a rollout step's centers."""
-    return [n for n in sorted(g.reachable_nodes()) if g.nodes[n].kind == MAJ]
+    return [n for n in sorted(g.reachable_nodes()) if n > g.pi_count]
 
 
 def dists(params, g: MigGraph, centers: list[int]):

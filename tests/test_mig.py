@@ -71,7 +71,7 @@ def test_writers_reject_complemented_by_tilde_and_removed_literals():
             g.set_fanins(b >> 1, (a, g.pi(1), bad))
         with pytest.raises(MigError):
             g.set_outputs([b, bad])
-    assert g.nodes[b >> 1].fanins == (a, g.pi(2), g.pi(3))
+    assert g.nodes[b >> 1] == (a, g.pi(2), g.pi(3))
     assert g.outputs == []
     g.check()
 
@@ -82,7 +82,7 @@ def test_literal_encoding():
     assert (lit(3), lit(3, True), lit(0, True)) == (6, 7, 1)
     m = g.add_majority(g.pi(1), g.pi(2) ^ 1, g.const1())
     assert m == lit(3) and m ^ 1 == lit(3, True)
-    assert g.nodes[3].fanins == (2, 5, 1)
+    assert g.nodes[3] == (2, 5, 1)
 
 
 def test_pi_out_of_range():
@@ -193,7 +193,7 @@ def test_reachable_excludes_unreferenced():
     g.set_outputs([a])
     reach = g.reachable_nodes()
     assert a >> 1 in reach
-    assert len([n for n in reach if g.nodes[n].kind == "maj"]) == 1
+    assert len([n for n in reach if n > g.pi_count]) == 1
 
 
 def test_topological_order_chain():
@@ -241,7 +241,7 @@ def test_check_detects_stale_fanout_index():
     g.set_outputs([b])
     g.check()  # no index yet
     assert g.fanouts(a >> 1) == [b >> 1]
-    g.nodes[b >> 1].fanins = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
+    g.nodes[b >> 1] = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
     with pytest.raises(MigError):
         g.check()
     h = g.clone()  # the clone drops the index and rebuilds it from the fanins
@@ -249,12 +249,44 @@ def test_check_detects_stale_fanout_index():
     assert h.fanouts(a >> 1) == []
 
 
+def _two_gate_graph():
+    g = new_graph(2)  # nodes 0, 1, 2, then gates 3 and 4
+    a = g.add_and(g.pi(1), g.pi(2))
+    b = g.add_or(a, g.pi(2) ^ 1)
+    g.set_outputs([b])
+    g.check()
+    return g
+
+
+@pytest.mark.parametrize(
+    "nid, fanins",
+    [(0, (2, 4, 0)), (1, (4, 4, 0)), (3, (2, 4)), (3, ())],
+    ids=["const-with-fanins", "input-with-fanins", "two-literal-gate", "empty-gate"],
+)
+def test_check_rejects_a_wrong_node_entry(nid, fanins):
+    g = _two_gate_graph()
+    g.nodes[nid] = fanins  # bypasses the writers
+    with pytest.raises(MigError):
+        g.check()
+
+
+def test_check_rejects_ids_out_of_order_and_missing_terminals():
+    g = _two_gate_graph()
+    g.nodes[3] = g.nodes.pop(3)  # gate 3 now follows gate 4
+    with pytest.raises(MigError, match="out of order"):
+        g.check()
+    g = _two_gate_graph()
+    del g.nodes[2]
+    with pytest.raises(MigError, match="primary input x2"):
+        g.check()
+
+
 def test_topological_order_detects_cycles():
     g = new_graph(2)
     a = g.add_and(g.pi(1), g.pi(2))
     b = g.add_and(a, g.pi(1))
     g.set_outputs([b])
-    g.nodes[a >> 1].fanins = (b, g.pi(1), g.const0())  # corrupt
+    g.nodes[a >> 1] = (b, g.pi(1), g.const0())  # corrupt
     with pytest.raises(MigError):
         g.topological_order()
 
@@ -285,19 +317,21 @@ def test_set_fanins_refuses_terminal_and_unknown_nodes():
     for nid in (0, 1, 2, 99):
         with pytest.raises(MigError):
             g.set_fanins(nid, (g.pi(1), g.pi(2), g.const0()))
-    assert g.nodes[1].fanins == () and g.nodes[0].fanins == ()
+        with pytest.raises(MigError):
+            g.remove(nid)
+    assert g.nodes[1] == () and g.nodes[0] == ()
+    assert list(g.nodes) == [0, 1, 2, a >> 1]
     g.check()
 
 
-def test_clone_shares_only_terminal_nodes():
+def test_clone_shares_fanin_tuples_but_not_the_table():
     g = crude_random_graph(100, 12, 3)
     h = g.clone()
     assert all(h.nodes[k] is g.nodes[k] for k in range(g.pi_count + 1))
     maj = g.maj_ids()
-    assert all(h.nodes[nid] is not g.nodes[nid] for nid in maj)
-    before = [g.nodes[nid].fanins for nid in maj]
+    before = [g.nodes[nid] for nid in maj]
     h.set_fanins(maj[-1], (h.pi(1), h.pi(2), h.const1()))
-    assert [g.nodes[nid].fanins for nid in maj] == before
+    assert [g.nodes[nid] for nid in maj] == before
 
 
 def test_node_ids_never_reused():

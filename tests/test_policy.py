@@ -7,7 +7,7 @@ import pytest
 from migopt import datagen
 from migopt import policy as pol
 from migopt import rewrite as rw
-from migopt.mig import CONST, MAJ, PI, MigError, lit, new_graph
+from migopt.mig import MigError, lit, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 
 from conftest import acting_nodes, clean_random_graph, crude_random_graph, dists
@@ -41,7 +41,7 @@ def extract_neighborhood(g, center: int, d_adj: int) -> Neighborhood:
         d = dist[nid]
         if d == d_adj:
             continue
-        for s in g.nodes[nid].fanins:
+        for s in g.nodes[nid]:
             if s >> 1 not in dist:
                 dist[s >> 1] = d + 1
                 order.append(s >> 1)
@@ -59,10 +59,10 @@ def reference_graph_arrays(g):
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
     kind = np.zeros((n, pol.BASE_FEATURES))
-    kind[np.arange(n), [{PI: 1, CONST: 2, MAJ: 3}[g.nodes[nid].kind] for nid in ids]] = 1.0
+    kind[np.arange(n), [2 if nid == 0 else 1 if nid <= g.pi_count else 3 for nid in ids]] = 1.0
     prod, port, cons, neg = [], [], [], []
-    for i, node in enumerate(g.nodes.values()):
-        for p, s in enumerate(node.fanins):
+    for i, fanins in enumerate(g.nodes.values()):
+        for p, s in enumerate(fanins):
             prod.append(index[s >> 1])
             port.append(p)
             cons.append(i)
@@ -148,10 +148,9 @@ def test_forward_sensitive_to_edge_polarity():
     g1, c1 = motif_graph()
     p1, _ = dists(params, g1, [c1])
     g2, c2 = motif_graph()
-    node = g2.nodes[c2]
-    f = list(node.fanins)
+    f = list(g2.nodes[c2])
     f[1] = f[1] ^ 1
-    node.fanins = tuple(f)
+    g2.nodes[c2] = tuple(f)
     p2, _ = dists(params, g2, [c2])
     assert not np.array_equal(p1, p2)
 

@@ -21,7 +21,7 @@ def test_comm_swaps_ports():
     before = tt(g)
     desc = rw.match(g, r >> 1, OmegaAction.COMM01)
     assert rw.apply_omega(g, desc).applied
-    assert g.nodes[r >> 1].fanins == (g.pi(2), g.pi(1), g.pi(3))
+    assert g.nodes[r >> 1] == (g.pi(2), g.pi(1), g.pi(3))
     assert tt(g) == before
 
 
@@ -42,8 +42,8 @@ def test_inv_prop_flips_fanins_and_references():
     desc = rw.match(g, m1 >> 1, OmegaAction.INV_PROP)
     assert m2 >> 1 in desc.footprint
     assert rw.apply_omega(g, desc).applied
-    assert g.nodes[m1 >> 1].fanins == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
-    assert g.nodes[m2 >> 1].fanins[0] == m1 ^ 1  # consumer edge flipped
+    assert g.nodes[m1 >> 1] == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
+    assert g.nodes[m2 >> 1][0] == m1 ^ 1  # consumer edge flipped
     assert g.outputs[0] == m1  # output polarity flipped
     assert tt(g) == before
 
@@ -60,7 +60,7 @@ def test_inv_prop_flips_a_two_port_consumer_once():
             assert rep.applied == 1
         else:
             assert rw.apply_omega(g, rw.match(g, r >> 1, OmegaAction.INV_PROP)).applied
-            assert g.nodes[c >> 1].fanins == (r ^ 1, r ^ 1, g.pi(1) ^ 1)
+            assert g.nodes[c >> 1] == (r ^ 1, r ^ 1, g.pi(1) ^ 1)
         assert tt(g) == before
         g.check()
 

@@ -7,7 +7,7 @@ from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr
-from migopt.mig import MAJ, MigGraph, new_graph
+from migopt.mig import MigGraph, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 
 from conftest import clean_random_graph, crude_random_graph, dists
@@ -171,7 +171,7 @@ def test_empty_acting_set_gives_empty_records():
 
 def test_acting_set_skips_dead_nodes():
     h = clean_random_graph(6, 15, 3)
-    reach = sorted(n for n in h.reachable_nodes() if h.nodes[n].kind == MAJ)
+    reach = sorted(n for n in h.reachable_nodes() if n > h.pi_count)
     h.add_majority(h.pi(1), h.pi(2), h.const0())  # dead: no output reads it
     params = PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)
     trace, _ = tr.run_episode(h, params, 1, np.random.default_rng(0))

@@ -6,16 +6,26 @@ Exit codes: 0 success (or proven equivalence), 1 definite failure,
 
 from __future__ import annotations
 
-import argparse
-import json
+import os
 import sys
-from pathlib import Path
 
-import numpy as np
+# A BLAS product can pick its kernel, and so its last bits, by thread
+# count: pin one thread before numpy loads, so that a seeded run writes the
+# same bytes whatever thread count its environment asks for. A process that
+# loaded numpy already (a test session, a notebook) keeps its own setting.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-from migopt import datagen, evaluate, formats, rewrite, trainer
-from migopt.mig import MigError
-from migopt.policy import Hyperparams, PolicyParams
+import argparse  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from migopt import datagen, evaluate, formats, rewrite, trainer  # noqa: E402
+from migopt.mig import MigError  # noqa: E402
+from migopt.policy import Hyperparams, PolicyParams  # noqa: E402
 
 
 def _cmd_gen(args) -> int:

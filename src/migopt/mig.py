@@ -110,10 +110,13 @@ class MigGraph:
         self.outputs = list(sigs)
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
-        """Replace the fanins of majority node `nid`."""
+        """Replace the fanins of majority node `nid` with three live literals."""
         old = self.nodes.get(nid)
         if not old:
             raise MigError(f"node {nid} is not a live majority node")
+        fanins = tuple(fanins)
+        if len(fanins) != 3:
+            raise MigError(f"majority node {nid} needs 3 fanins, got {len(fanins)}")
         for s in fanins:
             self._check_live(s)
         if self._fanouts is not None:
@@ -121,7 +124,7 @@ class MigGraph:
             after = {s >> 1 for s in fanins}
             self._unlink(nid, before - after)
             self._link(nid, after - before)
-        self.nodes[nid] = tuple(fanins)  # same key, so id order holds
+        self.nodes[nid] = fanins  # same key, so id order holds
 
     def remove(self, nid: int):
         """Delete majority node `nid`; nodes still reading it must go too,

@@ -36,7 +36,7 @@ order of the nodes in it, not of node ids or of the rest of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -175,10 +175,12 @@ def _graph_arrays(g: MigGraph) -> tuple[np.ndarray, ...]:
     first = g.pi_count + 1  # row of the first majority node
     kind = np.zeros((n, BASE_FEATURES))
     kind[0, 2] = kind[1:first, 1] = kind[first:, 3] = 1.0
-    maj = islice(g.nodes.values(), first, None)
-    lits = np.fromiter((s for fanins in maj for s in fanins), np.int64, 3 * (n - first))
+    maj = chain.from_iterable(islice(g.nodes.values(), first, None))
+    lits = np.fromiter(maj, np.int64, 3 * (n - first))
+    row = np.empty(ids[-1] + 1, dtype=np.int64)  # node id -> row
+    row[ids] = np.arange(n, dtype=np.int64)
     fanin_idx = np.full((n, 3), -1, dtype=np.int64)
-    fanin_idx[first:] = np.searchsorted(ids, lits >> 1).reshape(-1, 3)
+    fanin_idx[first:] = row[lits >> 1].reshape(-1, 3)
     fanin_pol = np.zeros((n, 3))
     fanin_pol[first:] = (1.0 - 2.0 * (lits & 1)).reshape(-1, 3)
 
@@ -194,85 +196,121 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     fo_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(prod, minlength=n), out=fo_ptr[1:])
 
-    # (center, node) pairs within depth // 2 undirected hops, by center then hop
     wanted = np.asarray(centers, dtype=np.int64)
     cidx = np.minimum(np.searchsorted(ids, wanted), n - 1)
-    if (ids[cidx] != wanted).any() or (kind[cidx, 3] == 0).any():
+    if (ids[cidx] != wanted).any() or cidx.min() <= g.pi_count:
         raise MigError("every center must be a live majority node")
-    pair_key = np.arange(cidx.size, dtype=np.int64) * n + cidx
+
+    # (center, node) pairs within depth // 2 undirected hops, by center then
+    # hop then node, keyed center * s + node; s = n + 1 keeps a fanin slot of
+    # -1 from reading as another center's pair
+    s = n + 1
+    pair_key = np.arange(cidx.size, dtype=np.int64) * s + cidx
     pair_dist = np.zeros(cidx.size, dtype=np.int64)
     if depth >= 2:
-        both = np.unique(np.concatenate([prod * n + cons, cons * n + prod]))
+        both = np.concatenate([prod * n + cons, cons * n + prod])
+        both.sort()
+        distinct = np.ones(both.size, dtype=bool)
+        np.not_equal(both[1:], both[:-1], out=distinct[1:])
+        both = both[distinct]
         nbr_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
         nbr = both % n
-        frontier, seen = pair_key, pair_key
+        keys, dists = [pair_key], [pair_dist]
+        seen = frontier = pair_key
         for hop in range(1, depth // 2 + 1):
-            ci, v = np.divmod(frontier, n)
+            ci, v = np.divmod(frontier, s)
             lengths = nbr_ptr[v + 1] - nbr_ptr[v]
-            reached = np.repeat(ci, lengths) * n + nbr[_ranges(nbr_ptr[v], lengths)]
-            frontier = np.setdiff1d(reached, seen)
-            seen = np.union1d(seen, frontier)
-            pair_key = np.concatenate([pair_key, frontier])
-            pair_dist = np.concatenate([pair_dist, np.full(frontier.size, hop)])
-        order = np.lexsort((pair_key, pair_dist, pair_key // n))
+            frontier = np.repeat(ci * s, lengths) + nbr[_ranges(nbr_ptr[v], lengths)]
+            # at hop 1 the frontier is sorted and distinct already, since
+            # each center's neighbours are, and no node neighbours itself
+            if hop > 1:
+                frontier = np.setdiff1d(frontier, seen)
+            if hop < depth // 2:
+                seen = np.union1d(seen, frontier)
+            keys.append(frontier)
+            dists.append(np.full(frontier.size, hop))
+        pair_key, pair_dist = np.concatenate(keys), np.concatenate(dists)
+        order = np.argsort(pair_key // s, kind="stable")
         pair_key, pair_dist = pair_key[order], pair_dist[order]
+    pair_ci, pair_v = np.divmod(pair_key, s)
+    pairs = pair_key.size
+
+    # the index work of every pair row, done once for all layers: its fanin
+    # slots, its fanout edges, and the pair row that each slot or edge reads,
+    # `pairs` where the node read is no pair of the same center
+    lengths = fo_ptr[pair_v + 1] - fo_ptr[pair_v]
+    flat = _ranges(fo_ptr[pair_v], lengths)
+    e_row = np.repeat(np.arange(pairs, dtype=np.int64), lengths)  # pair row of each edge
+    p_fanin, e_cons = fanin_idx[pair_v], cons[flat]
+    reads = np.concatenate([(pair_ci[:, None] * s + p_fanin).ravel(), pair_ci[e_row] * s + e_cons])
+    sorter = np.argsort(pair_key)
+    sorted_key = pair_key[sorter]
+    pos = np.minimum(np.searchsorted(sorted_key, reads), pairs - 1)
+    at = np.where(sorted_key[pos] == reads, sorter[pos], pairs)
+    shared = (p_fanin, at[: 3 * pairs].reshape(-1, 3), fanin_pol[pair_v])
+    shared_edges = (e_cons, at[3 * pairs :], e_row, port[flat], pol[flat])
+
+    # per radius m: each pair's row among the pairs within m hops (-1 beyond,
+    # and -1 at index `pairs`), and the shared arrays cut to those pairs
+    within = {}
+    for m in range(depth // 2 + 1):
+        rows = pair_dist <= m
+        rank = np.full(pairs + 1, -1, dtype=np.int64)
+        rank[:pairs][rows] = np.arange(np.count_nonzero(rows), dtype=np.int64)
+        cut, cut_edges = shared, shared_edges
+        if m < depth // 2:
+            edges = rows[e_row]
+            cut = tuple(a[rows] for a in shared)
+            cut_edges = tuple(a[edges] for a in shared_edges)
+        within[m] = rank, cut, cut_edges
 
     top = (depth - 1) // 2  # highest layer that keeps background rows
     x0 = np.concatenate([kind, kind[cidx]])
     x0[n:, 0] = 1.0
-    below = pair_key[pair_dist == 0]  # delta keys of the input layer
+    background = (fanin_idx, fanin_pol, cons, prod * 3 + port, pol)
     below_base = n
     layers = []
     for layer in range(1, depth + 1):
-        keys = pair_key[pair_dist <= min(layer, depth - layer)]
+        rank, (d_fanin, fanin_at, d_pol), (d_cons, cons_at, d_row, d_port, d_epol) = within[
+            min(layer, depth - layer)
+        ]
+        below = within[min(layer - 1, depth - layer + 1)][0]
         base = n if layer <= top else 0
-        sorter = np.argsort(below)
-        sorted_below = below[sorter]
-
-        def input_rows(ci, v):
-            """Input row of node v for center ci: its delta row, else background."""
-            q = ci * n + v
-            pos = np.minimum(np.searchsorted(sorted_below, q), sorted_below.size - 1)
-            return np.where(sorted_below[pos] == q, below_base + sorter[pos], v)
-
-        ci, v = np.divmod(keys, n)
-        d_fanin = fanin_idx[v]
-        present = d_fanin >= 0
-        fanin_ci = np.broadcast_to(ci[:, None], d_fanin.shape)
-        d_fanin[present] = input_rows(fanin_ci[present], d_fanin[present])
-        lengths = fo_ptr[v + 1] - fo_ptr[v]
-        flat = _ranges(fo_ptr[v], lengths)
-        d_rows = np.repeat(base + np.arange(keys.size, dtype=np.int64), lengths)
-        rows = (
-            d_fanin,
-            fanin_pol[v],
-            input_rows(np.repeat(ci, lengths), cons[flat]),
-            d_rows * 3 + port[flat],
-            pol[flat],
+        # a read takes its pair's delta row in the layer below, else the background row
+        r_fanin, r_cons = below[fanin_at], below[cons_at]
+        out = (
+            np.where(r_fanin >= 0, r_fanin + below_base, d_fanin),
+            d_pol,
+            np.where(r_cons >= 0, r_cons + below_base, d_cons),
+            (rank[d_row] + base) * 3 + d_port,
+            d_epol,
         )
         if base:  # background rows first, in node order
-            background = (fanin_idx, fanin_pol, cons, prod * 3 + port, pol)
-            rows = tuple(np.concatenate(pair) for pair in zip(background, rows))
-        layers.append(_Layer(*rows))
-        below, below_base = keys, base
+            out = tuple(np.concatenate(pair) for pair in zip(background, out))
+        layers.append(_Layer(*out))
+        below_base = base
     return _Batch(x0, layers, centers=centers)
 
 
 def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False):
-    feats = batch.x0
+    # each layer's input rows plus one zero row, which fanin slot -1 reads
+    feats = np.concatenate([batch.x0, np.zeros((1, BASE_FEATURES))])
     batch.caches = []
     for layer, lay in enumerate(batch.layers):
         rows = lay.fanin_idx.shape[0]
         h_in = feats.shape[1]
         slot = h_in + 1
         msg = np.empty((rows, 6, slot))
-        msg[:, :3, :h_in] = feats[lay.fanin_idx]
-        msg[:, :3, :h_in][lay.fanin_idx < 0] = 0.0
+        msg[:, :3, :h_in] = np.take(feats, lay.fanin_idx, axis=0)
         msg[:, :3, h_in] = lay.fanin_pol
-        # one sequential bincount per channel keeps each bin in edge order; a
-        # single one over (bin, channel) keys, as in _scatter_add, made this
-        # forward pass 25% slower on 500-gate graphs (edges x channels temporaries)
+        # fanout sums: one sequential bincount per channel adds each bin's
+        # edges in edge order, starting from zero. np.add.reduceat sums a bin
+        # pairwise and changes last bits (2,531 of 6,768 sums in a check with
+        # bins of 1-8 edges); a scipy.sparse CSR product keeps the bits but
+        # made 48 rand50 training episodes 4-9% slower; one bincount over
+        # (bin, channel) keys, as in _scatter_add, made this pass 25% slower
+        # on 500-gate graphs (edges x channels temporaries)
         sums = np.empty((slot, rows * 3))
         for k, column in enumerate(feats.T):
             sums[k] = np.bincount(lay.edge_bin, column[lay.edge_consumer], rows * 3)
@@ -281,9 +319,12 @@ def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False
         msg = msg.reshape(rows, 6 * slot)
         z = msg @ params.weights[layer].T + params.biases[layer]
         if keep_cache:
-            batch.caches.append((feats, msg, z))
-        feats = np.maximum(z, 0.0)
+            batch.caches.append((msg, z))
+        feats = np.empty((rows + 1, z.shape[1]))
+        np.maximum(z, 0.0, out=feats[:rows])
+        feats[rows] = 0.0
 
+    feats = feats[:-1]
     logits = feats @ params.head_w.T + params.head_b
     m = logits.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
@@ -297,7 +338,12 @@ def _scatter_add(dst: np.ndarray, idx: np.ndarray, src: np.ndarray):
     """dst[idx[k]] += src[k], deterministic; bincount beats add.at in bulk.
 
     The bulk branch runs one bincount over (row, column) keys; each key
-    still sums its values in the order of idx."""
+    still sums its values in the order of idx. The branch choice is part of
+    the bit contract: add.at adds each value into dst in turn, while the
+    bulk branch sums a key's values from zero and then adds dst, and the
+    two round differently wherever dst is not zero (43% of the touched
+    entries in a check of 1,500 values into 400 nonzero rows). Moving the
+    threshold changes gradient bits."""
     if idx.size > 192:
         n, k = dst.shape
         keys = (idx[:, None] * k + np.arange(k)).ravel()
@@ -334,18 +380,22 @@ def _backward_batch(
     dfeats = dlogits @ params.head_w
 
     for layer in range(params.hp.layers - 1, -1, -1):
-        feats_prev, msg, z = batch.caches[layer]
+        msg, z = batch.caches[layer]
         dz = dfeats * (z > 0.0)
         grads.weights[layer] += dz.T @ msg
         grads.biases[layer] += dz.sum(axis=0)
         if layer == 0:
             break  # the layer-0 rows are inputs
         lay = batch.layers[layer]
-        rows, h_in = msg.shape[0], feats_prev.shape[1]
+        rows, h_in = msg.shape[0], params.hp.hidden
+        rows_in = batch.caches[layer - 1][1].shape[0]
         dmsg = (dz @ params.weights[layer]).reshape(rows, 6, h_in + 1)
-        dfeats = np.zeros_like(feats_prev)
-        valid = lay.fanin_idx >= 0
-        _scatter_add(dfeats, lay.fanin_idx[valid], dmsg[:, :3, :h_in][valid])
+        # each input row sums its fanin-slot adjoints from zero in slot order,
+        # so one bincount gives the bits of either _scatter_add branch; slot
+        # -1 lands in key row 0, which is dropped
+        keys = ((lay.fanin_idx + 1)[:, :, None] * h_in + np.arange(h_in)).ravel()
+        dfeats = np.bincount(keys, dmsg[:, :3, :h_in].ravel(), (rows_in + 1) * h_in)
+        dfeats = dfeats.reshape(rows_in + 1, h_in)[1:]
         dfanout = dmsg[:, 3:, :h_in].reshape(rows * 3, h_in)
         _scatter_add(dfeats, lay.edge_consumer, dfanout[lay.edge_bin])
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from migopt import trainer
 from migopt.policy import Hyperparams, PolicyParams
 
 AND_AAG = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(*args):
@@ -200,3 +206,29 @@ def test_eval_command(tmp_path):
                "--report-out", report) == 0
     lines = report.read_text().strip().splitlines()
     assert len(lines) == 3  # 2 items + summary
+
+
+def run_in_subprocess(args, threads, cwd):
+    """`python -m migopt.cli *args` in a fresh interpreter with `threads`
+    BLAS threads in its environment."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(BLAS_VARS, str(threads)))
+    cmd = [sys.executable, "-m", "migopt.cli", *map(str, args)]
+    return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True, check=True)
+
+
+def test_train_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    run_in_subprocess(["gen", "--n", 50, "--count", 4, "--seed", 1, "--out-dir", "ds"], 1, tmp_path)
+    for threads in (1, 2):
+        run_in_subprocess(["train", "--dataset", "ds", "--episodes", 8, "--seed", 0,
+                           "--ckpt-out", f"t{threads}.ckpt"], threads, tmp_path)
+    assert (tmp_path / "t1.ckpt").read_bytes() == (tmp_path / "t2.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("numpy_first, want", [(False, "1"), (True, "2")])
+def test_cli_pins_blas_threads_only_before_numpy_loads(tmp_path, numpy_first, want):
+    code = "import numpy; " * numpy_first + "import os, migopt.cli; print(os.environ[%r])"
+    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(BLAS_VARS, "2"))
+    for var in BLAS_VARS:
+        out = subprocess.run([sys.executable, "-c", code % var], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == want

@@ -78,6 +78,149 @@ def reference_graph_arrays(g):
     return np.asarray(ids), kind, fanin_idx, fanin_pol, prod, port, cons, polarity
 
 
+def reference_build_batch(g, centers, depth):
+    """`policy._build_batch` as it stood before the pair rows' index work
+    was shared by the layers: a hop expansion through `setdiff1d`/`union1d`,
+    a `lexsort`, and one sorted search per layer and read kind."""
+    ids, kind, fanin_idx, fanin_pol, prod, port, cons, polarity = reference_graph_arrays(g)
+    n = ids.size
+    fo_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prod, minlength=n), out=fo_ptr[1:])
+
+    wanted = np.asarray(centers, dtype=np.int64)
+    cidx = np.minimum(np.searchsorted(ids, wanted), n - 1)
+    if (ids[cidx] != wanted).any() or (kind[cidx, 3] == 0).any():
+        raise MigError("every center must be a live majority node")
+    pair_key = np.arange(cidx.size, dtype=np.int64) * n + cidx
+    pair_dist = np.zeros(cidx.size, dtype=np.int64)
+    if depth >= 2:
+        both = np.unique(np.concatenate([prod * n + cons, cons * n + prod]))
+        nbr_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
+        nbr = both % n
+        frontier, seen = pair_key, pair_key
+        for hop in range(1, depth // 2 + 1):
+            ci, v = np.divmod(frontier, n)
+            lengths = nbr_ptr[v + 1] - nbr_ptr[v]
+            reached = np.repeat(ci, lengths) * n + nbr[pol._ranges(nbr_ptr[v], lengths)]
+            frontier = np.setdiff1d(reached, seen)
+            seen = np.union1d(seen, frontier)
+            pair_key = np.concatenate([pair_key, frontier])
+            pair_dist = np.concatenate([pair_dist, np.full(frontier.size, hop)])
+        order = np.lexsort((pair_key, pair_dist, pair_key // n))
+        pair_key, pair_dist = pair_key[order], pair_dist[order]
+
+    top = (depth - 1) // 2
+    x0 = np.concatenate([kind, kind[cidx]])
+    x0[n:, 0] = 1.0
+    below = pair_key[pair_dist == 0]
+    below_base = n
+    layers = []
+    for layer in range(1, depth + 1):
+        keys = pair_key[pair_dist <= min(layer, depth - layer)]
+        base = n if layer <= top else 0
+        sorter = np.argsort(below)
+        sorted_below = below[sorter]
+
+        def input_rows(ci, v):
+            q = ci * n + v
+            at = np.minimum(np.searchsorted(sorted_below, q), sorted_below.size - 1)
+            return np.where(sorted_below[at] == q, below_base + sorter[at], v)
+
+        ci, v = np.divmod(keys, n)
+        d_fanin = fanin_idx[v]
+        present = d_fanin >= 0
+        fanin_ci = np.broadcast_to(ci[:, None], d_fanin.shape)
+        d_fanin[present] = input_rows(fanin_ci[present], d_fanin[present])
+        lengths = fo_ptr[v + 1] - fo_ptr[v]
+        flat = pol._ranges(fo_ptr[v], lengths)
+        d_rows = np.repeat(base + np.arange(keys.size, dtype=np.int64), lengths)
+        rows = (
+            d_fanin,
+            fanin_pol[v],
+            input_rows(np.repeat(ci, lengths), cons[flat]),
+            d_rows * 3 + port[flat],
+            polarity[flat],
+        )
+        if base:
+            background = (fanin_idx, fanin_pol, cons, prod * 3 + port, polarity)
+            rows = tuple(np.concatenate(pair) for pair in zip(background, rows))
+        layers.append(pol._Layer(*rows))
+        below, below_base = keys, base
+    return pol._Batch(x0, layers, centers=centers)
+
+
+def reference_forward_batch(params, batch):
+    """`policy._forward_batch` as it stood before it padded its input rows
+    with a zero row for the absent fanin slots; keeps its caches."""
+    feats = batch.x0
+    batch.caches = []
+    for layer, lay in enumerate(batch.layers):
+        rows = lay.fanin_idx.shape[0]
+        h_in = feats.shape[1]
+        slot = h_in + 1
+        msg = np.empty((rows, 6, slot))
+        msg[:, :3, :h_in] = feats[lay.fanin_idx]
+        msg[:, :3, :h_in][lay.fanin_idx < 0] = 0.0
+        msg[:, :3, h_in] = lay.fanin_pol
+        sums = np.empty((slot, rows * 3))
+        for k, column in enumerate(feats.T):
+            sums[k] = np.bincount(lay.edge_bin, column[lay.edge_consumer], rows * 3)
+        sums[h_in] = np.bincount(lay.edge_bin, lay.edge_pol, rows * 3)
+        msg[:, 3:] = sums.T.reshape(rows, 3, slot)
+        msg = msg.reshape(rows, 6 * slot)
+        z = msg @ params.weights[layer].T + params.biases[layer]
+        batch.caches.append((feats, msg, z))
+        feats = np.maximum(z, 0.0)
+    logits = feats @ params.head_w.T + params.head_b
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    log_probs = logits - lse
+    batch.caches.append(feats)
+    return np.exp(log_probs), log_probs
+
+
+def reference_scatter_add(dst, idx, src):
+    """`policy._scatter_add`, kept apart so that a change to its branch
+    shows up as a difference from the reference."""
+    if idx.size > 192:
+        n, k = dst.shape
+        keys = (idx[:, None] * k + np.arange(k)).ravel()
+        dst += np.bincount(keys, weights=src.ravel(), minlength=n * k).reshape(n, k)
+    else:
+        np.add.at(dst, idx, src)
+
+
+def reference_backward_batch(params, batch, probs, action_idx, scales, grads, entropy_coef=0.0):
+    """`policy._backward_batch` as it stood before the fanin slots were
+    summed by one bincount over all three slots of every row."""
+    feats_last = batch.caches[-1]
+    dlogits = -probs * scales[:, None]
+    dlogits[np.arange(len(action_idx)), action_idx] += scales
+    if entropy_coef:
+        logp = np.log(np.maximum(probs, 1e-300))
+        ent = -(probs * logp).sum(axis=1, keepdims=True)
+        dlogits += entropy_coef * (-probs * (logp + ent))
+    grads.head_w += dlogits.T @ feats_last
+    grads.head_b += dlogits.sum(axis=0)
+    dfeats = dlogits @ params.head_w
+    for layer in range(params.hp.layers - 1, -1, -1):
+        feats_prev, msg, z = batch.caches[layer]
+        dz = dfeats * (z > 0.0)
+        grads.weights[layer] += dz.T @ msg
+        grads.biases[layer] += dz.sum(axis=0)
+        if layer == 0:
+            break
+        lay = batch.layers[layer]
+        rows, h_in = msg.shape[0], feats_prev.shape[1]
+        dmsg = (dz @ params.weights[layer]).reshape(rows, 6, h_in + 1)
+        dfeats = np.zeros_like(feats_prev)
+        valid = lay.fanin_idx >= 0
+        reference_scatter_add(dfeats, lay.fanin_idx[valid], dmsg[:, :3, :h_in][valid])
+        dfanout = dmsg[:, 3:, :h_in].reshape(rows * 3, h_in)
+        reference_scatter_add(dfeats, lay.edge_consumer, dfanout[lay.edge_bin])
+
+
 def motif_graph(junk_nodes=0, filler_nodes=0, pis=8):
     """Fixed 4-node motif; optional id offset and far-away filler."""
     g = new_graph(pis)
@@ -226,6 +369,53 @@ def test_batch_build_matches_the_per_edge_loop(monkeypatch):
                 for name in lg.__slots__:
                     a, b = getattr(lg, name), getattr(lw, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def center_sets(g):
+    """Every majority node, every other one, every third in descending id
+    order, and the newest one alone."""
+    maj = g.maj_ids()
+    return [maj, maj[::2], maj[::-3], maj[-1:]]
+
+
+@pytest.mark.parametrize("depth,hidden", [(d, h) for d in (1, 2, 3, 4) for h in (5, 16)])
+def test_policy_pass_matches_the_reference_bit_for_bit(depth, hidden):
+    """Batch arrays, log-probs and gradients (entropy term included) equal
+    the reference functions' byte for byte, so no row, row order or
+    summation order changed."""
+    seed = 100 * depth + hidden
+    params = PolicyParams.init(Hyperparams(layers=depth, hidden=hidden), seed=seed)
+    rng = np.random.default_rng(seed)
+    scatter_sizes = []
+    big = crude_random_graph(12, 120, 6)  # its center layer has over 192 fanout edges
+    for g in [*batch_graphs(), big]:
+        for centers in center_sets(g):
+            got, want = pol._build_batch(g, centers, depth), reference_build_batch(g, centers, depth)
+            assert same_bits(got.x0, want.x0)
+            assert len(got.layers) == len(want.layers) == depth
+            for lg, lw in zip(got.layers, want.layers):
+                for name in lg.__slots__:
+                    assert same_bits(getattr(lg, name), getattr(lw, name)), name
+            probs, logp = pol._forward_batch(params, got, keep_cache=True)
+            want_probs, want_logp = reference_forward_batch(params, want)
+            assert same_bits(logp, want_logp) and same_bits(probs, want_probs)
+            actions = rng.integers(rw.ACTION_COUNT, size=len(centers))
+            scales = rng.normal(size=len(centers))
+            scales[::3] = 0.0
+            grads, want_grads = PolicyParams.zeros(params.hp), PolicyParams.zeros(params.hp)
+            pol._backward_batch(params, got, probs, actions, scales, grads, entropy_coef=0.01)
+            reference_backward_batch(
+                params, want, want_probs, actions, scales, want_grads, entropy_coef=0.01
+            )
+            for (name, a), (_, b) in zip(grads.arrays(), want_grads.arrays()):
+                assert same_bits(a, b), name
+            scatter_sizes += [lay.edge_consumer.size for lay in got.layers[1:]]
+    if depth > 1:  # the fanout _scatter_add ran on both sides of its branch
+        assert min(scatter_sizes) <= 192 < max(scatter_sizes)
 
 
 def test_batch_for_rejects_centers_that_are_not_live_majority_nodes():

@@ -111,11 +111,8 @@ def _cmd_optimize(args) -> int:
     _check_steps(args.steps)
     g = formats.load_mig(args.infile)
     params = formats.load_checkpoint(args.ckpt)
-    if args.mode == "greedy":
-        out, _reports = trainer.greedy_optimize(g, params, args.steps)
-    else:
-        choose = trainer.policy_chooser(params, np.random.default_rng(args.seed))
-        out, _records = trainer.rollout(g, args.steps, choose)
+    rng = None if args.mode == "greedy" else np.random.default_rng(args.seed)
+    out, _ = trainer.rollout(g, args.steps, trainer.policy_chooser(params, rng))
     equivalent, proven = rewrite.verify_equivalence(g, out)
     if not equivalent:
         print("refusing to write: optimized graph is not equivalent", file=sys.stderr)

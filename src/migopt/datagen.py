@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
+from migopt import rewrite as rw
 from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
-from migopt.rewrite import delete_dead, lambda_fixpoint
 
 _MAX_ATTEMPTS = 400  # pool-size corrections before `random_mig` gives up
 
@@ -67,9 +67,7 @@ def random_mig(spec: RandomGraphSpec) -> MigGraph:
             s = g.size()
             if s == spec.size:
                 cleaned = g.clone()
-                lambda_fixpoint(cleaned)
-                delete_dead(cleaned)
-                s = cleaned.size()
+                s = rw.step(cleaned, {}).size_after
                 if s == spec.size:
                     cleaned.check()
                     return cleaned
@@ -123,8 +121,7 @@ def sop_decompose(spec: SopSpec) -> MigGraph:
     for m in minterms[1:]:
         out = g.add_or(out, m)
     g.set_outputs([out])
-    lambda_fixpoint(g)
-    delete_dead(g)
+    rw.step(g, {})
     g.drop_fanout_index()  # the cleanup built it; callers keep these graphs
     return g
 

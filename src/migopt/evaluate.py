@@ -116,31 +116,25 @@ def random_policy(seed: int):
     return run
 
 
-def _maj_count(g: MigGraph, nodes) -> int:
-    return sum(1 for nid in nodes if nid > g.pi_count)
-
-
 def greedy_rules(g: MigGraph) -> MigGraph:
     """Rule-driven hill climbing: factor with the shrinking distributivity
     move whenever it strictly reduces the cleaned size, plus cleanup;
     at most 50 passes over the nodes."""
     work = g.clone()
-    rw.lambda_fixpoint(work)
-    size = _maj_count(work, rw.delete_dead(work))
+    size = rw.step(work, {}).size_after
+    live = work.maj_ids()  # a step leaves only live majority nodes
     for _ in range(50):
         progress = False
-        for nid in work.maj_ids():
+        for nid in live:  # this pass's ids; an accepted trial rebinds `live`
             if nid not in work.nodes:
                 continue
-            desc = rw.match(work, nid, rw.OmegaAction.DIST_RL)
-            if desc is None:
+            if rw.match(work, nid, rw.OmegaAction.DIST_RL) is None:
                 continue
             trial = work.clone()
-            rw.apply_omega(trial, desc)
-            rw.lambda_fixpoint(trial)
-            trial_size = _maj_count(trial, rw.delete_dead(trial))
+            trial_size = rw.step(trial, {nid: rw.OmegaAction.DIST_RL}, live).size_after
             if trial_size < size:
                 work, size = trial, trial_size
+                live = work.maj_ids()
                 progress = True
         if not progress:
             break

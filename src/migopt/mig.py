@@ -110,7 +110,9 @@ class MigGraph:
         self.outputs = list(sigs)
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
-        """Replace the fanins of majority node `nid` with three live literals."""
+        """Replace the fanins of majority node `nid` with three live literals,
+        none of them `nid` itself. A longer cycle is left to `check()`:
+        finding one would walk the cone on every write."""
         old = self.nodes.get(nid)
         if not old:
             raise MigError(f"node {nid} is not a live majority node")
@@ -119,6 +121,8 @@ class MigGraph:
             raise MigError(f"majority node {nid} needs 3 fanins, got {len(fanins)}")
         for s in fanins:
             self._check_live(s)
+            if s >> 1 == nid:
+                raise MigError(f"node {nid} cannot read itself")
         if self._fanouts is not None:
             before = {s >> 1 for s in old}
             after = {s >> 1 for s in fanins}

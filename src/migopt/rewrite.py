@@ -129,7 +129,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
-            if not child or child_sig >> 1 == nid:
+            if not child:
                 continue
             virt = _virtual_ops(child, child_sig)
             for up in range(3):
@@ -167,7 +167,7 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
-            if not child or child_sig >> 1 == nid:
+            if not child:
                 continue
             virt = _virtual_ops(child, child_sig)
             zc = 0
@@ -193,8 +193,6 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             a, b = sa >> 1, sb >> 1
             na, nb = g.nodes[a], g.nodes[b]
             if not na or not nb:
-                continue
-            if a == nid or b == nid:
                 continue
             virt_a = _virtual_ops(na, sa)
             virt_b = _virtual_ops(nb, sb)
@@ -333,14 +331,17 @@ def lambda_fixpoint(g: MigGraph) -> tuple[int, int]:
             return lm, lr
 
 
-def delete_dead(g: MigGraph) -> set[int]:
+def delete_dead(g: MigGraph) -> list[int]:
     """Drop majority nodes unreachable from the outputs; returns the
-    reachable set (all node kinds), which the deletion leaves intact."""
+    majority ids left, ascending, all of them live."""
     keep = g.reachable_nodes()
-    dead = [nid for nid in g.nodes if nid > g.pi_count and nid not in keep]
-    for nid in dead:
-        g.remove(nid)
-    return keep
+    live = []
+    for nid in g.maj_ids():
+        if nid in keep:
+            live.append(nid)
+        else:
+            g.remove(nid)
+    return live
 
 
 def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) -> StepReport:
@@ -390,7 +391,7 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
         touched.update(res.new_ids)
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
-    reach_after = {n for n in delete_dead(g) if n > g.pi_count}
+    reach_after = set(delete_dead(g))
     rep.size_after = len(reach_after)
     rep.nodes_added = len(reach_after - reach_before)
     rep.nodes_removed = len(reach_before - reach_after)

@@ -23,7 +23,7 @@ observed state.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,26 +143,19 @@ def uniform_chooser(rng: np.random.Generator):
 
 def run_episode(
     g0: MigGraph, params: PolicyParams, steps: int, rng: np.random.Generator | None
-) -> tuple[EpisodeTrace, int]:
+) -> EpisodeTrace:
     """Roll one episode on a copy of g0, keeping the forward caches;
     greedy when rng is None, sampled otherwise."""
     g, records = rollout(g0, steps, policy_chooser(params, rng, keep_cache=True))
     if records:  # the step reports counted both sizes already
-        trace = EpisodeTrace(records, records[0].report.size_before, records[-1].report.size_after)
-    else:
-        trace = EpisodeTrace(records, g0.size(), g.size())
-    return trace, trace.reward
-
-
-@dataclass(slots=True)
-class BaselineState:
-    per_item: dict[str, float] = field(default_factory=dict)
+        return EpisodeTrace(records, records[0].report.size_before, records[-1].report.size_after)
+    return EpisodeTrace(records, g0.size(), g.size())
 
 
 def reinforce_update(
     params: PolicyParams,
-    batch: list[tuple[EpisodeTrace, float]],
-    baseline: BaselineState,
+    batch: list[EpisodeTrace],
+    baseline: dict[str, float],
     lr: float,
     baseline_decay: float,
     entropy_coef: float = 0.0,
@@ -170,23 +163,23 @@ def reinforce_update(
     """In-place gradient-ascent update from a batch of traces.
 
     The baseline moves first and every episode is scaled by (reward -
-    baseline); the baseline tracks each start graph separately, which
-    keeps the scale meaningful across items of very different sizes.
+    baseline); `baseline` maps each start graph's `item` to its own moving
+    average, which keeps the scale meaningful across items of very
+    different sizes.
     Only applied actions enter the reinforcement term, and the gradient
     is divided by their count. The entropy term, when enabled, covers
     every observed state of every step.
     """
     scales_by_trace = []
-    for trace, reward in batch:
-        b = baseline_decay * baseline.per_item.get(trace.item, 0.0) + (
-            1 - baseline_decay
-        ) * reward
-        baseline.per_item[trace.item] = b
+    for trace in batch:
+        reward = trace.reward
+        b = baseline_decay * baseline.get(trace.item, 0.0) + (1 - baseline_decay) * reward
+        baseline[trace.item] = b
         scales_by_trace.append(reward - b)
 
     grads = PolicyParams.zeros(params.hp)
     action_count = 0
-    for (trace, _reward), scale in zip(batch, scales_by_trace):
+    for trace, scale in zip(batch, scales_by_trace):
         for rec in trace.steps:
             if rec.batch is None:
                 continue  # no acting node, so no action
@@ -246,15 +239,15 @@ def train(
         raise ValueError("dataset is empty")
     params = params0.clone()
     rng = np.random.default_rng(cfg.seed)
-    baseline = BaselineState()
+    baseline: dict[str, float] = {}
     metrics: list[EpisodeMetrics] = []
-    batch: list[tuple[EpisodeTrace, float]] = []
+    batch: list[EpisodeTrace] = []
     for ep in range(cfg.episodes):
         name, g0 = dataset[ep % len(dataset)]
         t0 = time.perf_counter()
-        trace, reward = run_episode(g0, params, cfg.steps, rng)
+        trace = run_episode(g0, params, cfg.steps, rng)
         trace.item = name
-        batch.append((trace, reward))
+        batch.append(trace)
         if len(batch) >= cfg.batch_size or ep == cfg.episodes - 1:
             reinforce_update(
                 params,
@@ -269,7 +262,7 @@ def train(
             EpisodeMetrics(
                 episode=ep,
                 item=name,
-                reward=reward,
+                reward=trace.reward,
                 size_before=trace.initial_size,
                 size_after=trace.final_size,
                 applied=sum(r.report.applied for r in trace.steps),

@@ -148,13 +148,13 @@ def test_optimize_refuses_broken_rewrites(tmp_path, monkeypatch):
     run("train", "--dataset", d, "--layers", 2, "--hidden", 6,
         "--episodes", 0, "--seed", 0, "--ckpt-out", ckpt)
 
-    def sabotage(g, params, steps):
+    def sabotage(g, steps, choose):
         out = g.clone()
         out.outputs = [out.outputs[0] ^ 1] + out.outputs[1:]
         return out, []
 
-    monkeypatch.setattr(trainer, "greedy_optimize", sabotage)
-    monkeypatch.setattr(cli.trainer, "greedy_optimize", sabotage)
+    monkeypatch.setattr(trainer, "rollout", sabotage)
+    monkeypatch.setattr(cli.trainer, "rollout", sabotage)
     out = tmp_path / "opt.mig"
     assert run("optimize", "--in", src, "--ckpt", ckpt, "--steps", 2, "--out", out) == 1
     assert not out.exists()

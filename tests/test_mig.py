@@ -249,6 +249,21 @@ def test_set_fanins_rejects_a_wrong_arity():
     assert g.simulate_truth_tables() == tables
 
 
+def test_set_fanins_rejects_a_self_loop():
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    b = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
+    g.set_outputs([b])
+    g.fanouts(a >> 1)  # build the index, so a bad write could reach it
+    nodes, index, tables = dict(g.nodes), dict(g._fanouts), g.simulate_truth_tables()
+    for fanins in ((b, g.pi(1), g.pi(2)), (a, b ^ 1, g.pi(3)), (a, g.pi(1), b)):
+        with pytest.raises(MigError):
+            g.set_fanins(b >> 1, fanins)
+        assert g.nodes == nodes and g._fanouts == index
+    g.check()
+    assert g.simulate_truth_tables() == tables
+
+
 def test_check_detects_stale_fanout_index():
     g = new_graph(2)
     a = g.add_and(g.pi(1), g.pi(2))

@@ -321,6 +321,8 @@ def test_step_with_handed_in_live_set_matches_its_own_walk():
         g = crude_random_graph(2 + seed % 4, 5 + seed % 25, 900 + seed)
         live = acting_nodes(g)
         assert len(live) < len(g.maj_ids())  # dead nodes on the first step
+        swept = g.clone()  # the sweep returns the live set it leaves
+        assert rw.delete_dead(swept) == live == swept.maj_ids()
         walked = g.clone()
         for _ in range(3):
             acts = {nid: rng.randrange(rw.ACTION_COUNT) for nid in live}

@@ -79,9 +79,9 @@ def _cli_sample(g, params, seed):
 
 def _episode(g, params, mode, seed):
     rng = None if mode == "greedy" else np.random.default_rng(seed)
-    trace, reward = tr.run_episode(g, params, STEPS, rng)
+    trace = tr.run_episode(g, params, STEPS, rng)
     return {
-        "reward": reward,
+        "reward": trace.reward,
         "initial": trace.initial_size,
         "final": trace.final_size,
         "steps": [

@@ -23,8 +23,8 @@ def identity_forced_params():
 
 def test_identity_policy_gets_zero_reward_on_clean_graph():
     g = clean_random_graph(6, 15, 1)
-    trace, reward = tr.run_episode(g, identity_forced_params(), 5, None)
-    assert reward == 0
+    trace = tr.run_episode(g, identity_forced_params(), 5, None)
+    assert trace.reward == 0
     assert all(r.report.applied == 0 for r in trace.steps)
 
 
@@ -35,8 +35,8 @@ def test_cleanup_reward_is_free():
     o = g.add_and(m, g.pi(2))
     g.set_outputs([o])
     assert g.size() == 2
-    _, reward = tr.run_episode(g, identity_forced_params(), 3, None)
-    assert reward >= 1
+    trace = tr.run_episode(g, identity_forced_params(), 3, None)
+    assert trace.reward >= 1
 
 
 def test_episode_does_not_mutate_start_graph():
@@ -50,10 +50,10 @@ def test_episode_does_not_mutate_start_graph():
 def test_reward_equals_size_delta_and_step_reports():
     g = clean_random_graph(6, 20, 3)
     params = PolicyParams.init(HP, seed=2)
-    trace, reward = tr.run_episode(g, params, 6, np.random.default_rng(4))
-    assert reward == trace.initial_size - trace.final_size
+    trace = tr.run_episode(g, params, 6, np.random.default_rng(4))
+    assert trace.reward == trace.initial_size - trace.final_size
     delta = sum(r.report.size_before - r.report.size_after for r in trace.steps)
-    assert reward == delta
+    assert trace.reward == delta
 
 
 def test_episode_sizes_come_from_the_step_reports(monkeypatch):
@@ -70,13 +70,12 @@ def test_episode_sizes_come_from_the_step_reports(monkeypatch):
         assert len(g0.maj_ids()) > g0.size()  # starts with dead nodes
         walks.clear()
         monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
-        trace, reward = tr.run_episode(g0, params, steps, np.random.default_rng(seed))
+        trace = tr.run_episode(g0, params, steps, np.random.default_rng(seed))
         monkeypatch.undo()
         # the rollout's walks only; no steps means two more, for the sizes
         assert len(walks) == (steps + 1 if steps else 3)
         g, _ = tr.rollout(g0, steps, tr.policy_chooser(params, np.random.default_rng(seed)))
         assert (trace.initial_size, trace.final_size) == (g0.size(), g.size())
-        assert reward == trace.reward
 
 
 def test_episode_config_validation():
@@ -90,13 +89,13 @@ def test_reinforce_zero_scale_leaves_params():
     g = clean_random_graph(5, 10, 4)
     params = PolicyParams.init(HP, seed=3)
     snap = params.clone()
-    trace, reward = tr.run_episode(g, params, 3, np.random.default_rng(1))
+    trace = tr.run_episode(g, params, 3, np.random.default_rng(1))
     # baseline with decay 0 lands exactly on the reward -> scale 0
-    baseline = tr.BaselineState()
-    tr.reinforce_update(params, [(trace, reward)], baseline, 1e-2, 0.0)
+    baseline = {}
+    tr.reinforce_update(params, [trace], baseline, 1e-2, 0.0)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.array_equal(a, b)
-    assert baseline.per_item[trace.item] == reward
+    assert baseline[trace.item] == trace.reward
 
 
 def test_reinforce_increases_probability_of_rewarded_action():
@@ -105,7 +104,7 @@ def test_reinforce_increases_probability_of_rewarded_action():
     rng = np.random.default_rng(2)
     trace = None
     for _ in range(50):
-        t, _ = tr.run_episode(g, params, 1, rng)
+        t = tr.run_episode(g, params, 1, rng)
         rec = t.steps[0]
         if any(v == "applied" for v in rec.report.outcomes.values()):
             trace = t
@@ -117,8 +116,8 @@ def test_reinforce_increases_probability_of_rewarded_action():
     action = rec.actions[i]
     # a one-step episode observes its start graph
     p_before = dists(params, g, rec.centers)[0][i, action]
-    baseline = tr.BaselineState()
-    tr.reinforce_update(params, [(trace, 5.0)], baseline, 1e-2, 0.5)  # scale > 0
+    rewarded = replace(trace, final_size=trace.initial_size - 5)
+    tr.reinforce_update(params, [rewarded], {}, 1e-2, 0.5)  # scale > 0
     p_after = dists(params, g, rec.centers)[0][i, action]
     assert p_after > p_before
 
@@ -128,10 +127,13 @@ def test_opposite_scales_cancel():
     params = PolicyParams.init(HP, seed=6)
     snap = params.clone()
     rng = np.random.default_rng(3)
-    trace, _ = tr.run_episode(g, params, 2, rng)
+    trace = tr.run_episode(g, params, 2, rng)
     # fresh per-item baselines with decay 0.5 give scales +1.5 and -1.5
-    batch = [(replace(trace, item="a"), 3.0), (replace(trace, item="b"), -3.0)]
-    tr.reinforce_update(params, batch, tr.BaselineState(), 1e-2, 0.5)
+    batch = [
+        replace(trace, item="a", final_size=trace.initial_size - 3),
+        replace(trace, item="b", final_size=trace.initial_size + 3),
+    ]
+    tr.reinforce_update(params, batch, {}, 1e-2, 0.5)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.allclose(a, b, atol=1e-15)
 
@@ -142,13 +144,12 @@ def test_blocked_only_trace_contributes_no_gradient():
     g.set_outputs([r])
     params = PolicyParams.zeros(HP)
     params.head_b[int(rw.OmegaAction.ASSOC)] = 50.0  # always blocked: no child
-    trace, reward = tr.run_episode(g, params, 3, None)
+    trace = tr.run_episode(g, params, 3, None)
     assert all(v == "blocked_illegal" for rec in trace.steps for v in rec.report.outcomes.values())
-    grads = tr.reinforce_update(params, [(trace, 7.0)], tr.BaselineState(), 1e-2, 0.0)
+    seven = replace(trace, final_size=trace.initial_size - 7)
+    grads = tr.reinforce_update(params, [seven], {}, 1e-2, 0.0)
     # baseline moved to 7 -> scale 0; force a nonzero scale instead
-    grads = tr.reinforce_update(
-        params, [(trace, 7.0)], tr.BaselineState({trace.item: 14.0}), 1e-2, 1.0 - 1e-9
-    )
+    grads = tr.reinforce_update(params, [seven], {trace.item: 14.0}, 1e-2, 1.0 - 1e-9)
     assert max(float(np.max(np.abs(a))) for _, a in grads.arrays()) == 0.0
 
 
@@ -160,11 +161,12 @@ def test_empty_acting_set_gives_empty_records():
     snap = params.clone()
     _, greedy = tr.rollout(g, 2, tr.policy_chooser(params))
     _, uniform = tr.rollout(g, 2, tr.uniform_chooser(np.random.default_rng(0)))
-    trace, _ = tr.run_episode(g, params, 2, np.random.default_rng(0))
+    trace = tr.run_episode(g, params, 2, np.random.default_rng(0))
     for rec in greedy + uniform + trace.steps:
         assert rec.centers == []
         assert rec.actions.size == 0 and rec.log_probs.size == 0
-    tr.reinforce_update(params, [(trace, 3.0)], tr.BaselineState(), 1e-2, 0.5, 0.01)
+    rewarded = replace(trace, final_size=trace.initial_size - 3)
+    tr.reinforce_update(params, [rewarded], {}, 1e-2, 0.5, 0.01)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.array_equal(a, b)
 
@@ -174,7 +176,7 @@ def test_acting_set_skips_dead_nodes():
     reach = sorted(n for n in h.reachable_nodes() if n > h.pi_count)
     h.add_majority(h.pi(1), h.pi(2), h.const0())  # dead: no output reads it
     params = PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0)
-    trace, _ = tr.run_episode(h, params, 1, np.random.default_rng(0))
+    trace = tr.run_episode(h, params, 1, np.random.default_rng(0))
     rec = trace.steps[0]
     assert rec.centers == reach
     assert rec.actions.shape == rec.log_probs.shape == (len(reach),)
@@ -247,14 +249,14 @@ def test_train_flushes_trailing_partial_batch():
 
 def test_per_item_baseline_tracks_each_graph():
     items = [("a", clean_random_graph(5, 8, 1)), ("b", clean_random_graph(5, 16, 2))]
-    baseline = tr.BaselineState()
+    baseline = {}
     params = PolicyParams.init(HP, seed=0)
     rng = np.random.default_rng(0)
     for name, g in items * 2:
-        trace, reward = tr.run_episode(g, params, 2, rng)
+        trace = tr.run_episode(g, params, 2, rng)
         trace.item = name
-        tr.reinforce_update(params, [(trace, reward)], baseline, 1e-4, 0.9)
-    assert set(baseline.per_item) == {"a", "b"}
+        tr.reinforce_update(params, [trace], baseline, 1e-4, 0.9)
+    assert set(baseline) == {"a", "b"}
 
 
 def test_greedy_optimize_identity_fixpoint():

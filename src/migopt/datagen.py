@@ -6,18 +6,16 @@ far, triples that the cleanup rules would immediately collapse are
 rejected, and output signals are redrawn until the cleaned reachable size
 hits the target exactly.
 
-`optimal_size_3` is an independent exhaustive search over all small
-majority networks, used as the reduction ceiling for 3-input functions.
-It deliberately shares no code with the graph data structure.
+`optimal_size_3` reads a constant table of exact minimum sizes for the
+256 3-input functions, the reduction ceiling for sop3. The tests
+recompute it with an exhaustive search over all small majority networks
+that shares no code with the graph data structure.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from pathlib import Path
 
 from migopt import rewrite as rw
 from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
@@ -142,124 +140,35 @@ def enumerate_sop4(sample_count: int = 10000, seed: int = 0) -> list[tuple[str, 
 
 # -- exact-size oracle for 3-input functions ---------------------------
 
-_BASES = (0x00, 0xAA, 0xCC, 0xF0)  # const0, x1, x2, x3
-_FULL3 = 0xFF
-
-
-def _maj8(a: int, b: int, c: int) -> int:
-    return (a & b) | (a & c) | (b & c)
-
-
-_MAX_SIZE = 6  # search bound; the search fails if a function needs more
-
-
-def _search_exact(max_size: int = _MAX_SIZE) -> list[int]:
-    """Minimum majority-node count for every 3-input function.
-
-    Iterative-deepening enumeration of all majority networks over
-    {0, x1, x2, x3} with complemented edges. Within a network, node
-    tables are kept distinct from everything already available (a
-    duplicate node can always be dropped from a minimal network), and
-    independent nodes are forced into a canonical creation order.
-    """
-    best = [-1] * 256
-    for t in _BASES:
-        best[t] = 0
-        best[t ^ _FULL3] = 0
-
-    def enumerate_size(s: int):
-        pool = list(_BASES)  # tables of available operands
-        used = [True] * 4  # bases never need consuming
-
-        def node_candidates():
-            out = []
-            npool = len(pool)
-            for combo in combinations(range(npool), 3):
-                for pols in range(4):  # first operand uncomplemented
-                    ops = []
-                    for slot, idx in enumerate(combo):
-                        v = pool[idx]
-                        if slot and (pols >> (slot - 1)) & 1:
-                            v ^= _FULL3
-                        ops.append(v)
-                    table = _maj8(*ops)
-                    out.append((combo, pols, table))
-            return out
-
-        def rec(depth: int, prev_key):
-            remaining = s - depth
-            unused = used.count(False)
-            if unused > 3 * remaining:
-                return
-            for combo, pols, table in node_candidates():
-                if any(pool[i] == table or pool[i] == (table ^ _FULL3) for i in range(len(pool))):
-                    continue
-                key = (combo, pols)
-                uses_last = len(pool) - 1 in combo and len(pool) > 4
-                if prev_key is not None and not uses_last and key <= prev_key:
-                    continue
-                if depth + 1 == s:
-                    if unused - sum(1 for i in combo if not used[i]) > 0:
-                        continue
-                    if best[table] < 0:
-                        best[table] = s
-                    if best[table ^ _FULL3] < 0:
-                        best[table ^ _FULL3] = s
-                    continue
-                pool.append(table)
-                used.append(False)
-                saved = [used[i] for i in combo]
-                for i in combo:
-                    used[i] = True
-                rec(depth + 1, key)
-                for i, u in zip(combo, saved):
-                    used[i] = u
-                used.pop()
-                pool.pop()
-
-        rec(0, None)
-
-    for s in range(1, max_size + 1):
-        if all(v >= 0 for v in best):
-            break
-        enumerate_size(s)
-    if any(v < 0 for v in best):
-        raise MigError(f"exact search incomplete at max size {max_size}")
-    return best
-
-
-_OPTIMAL3: list[int] | None = None
-
-
-def _cache_path() -> Path:
-    root = os.environ.get("MIGOPT_CACHE")
-    base = Path(root) if root else Path.home() / ".cache" / "migopt"
-    return base / "optimal_sizes_3.txt"
-
-
-def _read_cache(path: Path) -> list[int] | None:
-    """The cached sizes, or None when the file is absent or corrupt."""
-    try:
-        vals = [int(x) for x in path.read_text().split()]
-    except (OSError, ValueError):
-        return None
-    if len(vals) != 256 or not all(0 <= v <= _MAX_SIZE for v in vals):
-        return None
-    return vals
+# Minimum majority-node count realizing each 3-input function, indexed by
+# its 8-bit truth table (x1 = 0xAA, x2 = 0xCC, x3 = 0xF0). Written out from
+# an exhaustive search over all majority networks with complemented edges;
+# tests/test_datagen.py keeps that search and checks it reproduces this
+# table entry for entry.
+_OPTIMAL3 = (
+    0, 2, 2, 1, 2, 1, 3, 2, 2, 3, 1, 2, 1, 2, 2, 0,  # 0x00
+    2, 1, 3, 2, 3, 2, 4, 1, 4, 4, 4, 3, 4, 3, 4, 2,  # 0x10
+    2, 3, 1, 2, 4, 4, 4, 3, 3, 4, 2, 1, 4, 4, 3, 2,  # 0x20
+    1, 2, 2, 0, 4, 3, 4, 2, 4, 4, 3, 2, 3, 4, 4, 1,  # 0x30
+    2, 3, 4, 4, 1, 2, 4, 3, 3, 4, 4, 4, 2, 1, 3, 2,  # 0x40
+    1, 2, 4, 3, 2, 0, 4, 2, 4, 4, 3, 4, 3, 2, 4, 1,  # 0x50
+    3, 4, 4, 4, 4, 4, 3, 4, 4, 3, 4, 4, 4, 4, 4, 3,  # 0x60
+    2, 1, 3, 2, 3, 2, 4, 1, 4, 4, 4, 3, 4, 3, 4, 2,  # 0x70
+    2, 4, 3, 4, 3, 4, 4, 4, 1, 4, 2, 3, 2, 3, 1, 2,  # 0x80
+    3, 4, 4, 4, 4, 4, 3, 4, 4, 3, 4, 4, 4, 4, 4, 3,  # 0x90
+    1, 4, 2, 3, 4, 3, 4, 4, 2, 4, 0, 2, 3, 4, 2, 1,  # 0xa0
+    2, 3, 1, 2, 4, 4, 4, 3, 3, 4, 2, 1, 4, 4, 3, 2,  # 0xb0
+    1, 4, 4, 3, 2, 3, 4, 4, 2, 4, 3, 4, 0, 2, 2, 1,  # 0xc0
+    2, 3, 4, 4, 1, 2, 4, 3, 3, 4, 4, 4, 2, 1, 3, 2,  # 0xd0
+    2, 4, 3, 4, 3, 4, 4, 4, 1, 4, 2, 3, 2, 3, 1, 2,  # 0xe0
+    0, 2, 2, 1, 2, 1, 3, 2, 2, 3, 1, 2, 1, 2, 2, 0,  # 0xf0
+)
 
 
 def optimal_size_3(table: int) -> int:
     """Exact minimum majority-node count realizing a 3-input function."""
     if not 0 <= table <= 0xFF:
         raise MigError("need an 8-bit truth table")
-    global _OPTIMAL3
-    if _OPTIMAL3 is None:
-        path = _cache_path()
-        _OPTIMAL3 = _read_cache(path)
-        if _OPTIMAL3 is None:
-            _OPTIMAL3 = _search_exact()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(" ".join(str(v) for v in _OPTIMAL3) + "\n")
     return _OPTIMAL3[table]
 
 

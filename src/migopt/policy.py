@@ -107,20 +107,6 @@ class PolicyParams:
         out.append(("head_b", self.head_b))
         return out
 
-    def param_count(self) -> int:
-        return sum(a.size for _, a in self.arrays())
-
-    @staticmethod
-    def expected_param_count(hp: Hyperparams) -> int:
-        h, L = hp.hidden, hp.layers
-        return (
-            6 * (BASE_FEATURES + 1) * h
-            + h
-            + (L - 1) * (6 * (h + 1) * h + h)
-            + ACTION_COUNT * h
-            + ACTION_COUNT
-        )
-
     def clone(self) -> "PolicyParams":
         return PolicyParams(
             self.hp,

@@ -320,14 +320,14 @@ def lambda_redundancy(g: MigGraph) -> int:
 
 def lambda_fixpoint(g: MigGraph) -> tuple[int, int]:
     """Run each cleanup rule to its own fixpoint, collapse first, and
-    alternate until neither fires; returns the (collapse, merge) counts."""
+    alternate until merge replaces nothing: then the graph is as the
+    collapse fixpoint left it; returns the (collapse, merge) counts."""
     lm = lr = 0
     while True:
-        m = lambda_majority(g)
+        lm += lambda_majority(g)
         r = lambda_redundancy(g)
-        lm += m
         lr += r
-        if m == 0 and r == 0:
+        if r == 0:
             return lm, lr
 
 
@@ -401,15 +401,6 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
 # -- equivalence -------------------------------------------------------
 
 
-def check_equivalence_exact(g1: MigGraph, g2: MigGraph) -> bool:
-    """True iff all output truth tables match (inputs must be <= 16)."""
-    if g1.pi_count != g2.pi_count:
-        raise MigError("graphs have different input counts")
-    if len(g1.outputs) != len(g2.outputs):
-        raise MigError("graphs have different output counts")
-    return g1.simulate_truth_tables() == g2.simulate_truth_tables()
-
-
 def verify_equivalence(g1: MigGraph, g2: MigGraph) -> tuple[bool, bool]:
     """Equivalence evidence for any input width.
 
@@ -422,7 +413,7 @@ def verify_equivalence(g1: MigGraph, g2: MigGraph) -> tuple[bool, bool]:
     if len(g1.outputs) != len(g2.outputs):
         raise MigError("graphs have different output counts")
     if g1.pi_count <= 16:
-        return check_equivalence_exact(g1, g2), True
+        return g1.simulate_truth_tables() == g2.simulate_truth_tables(), True
     for seed in (101, 202, 303):
         if g1.simulate_signatures(seed, 256) != g2.simulate_signatures(seed, 256):
             return False, True  # a mismatch is a definite counterexample

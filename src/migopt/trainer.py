@@ -2,11 +2,12 @@
 
 Training episodes, greedy deployment, sampled `optimize` and the
 uniform-random baseline all run one loop, `rollout(g0, steps, choose)`:
-it clones the start graph once and walks it once for the acting nodes
-(the reachable majority nodes, in ascending id order). A step leaves
-only live majority nodes, so later steps take all of them. Each step
-asks the chooser for one action per acting node and applies the whole
-action set through the environment. Actions travel as arrays in that
+it clones the start graph once and deletes its dead gates, which leaves
+the acting nodes (the reachable majority nodes, in ascending id order).
+A step leaves only live majority nodes, so later steps take all of
+them. Each step asks the chooser for one action per acting node and
+applies the whole action set through the environment. Actions travel
+as arrays in that
 center order, from the chooser through `StepRecord` to
 `reinforce_update`.
 `policy_chooser` runs the network over the acting nodes and takes the
@@ -98,10 +99,10 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     """
     g = g0.clone()
     records: list[StepRecord] = []
-    # g0 may hold dead nodes, so walk once; a step leaves only live ones.
-    # Filtering g.nodes (id order) keeps the graph's own id objects.
-    live = g.reachable_nodes()
-    centers = [n for n in g.nodes if n > g.pi_count and n in live]
+    # g0 may hold dead nodes: drop them before the policy sees the graph,
+    # so a start graph and its dead-free copy roll out alike; a step
+    # leaves only live ones.
+    centers = rw.delete_dead(g)
     for _ in range(steps):
         actions, log_probs, batch, probs = choose(g, centers)
         report = rw.step(g, dict(zip(centers, actions.tolist())), centers)

@@ -101,30 +101,105 @@ def test_sop4_tables_round_trip():
         assert g.simulate_truth_tables() == [table]
 
 
-def test_optimal_size_examples(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIGOPT_CACHE", str(tmp_path))
-    dg._OPTIMAL3 = None
+def test_optimal_size_examples():
     assert dg.optimal_size_3(0xAA) == 0
     assert dg.optimal_size_3(0xE8) == 1
     assert dg.optimal_size_3(0x80) == 2
-    # cache file round-trips
-    assert (tmp_path / "optimal_sizes_3.txt").exists()
-    dg._OPTIMAL3 = None
-    assert dg.optimal_size_3(0x80) == 2
+    for bad in (-1, 0x100):
+        with pytest.raises(MigError):
+            dg.optimal_size_3(bad)
 
 
-@pytest.mark.parametrize(
-    "cached",
-    ["garbage\n", "9 " * 256, "1 " * 255],
-    ids=["unparsable", "out-of-range", "short"],
-)
-def test_optimal_size_recomputes_corrupt_cache(tmp_path, monkeypatch, cached):
-    (tmp_path / "optimal_sizes_3.txt").write_text(cached)
-    monkeypatch.setenv("MIGOPT_CACHE", str(tmp_path))
-    monkeypatch.setattr(dg, "_OPTIMAL3", None)
-    monkeypatch.setattr(dg, "_search_exact", lambda: [3] * 256)
-    assert dg.optimal_size_3(0x00) == 3
-    assert (tmp_path / "optimal_sizes_3.txt").read_text() == " ".join(["3"] * 256) + "\n"
+# -- the reference search that `datagen._OPTIMAL3` was written out from ---
+
+_BASES = (0x00, 0xAA, 0xCC, 0xF0)  # const0, x1, x2, x3
+_FULL3 = 0xFF
+
+
+def _maj8(a: int, b: int, c: int) -> int:
+    return (a & b) | (a & c) | (b & c)
+
+
+_MAX_SIZE = 6  # search bound; the search fails if a function needs more
+
+
+def _search_exact(max_size: int = _MAX_SIZE) -> list[int]:
+    """Minimum majority-node count for every 3-input function.
+
+    Iterative-deepening enumeration of all majority networks over
+    {0, x1, x2, x3} with complemented edges. Within a network, node
+    tables are kept distinct from everything already available (a
+    duplicate node can always be dropped from a minimal network), and
+    independent nodes are forced into a canonical creation order.
+    """
+    best = [-1] * 256
+    for t in _BASES:
+        best[t] = 0
+        best[t ^ _FULL3] = 0
+
+    def enumerate_size(s: int):
+        pool = list(_BASES)  # tables of available operands
+        used = [True] * 4  # bases never need consuming
+
+        def node_candidates():
+            out = []
+            npool = len(pool)
+            for combo in itertools.combinations(range(npool), 3):
+                for pols in range(4):  # first operand uncomplemented
+                    ops = []
+                    for slot, idx in enumerate(combo):
+                        v = pool[idx]
+                        if slot and (pols >> (slot - 1)) & 1:
+                            v ^= _FULL3
+                        ops.append(v)
+                    table = _maj8(*ops)
+                    out.append((combo, pols, table))
+            return out
+
+        def rec(depth: int, prev_key):
+            remaining = s - depth
+            unused = used.count(False)
+            if unused > 3 * remaining:
+                return
+            for combo, pols, table in node_candidates():
+                if any(pool[i] == table or pool[i] == (table ^ _FULL3) for i in range(len(pool))):
+                    continue
+                key = (combo, pols)
+                uses_last = len(pool) - 1 in combo and len(pool) > 4
+                if prev_key is not None and not uses_last and key <= prev_key:
+                    continue
+                if depth + 1 == s:
+                    if unused - sum(1 for i in combo if not used[i]) > 0:
+                        continue
+                    if best[table] < 0:
+                        best[table] = s
+                    if best[table ^ _FULL3] < 0:
+                        best[table ^ _FULL3] = s
+                    continue
+                pool.append(table)
+                used.append(False)
+                saved = [used[i] for i in combo]
+                for i in combo:
+                    used[i] = True
+                rec(depth + 1, key)
+                for i, u in zip(combo, saved):
+                    used[i] = u
+                used.pop()
+                pool.pop()
+
+        rec(0, None)
+
+    for s in range(1, max_size + 1):
+        if all(v >= 0 for v in best):
+            break
+        enumerate_size(s)
+    if any(v < 0 for v in best):
+        raise MigError(f"exact search incomplete at max size {max_size}")
+    return best
+
+
+def test_exhaustive_search_reproduces_the_table():
+    assert tuple(_search_exact()) == dg._OPTIMAL3
 
 
 def test_optimal_size_lower_bound_for_and3():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migopt import formats as fmt
-from migopt import rewrite as rw
 from migopt.mig import MigError, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 
@@ -37,7 +36,7 @@ def test_round_trip_preserves_function_and_size():
         g = clean_random_graph(8, 18, seed)
         h = fmt.parse_mig(fmt.emit_mig(g))
         assert h.size() == g.size()
-        assert rw.check_equivalence_exact(g, h)
+        assert g.simulate_truth_tables() == h.simulate_truth_tables()
 
 
 def test_parse_errors_carry_line_numbers():
@@ -283,7 +282,7 @@ def test_dataset_round_trip(tmp_path):
     assert meta["count"] == 4 and meta["seed"] == 9
     assert [n for n, _ in back] == [n for n, _ in items]
     for (_, a), (_, b) in zip(items, back):
-        assert rw.check_equivalence_exact(a, b)
+        assert a.simulate_truth_tables() == b.simulate_truth_tables()
 
 
 # -- robustness -----------------------------------------------------------

@@ -248,12 +248,22 @@ def test_hyperparams_validation():
 
 
 def test_param_count_formula():
+    def expected_param_count(hp):
+        h, L = hp.hidden, hp.layers
+        return (
+            6 * (pol.BASE_FEATURES + 1) * h
+            + h
+            + (L - 1) * (6 * (h + 1) * h + h)
+            + rw.ACTION_COUNT * h
+            + rw.ACTION_COUNT
+        )
+
     for layers, hidden in [(1, 4), (2, 8), (3, 16), (4, 5)]:
         hp = Hyperparams(layers=layers, hidden=hidden)
         params = PolicyParams.init(hp, seed=0)
-        assert params.param_count() == PolicyParams.expected_param_count(hp)
+        assert sum(a.size for _, a in params.arrays()) == expected_param_count(hp)
     hp = Hyperparams()  # defaults
-    assert PolicyParams.expected_param_count(hp) == 6 * 5 * 16 + 16 + 2 * (
+    assert expected_param_count(hp) == 6 * 5 * 16 + 16 + 2 * (
         6 * 17 * 16 + 16
     ) + 9 * 16 + 9
 

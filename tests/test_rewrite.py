@@ -264,6 +264,24 @@ def test_lambda_rules_each_reach_their_own_fixpoint():
     assert g.outputs == [a, a ^ 1]
 
 
+def test_lambda_fixpoint_stops_once_merge_replaces_nothing(monkeypatch):
+    g = new_graph(2)
+    a = g.add_majority(g.pi(1), g.pi(1), g.pi(2))  # == x1
+    b = g.add_majority(a, g.pi(2), g.pi(2))  # == x2 once collapsed
+    g.set_outputs([a, b])
+    sweeps = []
+    sweep = rw._sweep
+
+    def counted(g, rule):
+        sweeps.append(rule)
+        return sweep(g, rule)
+
+    monkeypatch.setattr(rw, "_sweep", counted)
+    assert rw.lambda_fixpoint(g) == (2, 0)
+    assert sweeps == [rw._collapse, rw._merge]
+    assert g.outputs == [g.pi(1), g.pi(2)]
+
+
 def test_lambda_counts_zero_on_clean_graph():
     g = clean_random_graph(6, 20, 4)
     assert rw.lambda_fixpoint(g) == (0, 0)
@@ -394,17 +412,21 @@ def test_check_equivalence_exact():
     g = new_graph(2)
     a = g.add_and(g.pi(1), g.pi(2))
     g.set_outputs([a])
-    assert rw.check_equivalence_exact(g, g.clone())
+    assert rw.verify_equivalence(g, g.clone()) == (True, True)
 
     h = new_graph(2)
     o = h.add_or(h.pi(1), h.pi(2))
     h.set_outputs([o])
-    assert not rw.check_equivalence_exact(g, h)
+    assert rw.verify_equivalence(g, h) == (False, True)
 
     w = new_graph(3)
     w.set_outputs([w.pi(1)])
     with pytest.raises(MigError):
-        rw.check_equivalence_exact(g, w)
+        rw.verify_equivalence(g, w)
+    w2 = new_graph(2)
+    w2.set_outputs([w2.pi(1), w2.pi(2)])
+    with pytest.raises(MigError):
+        rw.verify_equivalence(g, w2)
 
 
 def test_equivalence_after_many_steps():
@@ -414,7 +436,7 @@ def test_equivalence_after_many_steps():
     for _ in range(50):
         acts = {nid: rw.OmegaAction(rng.randrange(9)) for nid in g.maj_ids()}
         rw.step(g, acts)
-    assert rw.check_equivalence_exact(ref, g)
+    assert tt(ref) == tt(g)
 
 
 def test_verify_equivalence_signature_mode():

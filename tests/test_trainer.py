@@ -183,6 +183,25 @@ def test_acting_set_skips_dead_nodes():
     assert rec.probs.shape == (len(reach), rw.ACTION_COUNT)
 
 
+def test_dead_gates_do_not_change_a_rollout():
+    # the policy reads every node of the graph, so dead gates would feed
+    # the first step's fanout sums if the rollout kept them
+    params = PolicyParams.init(HP, seed=5)
+    for seed in range(6):
+        g = crude_random_graph(8, 30, seed)
+        assert len(g.maj_ids()) > g.size()  # starts with dead gates
+        pruned = g.clone()
+        rw.delete_dead(pruned)
+        out_g, recs_g = tr.rollout(g, 4, tr.policy_chooser(params))
+        out_p, recs_p = tr.rollout(pruned, 4, tr.policy_chooser(params))
+        for a, b in zip(recs_g, recs_p, strict=True):
+            assert a.centers == b.centers
+            assert a.actions.tobytes() == b.actions.tobytes()
+            assert a.log_probs.tobytes() == b.log_probs.tobytes()
+            assert a.report == b.report
+        assert fmt.emit_mig(out_g) == fmt.emit_mig(out_p)
+
+
 def test_rollout_walks_the_graph_once_plus_once_per_step(monkeypatch):
     g = crude_random_graph(5, 30, 4)
     assert len(g.maj_ids()) > g.size()  # starts with dead nodes

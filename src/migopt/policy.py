@@ -35,6 +35,7 @@ order of the nodes in it, not of node ids or of the rest of the graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -279,7 +280,46 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     return _Batch(x0, layers, centers=centers)
 
 
+# Buffers of the no-cache forward pass, by name. Fresh per-layer arrays of
+# a few megabytes went back to the kernel on free and were faulted in again
+# by the next pass, which made a 500-gate pass twice as slow as its
+# arithmetic. Each buffer grows to a quarter more than the largest pass
+# seen and never shrinks: 7.7 MB in all after 500-gate graphs, so about
+# 31 MB at 2000 gates (computed from the 500-gate row counts, not
+# measured). Without the quarter, a 500-gate graph that gained a few gates
+# per greedy step regrew them and took 300 to 1,400 faults on 8 of its
+# first 11 steps after the first; with it, under 70 on each. Held at module
+# level, like mig._PI_PATTERNS, so a checkpoint parsed anew reuses them;
+# the pass is therefore not reentrant (one pass at a time, the
+# single-threaded use that MigGraph already requires).
+_SCRATCH: dict[str, np.ndarray] = {}
+
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of buffer `name` with the given shape, holding
+    whatever the previous pass left there."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size + size // 4)
+    return buf[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape)
+
+
 def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False):
+    """Probabilities and log-probabilities, one row per center, in arrays
+    of their own.
+
+    Without keep_cache every array of a layer's size is a view of a
+    _SCRATCH buffer, so a pass allocates only its input rows and
+    temporaries of one value per fanout bin or edge. With keep_cache the
+    message matrices, pre-activations and features are fresh, since
+    batch.caches keeps them for _backward_batch. The arithmetic, and so
+    every bit, is the same either way."""
+    alloc = _fresh if keep_cache else _scratch
     # each layer's input rows plus one zero row, which fanin slot -1 reads
     feats = np.concatenate([batch.x0, np.zeros((1, BASE_FEATURES))])
     batch.caches = []
@@ -287,8 +327,16 @@ def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False
         rows = lay.fanin_idx.shape[0]
         h_in = feats.shape[1]
         slot = h_in + 1
-        msg = np.empty((rows, 6, slot))
-        msg[:, :3, :h_in] = np.take(feats, lay.fanin_idx, axis=0)
+        msg = alloc("msg", (rows, 6, slot))
+        # np.take writes straight into a C-contiguous out only; given the
+        # strided fanin slots of msg, or mode="raise", it goes through a
+        # fresh copy. mode="wrap" reads slot -1 as the zero row. Gathering
+        # all six slots into msg through a (rows, 6) index with the fanout
+        # slots at -1 saved this copy but took about 25 us more per
+        # 50-gate training pass
+        fanin = _scratch("fanin", (rows, 3, h_in))
+        np.take(feats, lay.fanin_idx, axis=0, out=fanin, mode="wrap")
+        msg[:, :3, :h_in] = fanin
         msg[:, :3, h_in] = lay.fanin_pol
         # fanout sums: one sequential bincount per channel adds each bin's
         # edges in edge order, starting from zero. np.add.reduceat sums a bin
@@ -296,17 +344,23 @@ def _forward_batch(params: PolicyParams, batch: _Batch, keep_cache: bool = False
         # bins of 1-8 edges); a scipy.sparse CSR product keeps the bits but
         # made 48 rand50 training episodes 4-9% slower; one bincount over
         # (bin, channel) keys, as in _scatter_add, made this pass 25% slower
-        # on 500-gate graphs (edges x channels temporaries)
-        sums = np.empty((slot, rows * 3))
+        # on 500-gate graphs (edges x channels temporaries). Writing each
+        # channel's counts straight into its strided column of msg took
+        # 1.58 ms at the 3,004-row layer of a 500-gate pass; this row-major
+        # buffer plus one transposing copy took 1.08 ms
+        sums = _scratch("sums", (slot, rows * 3))
         for k, column in enumerate(feats.T):
             sums[k] = np.bincount(lay.edge_bin, column[lay.edge_consumer], rows * 3)
         sums[h_in] = np.bincount(lay.edge_bin, lay.edge_pol, rows * 3)
         msg[:, 3:] = sums.T.reshape(rows, 3, slot)
         msg = msg.reshape(rows, 6 * slot)
-        z = msg @ params.weights[layer].T + params.biases[layer]
+        w = params.weights[layer]
+        z = alloc("z", (rows, w.shape[0]))
+        np.matmul(msg, w.T, out=z)
+        z += params.biases[layer]
         if keep_cache:
             batch.caches.append((msg, z))
-        feats = np.empty((rows + 1, z.shape[1]))
+        feats = alloc(f"feats{layer % 2}", (rows + 1, w.shape[0]))
         np.maximum(z, 0.0, out=feats[:rows])
         feats[rows] = 0.0
 

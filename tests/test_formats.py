@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migopt import formats as fmt
-from migopt.mig import MigError, new_graph
+from migopt.mig import MigError
 from migopt.policy import Hyperparams, PolicyParams
 
 from conftest import acting_nodes, clean_random_graph, dists

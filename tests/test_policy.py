@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -426,6 +427,72 @@ def test_policy_pass_matches_the_reference_bit_for_bit(depth, hidden):
             scatter_sizes += [lay.edge_consumer.size for lay in got.layers[1:]]
     if depth > 1:  # the fanout _scatter_add ran on both sides of its branch
         assert min(scatter_sizes) <= 192 < max(scatter_sizes)
+
+
+def test_no_cache_results_survive_later_passes():
+    """The no-cache pass writes its layers into module buffers, but the
+    arrays it returns are its own: they share no memory with the buffers,
+    and a later pass on a smaller graph, which reuses the buffers, or on a
+    larger one, which grows them, leaves them as they were."""
+    params = PolicyParams.init(Hyperparams(), seed=5)
+    mid, big, small = (clean_random_graph(8, n, 3) for n in (40, 120, 12))
+    probs, logp = dists(params, mid, mid.maj_ids())
+    assert not any(
+        np.shares_memory(out, buf) for out in (probs, logp) for buf in pol._SCRATCH.values()
+    )
+    kept = probs.copy(), logp.copy()
+    for g in (small, big, small):
+        dists(params, g, g.maj_ids())
+        assert same_bits(probs, kept[0]) and same_bits(logp, kept[1])
+
+
+def test_scratch_buffers_leave_room_to_grow(monkeypatch):
+    """A pass a little larger than every earlier one reuses the buffers, so
+    a graph that gains a few gates per greedy step does not regrow them."""
+    monkeypatch.setattr(pol, "_SCRATCH", {})
+    params = PolicyParams.init(Hyperparams(), seed=5)
+    g = clean_random_graph(8, 120, 3)
+    centers = g.maj_ids()
+    dists(params, g, centers[:-3])
+    first = dict(pol._SCRATCH)
+    dists(params, g, centers)
+    assert pol._SCRATCH.keys() == first.keys()
+    assert all(pol._SCRATCH[name] is buf for name, buf in first.items())
+
+
+@pytest.mark.parametrize("depth,hidden", [(d, h) for d in (1, 2, 3, 4) for h in (5, 16)])
+def test_no_cache_pass_matches_keep_cache_bit_for_bit(depth, hidden):
+    """Both paths run the same arithmetic, the no-cache one in buffers that
+    a larger pass left dirty."""
+    params = PolicyParams.init(Hyperparams(layers=depth, hidden=hidden), seed=depth + hidden)
+    big = crude_random_graph(12, 120, 6)
+    dists(params, big, big.maj_ids())
+    for g in batch_graphs():
+        for centers in center_sets(g):
+            batch = pol.batch_for(params, g, centers)
+            probs, logp = pol._forward_batch(params, batch)
+            want_probs, want_logp = pol._forward_batch(params, batch, keep_cache=True)
+            assert same_bits(probs, want_probs) and same_bits(logp, want_logp)
+
+
+def test_repeated_no_cache_pass_allocates_less_than_a_fanin_gather():
+    """Once its buffers have grown, a no-cache pass allocates only its input
+    rows and small per-channel temporaries: its traced peak stays below the
+    size of one layer's fanin gather, which is under half of that layer's
+    message matrix (a pass that allocated its layers afresh peaked at about
+    twice the message matrix)."""
+    g = datagen.random_mig(datagen.RandomGraphSpec(200, pi_count=100, po_count=2, seed=1))
+    params = PolicyParams.init(Hyperparams(), seed=0)
+    batch = pol.batch_for(params, g, g.maj_ids())
+    pol._forward_batch(params, batch)
+    tracemalloc.start()
+    try:
+        pol._forward_batch(params, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather_bytes = batch.layers[1].fanin_idx.size * params.hp.hidden * 8
+    assert peak < gather_bytes
 
 
 def test_batch_for_rejects_centers_that_are_not_live_majority_nodes():

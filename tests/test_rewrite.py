@@ -4,7 +4,7 @@ import pytest
 
 from migopt import formats as fmt
 from migopt import rewrite as rw
-from migopt.mig import MigError, MigGraph, lit, new_graph
+from migopt.mig import MigError, MigGraph, new_graph
 from migopt.rewrite import OmegaAction
 
 from conftest import acting_nodes, clean_random_graph, crude_random_graph

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr

@@ -128,10 +128,12 @@ def greedy_rules(g: MigGraph) -> MigGraph:
         for nid in live:  # this pass's ids; an accepted trial rebinds `live`
             if nid not in work.nodes:
                 continue
-            if rw.match(work, nid, rw.OmegaAction.DIST_RL) is None:
+            binding = rw.match(work, nid, rw.OmegaAction.DIST_RL)
+            if binding is None:
                 continue
             trial = work.clone()
-            trial_size = rw.step(trial, {nid: rw.OmegaAction.DIST_RL}, live).size_after
+            rw.apply_omega(trial, binding)  # as step(trial, {nid: DIST_RL}, live) would
+            trial_size = rw.step(trial, {}, live).size_after
             if trial_size < size:
                 work, size = trial, trial_size
                 live = work.maj_ids()

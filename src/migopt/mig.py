@@ -68,8 +68,9 @@ class MigGraph:
         self.nodes: dict[int, tuple[int, ...]] = dict.fromkeys(range(pi_count + 1), ())
         self.outputs: list[int] = []  # literals
         self._next_id = pi_count + 1
-        # sorted consumer ids per node that has any, built on first use
-        self._fanouts: dict[int, tuple[int, ...]] | None = None
+        # consumer ids per node that has any, one set per producer, built on
+        # first use; `fanouts` sorts a set on read, so a write costs O(1)
+        self._fanouts: dict[int, set[int]] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -113,22 +114,25 @@ class MigGraph:
         """Replace the fanins of majority node `nid` with three live literals,
         none of them `nid` itself. A longer cycle is left to `check()`:
         finding one would walk the cone on every write."""
-        old = self.nodes.get(nid)
+        nodes = self.nodes
+        old = nodes.get(nid)
         if not old:
             raise MigError(f"node {nid} is not a live majority node")
         fanins = tuple(fanins)
         if len(fanins) != 3:
             raise MigError(f"majority node {nid} needs 3 fanins, got {len(fanins)}")
         for s in fanins:
-            self._check_live(s)
+            if s >> 1 not in nodes:
+                raise MigError(f"literal {s} references a dead or unknown node")
             if s >> 1 == nid:
                 raise MigError(f"node {nid} cannot read itself")
         if self._fanouts is not None:
             before = {s >> 1 for s in old}
             after = {s >> 1 for s in fanins}
-            self._unlink(nid, before - after)
-            self._link(nid, after - before)
-        self.nodes[nid] = fanins  # same key, so id order holds
+            if before != after:  # a port swap or a polarity flip keeps them
+                self._unlink(nid, before - after)
+                self._link(nid, after - before)
+        nodes[nid] = fanins  # same key, so id order holds
 
     def remove(self, nid: int):
         """Delete majority node `nid`; nodes still reading it must go too,
@@ -143,13 +147,15 @@ class MigGraph:
 
     def _link(self, nid: int, producers: set[int]):
         for p in producers:
-            self._fanouts[p] = tuple(sorted((*self._fanouts.get(p, ()), nid)))
+            self._fanouts.setdefault(p, set()).add(nid)
 
     def _unlink(self, nid: int, producers: set[int]):
         for p in producers:  # a producer may be gone already
-            users = tuple(c for c in self._fanouts.pop(p, ()) if c != nid)
-            if users:
-                self._fanouts[p] = users
+            users = self._fanouts.get(p)
+            if users is not None:
+                users.discard(nid)
+                if not users:
+                    del self._fanouts[p]
 
     def drop_fanout_index(self):
         """Free the consumer index; the next `fanouts` call rebuilds it."""
@@ -172,14 +178,14 @@ class MigGraph:
             raise MigError(f"no live node {nid}")
         if self._fanouts is None:
             self._fanouts = self._scan_fanouts()
-        return list(self._fanouts.get(nid, ()))
+        return sorted(self._fanouts.get(nid, ()))
 
-    def _scan_fanouts(self) -> dict[int, tuple[int, ...]]:
-        fo: dict[int, list[int]] = {}
-        for nid, fanins in self.nodes.items():  # id order
-            for p in {s >> 1 for s in fanins}:
-                fo.setdefault(p, []).append(nid)
-        return {p: tuple(users) for p, users in fo.items()}
+    def _scan_fanouts(self) -> dict[int, set[int]]:
+        fo: dict[int, set[int]] = {}
+        for nid, fanins in self.nodes.items():
+            for s in fanins:
+                fo.setdefault(s >> 1, set()).add(nid)
+        return fo
 
     def maj_ids(self) -> list[int]:
         return [nid for nid in self.nodes if nid > self.pi_count]

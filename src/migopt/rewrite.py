@@ -18,6 +18,11 @@ matched move keeps the function without a local check; tests/test_catalog.py
 proves every binding over every operand equality pattern. Callers check
 whole graphs with `verify_equivalence` before any output is written or
 scored.
+
+A binding is a plain tuple of ints, `(root, footprint, new nodes, root
+fanins, complements_root)`: the ids the move reads or writes, the fanin
+triples of the nodes to create, and the root's new fanins. In a triple,
+``~k`` (a negative int, so no literal) names the k-th new node.
 """
 
 from __future__ import annotations
@@ -49,24 +54,7 @@ _COMM_PORTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PlanRef:
-    """Reference to the idx-th node a matched rewrite will create."""
-
-    idx: int
-
-
-@dataclass(slots=True)
-class MatchDescriptor:
-    """One binding of `action` at `root`: the nodes to create, then the
-    root's new fanins, both as triples of int literals and PlanRefs."""
-
-    root: int
-    action: OmegaAction
-    footprint: frozenset[int]
-    new_root_fanins: tuple
-    new_nodes: tuple[tuple, ...] = ()
-    complements_root: bool = False
+Binding = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, int, int], bool]
 
 
 @dataclass(slots=True)
@@ -99,7 +87,7 @@ def _virtual_ops(node_fanins, edge: int) -> tuple[int, int, int]:
     return node_fanins
 
 
-def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
+def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
     """Find the first applicable binding for `action` at node `nid`.
 
     Search order is fixed (ascending ports, then ascending child ports),
@@ -111,18 +99,16 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
         return None
 
     if action == OmegaAction.IDENTITY:
-        return MatchDescriptor(nid, action, frozenset(), fan)
+        return nid, (), (), fan, False
 
     if action in _COMM_PORTS:
         i, j = _COMM_PORTS[action]
         new = list(fan)
         new[i], new[j] = new[j], new[i]
-        return MatchDescriptor(nid, action, frozenset((nid,)), tuple(new))
+        return nid, (nid,), (), tuple(new), False
 
     if action == OmegaAction.INV_PROP:
-        foot = frozenset([nid, *g.fanouts(nid)])
-        inverted = tuple(s ^ 1 for s in fan)
-        return MatchDescriptor(nid, action, foot, inverted, complements_root=True)
+        return nid, (nid, *g.fanouts(nid)), (), tuple(s ^ 1 for s in fan), True
 
     if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
         want_compl = action == OmegaAction.COMPL_ASSOC
@@ -157,9 +143,8 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         nc[yc] = virt[yc]
                         nc[zc] = x
                         new_root[xp] = virt[zc]
-                    new_root[cp] = PlanRef(0)
-                    foot = frozenset((nid, child_sig >> 1))
-                    return MatchDescriptor(nid, action, foot, tuple(new_root), (tuple(nc),))
+                    new_root[cp] = ~0
+                    return nid, (nid, child_sig >> 1), (tuple(nc),), tuple(new_root), False
         return None
 
     if action == OmegaAction.DIST_LR:
@@ -178,12 +163,11 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
             node_a[o0], node_a[o1], node_a[cp] = fan[o0], fan[o1], virt[pa]
             node_b[o0], node_b[o1], node_b[cp] = fan[o0], fan[o1], virt[pb]
             new_root = [None, None, None]
-            new_root[o0] = PlanRef(0)
-            new_root[o1] = PlanRef(1)
+            new_root[o0] = ~0
+            new_root[o1] = ~1
             new_root[cp] = virt[zc]
-            foot = frozenset((nid, child_sig >> 1))
             new_nodes = (tuple(node_a), tuple(node_b))
-            return MatchDescriptor(nid, action, foot, tuple(new_root), new_nodes)
+            return nid, (nid, child_sig >> 1), new_nodes, tuple(new_root), False
         return None
 
     if action == OmegaAction.DIST_RL:
@@ -211,42 +195,37 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> MatchDescriptor | None:
                         new_root = [None, None, None]
                         new_root[cpa] = p
                         new_root[cpb] = q
-                        new_root[zp] = PlanRef(0)
-                        foot = frozenset((nid, a, b))
-                        return MatchDescriptor(nid, action, foot, tuple(new_root), ((ua, vb, z),))
+                        new_root[zp] = ~0
+                        return nid, (nid, a, b), ((ua, vb, z),), tuple(new_root), False
         return None
 
     raise MigError(f"unknown action {action}")
 
 
-def apply_omega(g: MigGraph, desc: MatchDescriptor) -> ApplyResult:
+def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
     """Commit a rewrite that `match` returned for the current graph.
 
-    A descriptor whose root is gone does not apply and leaves the graph
+    A binding whose root is gone does not apply and leaves the graph
     bit-identical.
     """
-    if desc.action == OmegaAction.IDENTITY:
-        return ApplyResult(True)
-    if desc.root not in g.nodes:
+    root, _, new_nodes, root_fanins, complements_root = binding
+    if root not in g.nodes:
         return ApplyResult(False)
 
-    new_ids: list[int] = []
+    new: list[int] = []  # literals of the created nodes; ~k names new[k]
+    for fanins in new_nodes:
+        new.append(g.add_majority(*(new[~s] if s < 0 else s for s in fanins)))
+    if new:
+        root_fanins = tuple(new[~s] if s < 0 else s for s in root_fanins)
+    g.set_fanins(root, root_fanins)
 
-    def resolve(ps) -> int:
-        return 2 * new_ids[ps.idx] if isinstance(ps, PlanRef) else ps
-
-    for fanins in desc.new_nodes:
-        new_ids.append(g.add_majority(*(resolve(e) for e in fanins)) >> 1)
-    g.set_fanins(desc.root, tuple(resolve(ps) for ps in desc.new_root_fanins))
-
-    if desc.complements_root:
-        root = desc.root
+    if complements_root:
         # once per consumer: one that reads the root on two ports flips both
         for cid in g.fanouts(root):
             flipped = tuple(s ^ 1 if s >> 1 == root else s for s in g.nodes[cid])
             g.set_fanins(cid, flipped)
         g.outputs = [s ^ 1 if s >> 1 == root else s for s in g.outputs]
-    return ApplyResult(True, new_ids)
+    return ApplyResult(True, [s >> 1 for s in new])
 
 
 # -- always-applied cleanup rules --------------------------------------
@@ -375,19 +354,20 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
             rep.identity_count += 1
             rep.outcomes[nid] = "identity"
             continue
-        desc = match(g, nid, act)
-        if desc is None:
+        binding = match(g, nid, act)
+        if binding is None:
             rep.blocked_illegal += 1
             rep.outcomes[nid] = "blocked_illegal"
             continue
-        if desc.footprint & touched:
+        footprint = binding[1]
+        if not touched.isdisjoint(footprint):
             rep.blocked_collision += 1
             rep.outcomes[nid] = "blocked_collision"
             continue
-        res = apply_omega(g, desc)
+        res = apply_omega(g, binding)
         rep.applied += 1
         rep.outcomes[nid] = "applied"
-        touched |= desc.footprint
+        touched.update(footprint)
         touched.update(res.new_ids)
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)

@@ -240,7 +240,8 @@ def test_set_fanins_rejects_a_wrong_arity():
     b = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
     g.set_outputs([b])
     g.fanouts(a >> 1)  # build the index, so a bad write could reach it
-    nodes, index, tables = dict(g.nodes), dict(g._fanouts), g.simulate_truth_tables()
+    index = {p: set(users) for p, users in g._fanouts.items()}  # copy the sets too
+    nodes, tables = dict(g.nodes), g.simulate_truth_tables()
     for fanins in ((g.pi(1), g.pi(2)), (a, g.pi(1), g.pi(2), g.pi(3))):
         with pytest.raises(MigError):
             g.set_fanins(b >> 1, fanins)
@@ -255,7 +256,8 @@ def test_set_fanins_rejects_a_self_loop():
     b = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
     g.set_outputs([b])
     g.fanouts(a >> 1)  # build the index, so a bad write could reach it
-    nodes, index, tables = dict(g.nodes), dict(g._fanouts), g.simulate_truth_tables()
+    index = {p: set(users) for p, users in g._fanouts.items()}  # copy the sets too
+    nodes, tables = dict(g.nodes), g.simulate_truth_tables()
     for fanins in ((b, g.pi(1), g.pi(2)), (a, b ^ 1, g.pi(3)), (a, g.pi(1), b)):
         with pytest.raises(MigError):
             g.set_fanins(b >> 1, fanins)

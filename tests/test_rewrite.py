@@ -30,7 +30,7 @@ def test_identity_always_matches_with_empty_footprint():
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
     desc = rw.match(g, r >> 1, OmegaAction.IDENTITY)
-    assert desc is not None and desc.footprint == frozenset()
+    assert desc is not None and desc[1] == ()  # the footprint
 
 
 def test_inv_prop_flips_fanins_and_references():
@@ -40,12 +40,32 @@ def test_inv_prop_flips_fanins_and_references():
     g.set_outputs([m1 ^ 1, m2])
     before = tt(g)
     desc = rw.match(g, m1 >> 1, OmegaAction.INV_PROP)
-    assert m2 >> 1 in desc.footprint
+    assert m2 >> 1 in desc[1]  # the footprint holds the consumer
     assert rw.apply_omega(g, desc).applied
     assert g.nodes[m1 >> 1] == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
     assert g.nodes[m2 >> 1][0] == m1 ^ 1  # consumer edge flipped
     assert g.outputs[0] == m1  # output polarity flipped
     assert tt(g) == before
+
+
+def test_a_binding_whose_root_is_gone_leaves_the_graph_bit_identical():
+    for action in (OmegaAction.IDENTITY, OmegaAction.COMM01, OmegaAction.DIST_LR, OmegaAction.INV_PROP):
+        g = new_graph(5)
+        a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+        r = g.add_majority(g.pi(4), g.pi(5) ^ 1, a)
+        c = g.add_majority(r, a, g.pi(1))  # a consumer for INV_PROP to flip
+        g.set_outputs([a, c ^ 1])
+        g.fanouts(0)  # build the index, so a stray write could reach it
+        binding = rw.match(g, r >> 1, action)
+        g.remove(c >> 1)
+        g.remove(r >> 1)
+        g.set_outputs([a, a ^ 1])
+        nodes, outputs, next_id = list(g.nodes.items()), list(g.outputs), g._next_id
+        index = {p: set(users) for p, users in g._fanouts.items()}
+        assert not rw.apply_omega(g, binding).applied, action.name
+        assert list(g.nodes.items()) == nodes and g.outputs == outputs
+        assert g._next_id == next_id and g._fanouts == index
+        g.check()
 
 
 def test_inv_prop_flips_a_two_port_consumer_once():

@@ -49,7 +49,8 @@ def test_inv_prop_flips_fanins_and_references():
 
 
 def test_a_binding_whose_root_is_gone_leaves_the_graph_bit_identical():
-    for action in (OmegaAction.IDENTITY, OmegaAction.COMM01, OmegaAction.DIST_LR, OmegaAction.INV_PROP):
+    actions = (OmegaAction.IDENTITY, OmegaAction.COMM01, OmegaAction.DIST_LR, OmegaAction.INV_PROP)
+    for action in actions:
         g = new_graph(5)
         a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
         r = g.add_majority(g.pi(4), g.pi(5) ^ 1, a)

@@ -283,7 +283,7 @@ def parse_checkpoint(text: str):
         raise MigError("unsupported checkpoint version")
     try:
         return _checkpoint_payload(lines)
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, ValueError, MemoryError) as exc:
         raise MigError(f"malformed checkpoint payload: {exc!r}") from None
 
 
@@ -299,37 +299,24 @@ def _checkpoint_payload(lines: list[str]):
         raise MigError(f"action head must have {ACTION_COUNT} outputs")
     rng_state = json.loads(fields["rngstate"]) if "rngstate" in fields else None
 
-    arrays = {}
-    while idx < len(lines) - 1:
-        head = lines[idx].split()
-        if head[0] != "array" or len(head) != 4:
-            raise MigError(f"bad checkpoint array header: {lines[idx]!r}")
-        name, rows, cols = head[1], int(head[2]), int(head[3])
-        data = []  # allocated only once the rows hold what the header claims
-        for r in range(rows):
+    # each array must come in the order checkpoint_text writes it, with the
+    # shape of the view it fills; a vector is written as one row
+    params = PolicyParams.zeros(hp)
+    for name, arr in params.arrays():
+        rows = np.atleast_2d(arr)
+        want = ["array", name, *map(str, rows.shape)]
+        if lines[idx].split() != want:
+            raise MigError(f"checkpoint array header {lines[idx]!r}, want {' '.join(want)!r}")
+        for r, row in enumerate(rows):
             idx += 1
             vals = lines[idx].split()
-            if len(vals) != cols:
+            if len(vals) != row.size:
                 raise MigError(f"array {name} row {r} has {len(vals)} values")
-            data.append([float(v) for v in vals])
-        arrays[name] = np.array(data, dtype=float).reshape(rows, cols)
+            row[:] = [float(v) for v in vals]
         idx += 1
-
-    weights, biases = [], []
-    for layer in range(hp.layers):
-        want = (hp.hidden, 6 * (PolicyParams.layer_in_dim(hp, layer) + 1))
-        w = arrays[f"w{layer}"]
-        if w.shape != want:
-            raise MigError(f"array w{layer} has shape {w.shape}, want {want}")
-        weights.append(w)
-        biases.append(arrays[f"b{layer}"].reshape(-1))
-        if biases[-1].shape != (hp.hidden,):
-            raise MigError(f"array b{layer} has {biases[-1].size} values, want {hp.hidden}")
-    head_w = arrays["head_w"]
-    head_b = arrays["head_b"].reshape(-1)
-    if head_w.shape != (ACTION_COUNT, hp.hidden) or head_b.shape != (ACTION_COUNT,):
-        raise MigError("action head has wrong shape")
-    return PolicyParams(hp, weights, biases, head_w, head_b), rng_state
+    if idx != len(lines) - 1:
+        raise MigError(f"unexpected checkpoint line after the arrays: {lines[idx]!r}")
+    return params, rng_state
 
 
 def save_checkpoint(params: PolicyParams, path, rng_state=None):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -60,70 +60,60 @@ class Hyperparams:
 
 
 class PolicyParams:
-    """Weights of the port-binned message-passing network plus action head."""
+    """Weights of the port-binned message-passing network plus action head,
+    held as views into one float64 vector, `flat`.
 
-    def __init__(self, hp: Hyperparams, weights, biases, head_w, head_b):
+    For each layer l, flat holds w{l} (hidden x 6*(h_in+1), h_in being
+    BASE_FEATURES at layer 0 and hidden above) and then b{l} (hidden);
+    after the last layer come head_w (ACTION_COUNT x hidden) and head_b
+    (ACTION_COUNT). arrays() names these views in that order, the order
+    checkpoints store them in. This class alone knows the layout; the
+    trainer and the checkpoint parser work through `flat` and arrays().
+    PolicyParams(hp) is all zeros; PolicyParams(hp, flat) keeps the given
+    vector, of the layout's size, as its storage without copying it.
+    """
+
+    def __init__(self, hp: Hyperparams, flat: np.ndarray | None = None):
         hp.validate()
         self.hp = hp
-        self.weights = weights  # L arrays, hidden x 6*(h_in+1)
-        self.biases = biases  # L arrays, hidden
-        self.head_w = head_w  # ACTION_COUNT x hidden
-        self.head_b = head_b  # ACTION_COUNT
-
-    @staticmethod
-    def layer_in_dim(hp: Hyperparams, layer: int) -> int:
-        return BASE_FEATURES if layer == 0 else hp.hidden
+        shapes = []
+        for layer in range(hp.layers):
+            h_in = BASE_FEATURES if layer == 0 else hp.hidden
+            shapes += [(f"w{layer}", (hp.hidden, 6 * (h_in + 1))), (f"b{layer}", (hp.hidden,))]
+        shapes += [("head_w", (ACTION_COUNT, hp.hidden)), ("head_b", (ACTION_COUNT,))]
+        ends = list(accumulate(math.prod(shape) for _, shape in shapes))
+        self.flat = flat = np.zeros(ends[-1]) if flat is None else flat
+        self._arrays = [
+            (name, flat[end - math.prod(shape) : end].reshape(shape))
+            for (name, shape), end in zip(shapes, ends)
+        ]
+        views = [arr for _, arr in self._arrays]
+        self.weights, self.biases = views[:-2:2], views[1:-2:2]
+        self.head_w, self.head_b = views[-2:]
 
     @classmethod
     def init(cls, hp: Hyperparams, seed: int = 0) -> "PolicyParams":
+        """Uniform weights in +-1/sqrt(fan_in), one draw per matrix in
+        layer order and the head last; zero biases."""
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for layer in range(hp.layers):
-            fan_in = 6 * (cls.layer_in_dim(hp, layer) + 1)
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(hp.hidden, fan_in)))
-            biases.append(np.zeros(hp.hidden))
-        bound = 1.0 / np.sqrt(hp.hidden)
-        head_w = rng.uniform(-bound, bound, size=(ACTION_COUNT, hp.hidden))
-        head_b = np.zeros(ACTION_COUNT)
-        return cls(hp, weights, biases, head_w, head_b)
+        params = cls(hp)
+        for w in (*params.weights, params.head_w):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return params
 
     @classmethod
     def zeros(cls, hp: Hyperparams) -> "PolicyParams":
-        weights = [
-            np.zeros((hp.hidden, 6 * (cls.layer_in_dim(hp, i) + 1)))
-            for i in range(hp.layers)
-        ]
-        biases = [np.zeros(hp.hidden) for _ in range(hp.layers)]
-        return PolicyParams(
-            hp, weights, biases, np.zeros((ACTION_COUNT, hp.hidden)), np.zeros(ACTION_COUNT)
-        )
+        return cls(hp)
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"w{i}", w))
-            out.append((f"b{i}", b))
-        out.append(("head_w", self.head_w))
-        out.append(("head_b", self.head_b))
-        return out
+        return list(self._arrays)
 
     def clone(self) -> "PolicyParams":
-        return PolicyParams(
-            self.hp,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.head_w.copy(),
-            self.head_b.copy(),
-        )
+        return PolicyParams(self.hp, self.flat.copy())
 
     def add_scaled(self, grads: "PolicyParams", scale: float):
-        for w, gw in zip(self.weights, grads.weights):
-            w += scale * gw
-        for b, gb in zip(self.biases, grads.biases):
-            b += scale * gb
-        self.head_w += scale * grads.head_w
-        self.head_b += scale * grads.head_b
+        self.flat += scale * grads.flat
 
 
 @dataclass(slots=True)

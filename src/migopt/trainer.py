@@ -163,24 +163,23 @@ def reinforce_update(
 ) -> PolicyParams:
     """In-place gradient-ascent update from a batch of traces.
 
-    The baseline moves first and every episode is scaled by (reward -
-    baseline); `baseline` maps each start graph's `item` to its own moving
-    average, which keeps the scale meaningful across items of very
-    different sizes.
-    Only applied actions enter the reinforcement term, and the gradient
-    is divided by their count. The entropy term, when enabled, covers
-    every observed state of every step.
+    Trace by trace, the baseline moves first and the trace is then scaled
+    by (reward - baseline); `baseline` maps each start graph's `item` to
+    its own moving average, which keeps the scale meaningful across items
+    of very different sizes.
+    Only applied actions enter the reinforcement term. The gradient is
+    divided by the number of rows with a nonzero scale, that is, the
+    applied actions of the traces whose scale is not exactly 0; when there
+    are none, it is applied undivided. The entropy term, when enabled,
+    covers every observed state of every step.
     """
-    scales_by_trace = []
+    grads = PolicyParams.zeros(params.hp)
+    action_count = 0
     for trace in batch:
         reward = trace.reward
         b = baseline_decay * baseline.get(trace.item, 0.0) + (1 - baseline_decay) * reward
         baseline[trace.item] = b
-        scales_by_trace.append(reward - b)
-
-    grads = PolicyParams.zeros(params.hp)
-    action_count = 0
-    for trace, scale in zip(batch, scales_by_trace):
+        scale = reward - b
         for rec in trace.steps:
             if rec.batch is None:
                 continue  # no acting node, so no action
@@ -200,8 +199,7 @@ def reinforce_update(
                 entropy_coef=entropy_coef,
             )
     if action_count:
-        for _, arr in grads.arrays():
-            arr /= action_count
+        grads.flat /= action_count
     params.add_scaled(grads, lr)
     return grads
 

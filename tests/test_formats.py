@@ -245,10 +245,16 @@ def _payload(params: PolicyParams) -> str:
     return fmt.checkpoint_text(params).rsplit("checksum ", 1)[0]
 
 
-def _five_action_payload(_) -> str:
-    p = PolicyParams.init(HP_CKPT, seed=0)
-    five = PolicyParams(p.hp, p.weights, p.biases, p.head_w[:5], p.head_b[:5])
-    return _payload(five).replace("actions 9\n", "actions 5\n")
+def _five_action_payload(payload: str) -> str:
+    # a well-formed head of 5 actions: the first 5 head_w rows and head_b values
+    body, head_b = payload.split("array head_b 1 9\n")
+    body, head_w = body.split("array head_w 9 6\n")
+    rows, bias = head_w.splitlines()[:5], head_b.split()[:5]
+    return (
+        body.replace("actions 9\n", "actions 5\n")
+        + "array head_w 5 6\n" + "\n".join(rows) + "\n"
+        + "array head_b 1 5\n" + " ".join(bias) + "\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,6 +279,36 @@ def test_checkpoint_malformed_payload_raises_mig_error(mutate):
     digest = hashlib.sha256(bad.encode()).hexdigest()
     with pytest.raises(MigError):
         fmt.parse_checkpoint(bad + f"checksum {digest}\n")
+
+
+def _array_blocks(payload: str) -> tuple[str, list[str]]:
+    """The lines before the first array, and each array's header and rows."""
+    head, *blocks = re.split(r"(?m)^(?=array )", payload)
+    return head, blocks
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda head, blocks: head + "".join(blocks) + "array extra 1 1\n0.0\n",
+        lambda head, blocks: head + "".join(blocks + blocks[-1:]),
+        lambda head, blocks: head + "".join([blocks[1], blocks[0], *blocks[2:]]),
+    ],
+    ids=["unknown-extra-array", "duplicated-array", "arrays-out-of-order"],
+)
+def test_checkpoint_arrays_must_come_as_written(mutate):
+    payload = _payload(PolicyParams.init(HP_CKPT, seed=0))
+    fmt.parse_checkpoint(_resigned(payload))  # the unmutated payload parses
+    with pytest.raises(MigError):
+        fmt.parse_checkpoint(_resigned(mutate(*_array_blocks(payload))))
+
+
+def test_checkpoint_declaring_an_unallocatable_network_raises_mig_error():
+    # 4e16 parameters: the header asks for more memory than any address
+    # space holds, so the parser fails before it reads an array
+    payload = _payload(PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0))
+    with pytest.raises(MigError):
+        fmt.parse_checkpoint(_resigned(payload.replace("hidden 4\n", f"hidden {10**15}\n")))
 
 
 def test_dataset_round_trip(tmp_path):

@@ -269,6 +269,42 @@ def test_param_count_formula():
     ) + 9 * 16 + 9
 
 
+def test_arrays_are_views_of_flat_in_checkpoint_order():
+    hp = Hyperparams(layers=3, hidden=5)
+    params = PolicyParams.zeros(hp)
+    names = [name for name, _ in params.arrays()]
+    assert names == ["w0", "b0", "w1", "b1", "w2", "b2", "head_w", "head_b"]
+    params.flat[:] = np.arange(params.flat.size)
+    start = 0
+    for name, arr in params.arrays():
+        assert np.shares_memory(arr, params.flat), name
+        assert np.array_equal(arr.ravel(), np.arange(start, start + arr.size)), name
+        start += arr.size
+    assert start == params.flat.size
+    assert params.weights[2] is params.arrays()[4][1] and params.head_b is params.arrays()[7][1]
+
+
+def test_clone_shares_no_memory():
+    params = PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=1)
+    twin = params.clone()
+    assert not np.shares_memory(params.flat, twin.flat)
+    for (name, a), (_, b) in zip(params.arrays(), twin.arrays()):
+        assert not np.shares_memory(a, b), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_add_scaled_matches_per_array_update_bit_for_bit():
+    hp = Hyperparams(layers=3, hidden=7)
+    params = PolicyParams.init(hp, seed=2)
+    grads = PolicyParams(hp, np.random.default_rng(5).normal(size=params.flat.size))
+    want = [(name, a.copy()) for name, a in params.arrays()]
+    for (_, w), (_, g) in zip(want, grads.arrays()):
+        w += 0.37 * g
+    params.add_scaled(grads, 0.37)
+    for (name, a), (_, b) in zip(params.arrays(), want):
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_zero_params_give_uniform_distribution():
     g, center = motif_graph()
     params = PolicyParams.zeros(Hyperparams(layers=2, hidden=5))

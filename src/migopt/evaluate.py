@@ -126,8 +126,6 @@ def greedy_rules(g: MigGraph) -> MigGraph:
     for _ in range(50):
         progress = False
         for nid in live:  # this pass's ids; an accepted trial rebinds `live`
-            if nid not in work.nodes:
-                continue
             binding = rw.match(work, nid, rw.OmegaAction.DIST_RL)
             if binding is None:
                 continue

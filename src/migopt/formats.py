@@ -156,6 +156,8 @@ def parse_aiger_ascii(text: str) -> MigGraph:
         raise ParseError(1, "non-integer header field") from None
     if n_latch != 0:
         raise ParseError(1, "latches are not supported")
+    if min(maxvar, n_in, n_out, n_and) < 0 or n_out == 0:  # the .mig rule, so convert round-trips
+        raise ParseError(1, "bad header counts")
 
     def literal(tok: str, lineno: int) -> int:
         try:
@@ -292,6 +294,8 @@ def _checkpoint_payload(lines: list[str]):
     idx = 1
     while idx < len(lines) - 1 and not lines[idx].startswith("array "):
         key, _, val = lines[idx].partition(" ")
+        if key not in ("layers", "hidden", "actions", "rngstate") or key in fields:
+            raise MigError(f"unknown or repeated checkpoint key {key!r}")
         fields[key] = val
         idx += 1
     hp = Hyperparams(layers=int(fields["layers"]), hidden=int(fields["hidden"]))
@@ -348,8 +352,11 @@ def save_dataset(dirpath, items: list[tuple[str, MigGraph]], meta: dict):
 def load_dataset(dirpath) -> tuple[list[tuple[str, MigGraph]], dict]:
     d = Path(dirpath)
     manifest = json.loads((d / "dataset.manifest").read_text())
+    names = manifest.get("items") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise MigError("dataset.manifest needs an object whose 'items' is a list of file names")
     items = []
-    for fname in manifest["items"]:
+    for fname in names:
         g = load_mig(d / fname)
         items.append((fname.removesuffix(".mig"), g))
     return items, manifest

@@ -56,9 +56,10 @@ class MigGraph:
     """DAG of 3-input majority nodes with complemented edges.
 
     Single-writer: all mutation must be serialized per graph, and nodes
-    change only through `add_majority`, `set_fanins` and `remove`, which
-    keep the consumer index behind `fanouts` current. Reads (simulation,
-    traversal) are safe on a graph that is not being mutated.
+    and outputs change only through `add_majority`, `set_fanins`,
+    `redirect`, `remove` and `set_outputs`, which keep the consumer index
+    behind `fanouts` current. Reads (simulation, traversal) are safe on a
+    graph that is not being mutated.
     """
 
     def __init__(self, pi_count: int):
@@ -134,6 +135,18 @@ class MigGraph:
                 self._link(nid, after - before)
         nodes[nid] = fanins  # same key, so id order holds
 
+    def redirect(self, mapping: dict[int, int]):
+        """Point each reader of a node in `mapping` at `mapping[node]`,
+        complemented where its edge was: the outputs, and each consumer
+        outside `mapping` once, however many ports move. Mapped nodes stay."""
+        if self._fanouts is None:
+            self._fanouts = self._scan_fanouts()
+        users = {cid for n in mapping for cid in self._fanouts.get(n, ()) if cid not in mapping}
+        # an unmapped node stands for itself: its positive literal
+        for cid in users:
+            self.set_fanins(cid, [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.nodes[cid]])
+        self.set_outputs([mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.outputs])
+
     def remove(self, nid: int):
         """Delete majority node `nid`; nodes still reading it must go too,
         or be redirected."""
@@ -158,7 +171,7 @@ class MigGraph:
                     del self._fanouts[p]
 
     def drop_fanout_index(self):
-        """Free the consumer index; the next `fanouts` call rebuilds it."""
+        """Free the consumer index; `fanouts` or `redirect` rebuilds it."""
         self._fanouts = None
 
     def clone(self) -> "MigGraph":

@@ -91,8 +91,8 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
     """Find the first applicable binding for `action` at node `nid`.
 
     Search order is fixed (ascending ports, then ascending child ports),
-    so the binding is deterministic for a given graph state. Returns None
-    when the pattern does not occur; that is a normal outcome.
+    so the binding is deterministic for a given graph state. Returns None,
+    a normal outcome, when `nid` is gone, a terminal, or holds no match.
     """
     fan = g.nodes.get(nid)
     if not fan:  # gone, or a terminal
@@ -218,13 +218,8 @@ def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
     if new:
         root_fanins = tuple(new[~s] if s < 0 else s for s in root_fanins)
     g.set_fanins(root, root_fanins)
-
     if complements_root:
-        # once per consumer: one that reads the root on two ports flips both
-        for cid in g.fanouts(root):
-            flipped = tuple(s ^ 1 if s >> 1 == root else s for s in g.nodes[cid])
-            g.set_fanins(cid, flipped)
-        g.outputs = [s ^ 1 if s >> 1 == root else s for s in g.outputs]
+        g.redirect({root: 2 * root + 1})
     return ApplyResult(True, [s >> 1 for s in new])
 
 
@@ -238,10 +233,8 @@ def _resolve_subst(subst: dict[int, int], s: int) -> int:
 
 
 def _apply_subst(g: MigGraph, subst: dict[int, int]):
-    users = {cid for nid in subst for cid in g.fanouts(nid)}.difference(subst)
-    for cid in users:
-        g.set_fanins(cid, tuple(_resolve_subst(subst, s) for s in g.nodes[cid]))
-    g.outputs = [_resolve_subst(subst, s) for s in g.outputs]
+    # polarity passes through each link, so resolving each target once suffices
+    g.redirect({n: _resolve_subst(subst, 2 * n) for n in subst})
     for nid in subst:
         g.remove(nid)
 
@@ -330,11 +323,11 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
     them; when it is None the step walks the graph for them. Afterwards
     every majority node left in the graph is reachable.
 
-    Acting nodes run in ascending id order. An action at a node that is
-    not a live majority node, or that does not match there, is blocked as
-    illegal; one whose footprint overlaps nodes already touched by an
-    applied rewrite this step is blocked as a collision. Both leave the
-    graph unchanged for that node.
+    Acting nodes run in ascending id order. An action that `match` binds
+    nothing for (the node is gone, a terminal, or holds no match) is
+    blocked as illegal; one whose footprint overlaps nodes already
+    touched by an applied rewrite this step is blocked as a collision.
+    Both leave the graph unchanged for that node.
     """
     rep = StepReport()
     if live is None:
@@ -344,31 +337,25 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
     rep.size_before = len(reach_before)
 
     touched: set[int] = set()
+    outcomes = rep.outcomes
     for nid in sorted(actions):
         act = actions[nid]
-        if not g.nodes.get(nid):  # gone, or a terminal
-            rep.blocked_illegal += 1
-            rep.outcomes[nid] = "blocked_illegal"
-            continue
-        if act == OmegaAction.IDENTITY:
-            rep.identity_count += 1
-            rep.outcomes[nid] = "identity"
-            continue
-        binding = match(g, nid, act)
+        binding = match(g, nid, act)  # None for a gone node or a terminal
         if binding is None:
-            rep.blocked_illegal += 1
-            rep.outcomes[nid] = "blocked_illegal"
-            continue
-        footprint = binding[1]
-        if not touched.isdisjoint(footprint):
-            rep.blocked_collision += 1
-            rep.outcomes[nid] = "blocked_collision"
-            continue
-        res = apply_omega(g, binding)
-        rep.applied += 1
-        rep.outcomes[nid] = "applied"
-        touched.update(footprint)
-        touched.update(res.new_ids)
+            outcomes[nid] = "blocked_illegal"
+        elif act == OmegaAction.IDENTITY:
+            outcomes[nid] = "identity"
+        elif not touched.isdisjoint(binding[1]):
+            outcomes[nid] = "blocked_collision"
+        else:
+            touched.update(binding[1])
+            touched.update(apply_omega(g, binding).new_ids)
+            outcomes[nid] = "applied"
+    counts = list(outcomes.values())
+    rep.applied = counts.count("applied")
+    rep.blocked_illegal = counts.count("blocked_illegal")
+    rep.blocked_collision = counts.count("blocked_collision")
+    rep.identity_count = counts.count("identity")
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
     reach_after = set(delete_dead(g))

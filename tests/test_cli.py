@@ -185,6 +185,15 @@ def test_convert_fixture(tmp_path):
     assert g.simulate_truth_tables() == [0b1000]
 
 
+def test_convert_output_reads_back_or_convert_fails(tmp_path, capsys):
+    # a circuit without outputs has no .mig form, so it is refused up front
+    src = tmp_path / "none.aag"
+    src.write_text("aag 2 2 0 0 0\n2\n4\n")
+    assert run("convert", "--in", src, "--out", tmp_path / "none.mig") == 1
+    assert capsys.readouterr().err.startswith("error: line 1:")
+    assert not (tmp_path / "none.mig").exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.mig"
     bad.write_text("mig x\n")
@@ -206,6 +215,14 @@ def test_eval_command(tmp_path):
                "--report-out", report) == 0
     lines = report.read_text().strip().splitlines()
     assert len(lines) == 3  # 2 items + summary
+
+
+def test_eval_reports_a_malformed_manifest(tmp_path, capsys):
+    d = tmp_path / "ds"
+    run("gen", "--n", 8, "--pi", 6, "--count", 1, "--seed", 8, "--out-dir", d)
+    (d / "dataset.manifest").write_text('{"count": 1}\n')
+    assert run("eval", "--dataset", d, "--optimizer", "greedy", "--steps", 1) == 1
+    assert "error: dataset.manifest" in capsys.readouterr().err
 
 
 def run_in_subprocess(args, threads, cwd):

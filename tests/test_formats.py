@@ -210,6 +210,16 @@ def test_aiger_signatures_match_evaluator_wide():
             assert got == outs
 
 
+@pytest.mark.parametrize(
+    "header", ["aag 2 2 0 0 0", "aag 2 2 0 -1 0", "aag 2 -1 0 1 0", "aag 2 2 0 1 -3"]
+)
+def test_aiger_header_counts_follow_the_mig_rule(header):
+    # .mig needs an output and no negative count, so a converted circuit
+    # without one could not be read back
+    with pytest.raises(fmt.ParseError, match="line 1: bad header counts"):
+        fmt.parse_aiger_ascii(header + "\n2\n4\n2\n")
+
+
 # -- checkpoints ----------------------------------------------------------
 
 
@@ -311,6 +321,23 @@ def test_checkpoint_declaring_an_unallocatable_network_raises_mig_error():
         fmt.parse_checkpoint(_resigned(payload.replace("hidden 4\n", f"hidden {10**15}\n")))
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p.replace("array w0 ", "bogus 1\narray w0 ", 1),
+        lambda p: p.replace("layers 2\n", "layers 2\nlayers 2\n"),
+        lambda p: p.replace("hidden 6\n", "hidden 6\nlayers 2\n"),
+    ],
+    ids=["unknown-key", "repeated-key", "repeated-key-apart"],
+)
+def test_checkpoint_header_keys_must_be_known_and_single(mutate):
+    payload = _payload(PolicyParams.init(HP_CKPT, seed=0))
+    bad = mutate(payload)
+    assert bad != payload
+    with pytest.raises(MigError, match="unknown or repeated checkpoint key"):
+        fmt.parse_checkpoint(_resigned(bad))
+
+
 def test_dataset_round_trip(tmp_path):
     items = [(f"g{k}", clean_random_graph(5, 8, k)) for k in range(4)]
     fmt.save_dataset(tmp_path / "ds", items, {"kind": "test", "seed": 9})
@@ -319,6 +346,18 @@ def test_dataset_round_trip(tmp_path):
     assert [n for n, _ in back] == [n for n, _ in items]
     for (_, a), (_, b) in zip(items, back):
         assert a.simulate_truth_tables() == b.simulate_truth_tables()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ['{"count": 0}', '{"items": [3]}', '["g0.mig"]'],
+    ids=["no-items", "non-string-item", "not-an-object"],
+)
+def test_load_dataset_rejects_a_malformed_manifest(tmp_path, manifest):
+    fmt.save_dataset(tmp_path, [("g0", clean_random_graph(3, 4, 0))], {})
+    (tmp_path / "dataset.manifest").write_text(manifest)
+    with pytest.raises(MigError, match="dataset.manifest"):
+        fmt.load_dataset(tmp_path)
 
 
 # -- robustness -----------------------------------------------------------

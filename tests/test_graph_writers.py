@@ -1,0 +1,89 @@
+"""Only `migopt.mig` writes `MigGraph` state: outside mig.py no module in
+src/migopt assigns to, augments or deletes a graph's node table, outputs,
+input count, consumer index or id counter, whole or by item, or calls a
+mutating method on one of them. So a table kept beside the nodes (a
+reference count, a structural hash) needs updating in `MigGraph`'s
+writers alone."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STATE = {"nodes", "outputs", "pi_count", "_fanouts", "_next_id"}
+MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "reverse", "setdefault", "sort", "update",
+}
+
+
+def _leaves(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _leaves(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _leaves(target.value)
+    else:
+        yield target
+
+
+def _state_attr(target) -> str | None:
+    """The state attribute that `target` writes: `g.nodes`, `g.nodes[k]`, ..."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute) and target.attr in STATE:
+        return target.attr
+    return None
+
+
+def state_writes(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of each write to graph state in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+        ):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            for leaf in _leaves(target):
+                attr = _state_attr(leaf)
+                if attr is not None:
+                    found.append((node.lineno, attr))
+    return sorted(found)
+
+
+def test_state_writes_are_flagged():
+    source = (
+        "def f(g, h, x):\n"
+        "    g.outputs = [x]\n"
+        "    g.nodes[5] = (0, 2, 4)\n"
+        "    g._next_id += 1\n"
+        "    del h.nodes[5]\n"
+        "    a, g.pi_count = 1, 2\n"
+        "    g._fanouts[3].add(5)\n"
+        "    n: int = len(g.nodes)\n"
+        "    g.set_outputs(list(g.outputs))\n"
+        "    g.remove(5)\n"
+        "    return g.nodes.get(x), sorted(g.outputs), n\n"
+    )
+    assert state_writes(source) == [
+        (2, "outputs"), (3, "nodes"), (4, "_next_id"), (5, "nodes"), (6, "pi_count"),
+        (7, "_fanouts"),
+    ]
+
+
+def test_only_mig_writes_graph_state():
+    files = sorted(p for p in (ROOT / "src" / "migopt").glob("*.py") if p.name != "mig.py")
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: .{attr}"
+        for path in files
+        for line, attr in state_writes(path.read_text())
+    ]
+    assert not found, "graph state written outside mig.py: " + ", ".join(found)

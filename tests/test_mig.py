@@ -234,6 +234,50 @@ def test_fanout_index_follows_mutations():
     assert all(h.fanouts(nid) == g.fanouts(nid) for nid in g.nodes)
 
 
+def _redirect_graph():
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    b = g.add_majority(g.pi(1) ^ 1, g.pi(2), g.pi(3))
+    c = g.add_majority(a, a ^ 1, g.pi(3))  # reads a on two ports
+    d = g.add_majority(c, a, b)
+    g.set_outputs([a ^ 1, d, g.pi(1)])
+    g.fanouts(0)  # build the index, so redirect must keep it current
+    return g, a, b, c, d
+
+
+def test_redirect_moves_each_reader_once_to_a_complemented_target():
+    g, a, b, c, d = _redirect_graph()
+    g.redirect({a >> 1: b ^ 1})
+    assert g.nodes[c >> 1] == (b ^ 1, b, g.pi(3))  # both ports, each flipped once
+    assert g.nodes[d >> 1] == (c, b ^ 1, b)
+    assert g.outputs == [b, d, g.pi(1)]
+    assert g.nodes[a >> 1] == (g.pi(1), g.pi(2), g.pi(3))  # the mapped node stays
+    assert g.fanouts(a >> 1) == [] and g.fanouts(b >> 1) == [c >> 1, d >> 1]
+    g.check()  # the index equals a fresh scan
+
+
+def test_redirect_to_the_complement_of_the_node_itself():
+    # the form inverter propagation uses: every reader takes the other polarity
+    g, a, b, c, d = _redirect_graph()
+    g.drop_fanout_index()  # redirect builds it
+    g.redirect({a >> 1: a ^ 1})
+    assert g.nodes[c >> 1] == (a ^ 1, a, g.pi(3))
+    assert g.nodes[d >> 1] == (c, a ^ 1, b)
+    assert g.outputs == [a, d, g.pi(1)]
+    g.check()
+
+
+def test_redirect_leaves_a_mapped_consumer_alone():
+    g, a, b, c, d = _redirect_graph()
+    c_fanins = g.nodes[c >> 1]
+    g.redirect({a >> 1: b, c >> 1: b ^ 1})
+    assert g.nodes[c >> 1] == c_fanins
+    assert g.nodes[d >> 1] == (b ^ 1, b, b)
+    assert g.outputs == [b ^ 1, d, g.pi(1)]
+    assert g.fanouts(a >> 1) == [c >> 1]
+    g.check()
+
+
 def test_set_fanins_rejects_a_wrong_arity():
     g = new_graph(3)
     a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))

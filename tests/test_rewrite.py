@@ -317,6 +317,29 @@ def test_step_identity_everywhere():
     assert rep.size_after == s
 
 
+@pytest.mark.parametrize(
+    "which, outcome",
+    [("constant", "blocked_illegal"), ("input", "blocked_illegal"),
+     ("removed-gate", "blocked_illegal"), ("unknown-id", "blocked_illegal"),
+     ("live-gate", "identity")],
+)
+def test_step_identity_counts_only_at_a_live_gate(which, outcome):
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    gone = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
+    r = g.add_majority(a, g.pi(2), g.pi(3) ^ 1)
+    g.set_outputs([r])
+    g.remove(gone >> 1)
+    nid = {"constant": 0, "input": 2, "removed-gate": gone >> 1, "unknown-id": 99,
+           "live-gate": a >> 1}[which]
+    before = fmt.emit_mig(g)
+    rep = rw.step(g, {nid: OmegaAction.IDENTITY})
+    assert rep.outcomes == {nid: outcome}
+    counts = (rep.applied, rep.blocked_illegal, rep.blocked_collision, rep.identity_count)
+    assert counts == ((0, 0, 0, 1) if outcome == "identity" else (0, 1, 0, 0))
+    assert fmt.emit_mig(g) == before
+
+
 def test_step_collision_blocking():
     # two chained nodes both rewrite over overlapping footprints
     g = new_graph(5)

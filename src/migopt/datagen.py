@@ -68,6 +68,7 @@ def random_mig(spec: RandomGraphSpec) -> MigGraph:
                 s = rw.step(cleaned, {}).size_after
                 if s == spec.size:
                     cleaned.check()
+                    cleaned.drop_fanout_index()  # the cleanup built it
                     return cleaned
             sizes.append(s)
         mean = sum(sizes) / len(sizes)

@@ -60,6 +60,15 @@ class MigGraph:
     `redirect`, `remove` and `set_outputs`, which keep the consumer index
     behind `fanouts` current. Reads (simulation, traversal) are safe on a
     graph that is not being mutated.
+
+    Beside the index the writers keep the cleanup state that the λ rules
+    and `delete_dead` work from: the majority ids written since the λ
+    rules last settled them (`pending`), a structural hash from fanin
+    triple to the id of each node they have hashed (`hash_node`), and the
+    majority ids that were created or lost their last reader or output
+    since dead removal last ran (`remove_orphans`). A graph without
+    an index has no such state; building the index starts it with every
+    majority node pending for both, and none hashed.
     """
 
     def __init__(self, pi_count: int):
@@ -69,9 +78,7 @@ class MigGraph:
         self.nodes: dict[int, tuple[int, ...]] = dict.fromkeys(range(pi_count + 1), ())
         self.outputs: list[int] = []  # literals
         self._next_id = pi_count + 1
-        # consumer ids per node that has any, one set per producer, built on
-        # first use; `fanouts` sorts a set on read, so a write costs O(1)
-        self._fanouts: dict[int, set[int]] | None = None
+        self.drop_fanout_index()
 
     # -- construction -------------------------------------------------
 
@@ -98,6 +105,8 @@ class MigGraph:
         self.nodes[nid] = (a, b, c)
         if self._fanouts is not None:
             self._link(nid, {a >> 1, b >> 1, c >> 1})
+            self._dirty.add(nid)
+            self._orphans.add(nid)  # nothing reads it yet
         return 2 * nid
 
     def add_and(self, a: int, b: int) -> int:
@@ -109,6 +118,9 @@ class MigGraph:
     def set_outputs(self, sigs: list[int]):
         for s in sigs:
             self._check_live(s)
+        if self._fanouts is not None:
+            dropped = {s >> 1 for s in self.outputs}.difference(s >> 1 for s in sigs)
+            self._orphans.update(n for n in dropped if n > self.pi_count and n in self.nodes)
         self.outputs = list(sigs)
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
@@ -133,19 +145,25 @@ class MigGraph:
             if before != after:  # a port swap or a polarity flip keeps them
                 self._unlink(nid, before - after)
                 self._link(nid, after - before)
+            if self._strash.get(old) == nid:
+                del self._strash[old]
+            self._dirty.add(nid)
         nodes[nid] = fanins  # same key, so id order holds
 
-    def redirect(self, mapping: dict[int, int]):
+    def redirect(self, mapping: dict[int, int]) -> set[int]:
         """Point each reader of a node in `mapping` at `mapping[node]`,
         complemented where its edge was: the outputs, and each consumer
-        outside `mapping` once, however many ports move. Mapped nodes stay."""
-        if self._fanouts is None:
-            self._fanouts = self._scan_fanouts()
-        users = {cid for n in mapping for cid in self._fanouts.get(n, ()) if cid not in mapping}
+        outside `mapping` once, however many ports move. Mapped nodes stay.
+        Returns the consumers it rewrote."""
+        index = self._index()
+        users = {cid for n in mapping for cid in index.get(n, ()) if cid not in mapping}
         # an unmapped node stands for itself: its positive literal
         for cid in users:
             self.set_fanins(cid, [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.nodes[cid]])
-        self.set_outputs([mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.outputs])
+        outputs = [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.outputs]
+        if outputs != self.outputs:
+            self.set_outputs(outputs)
+        return users
 
     def remove(self, nid: int):
         """Delete majority node `nid`; nodes still reading it must go too,
@@ -157,6 +175,10 @@ class MigGraph:
         if self._fanouts is not None:
             self._fanouts.pop(nid, None)
             self._unlink(nid, {s >> 1 for s in fanins})
+            if self._strash.get(fanins) == nid:
+                del self._strash[fanins]
+            self._dirty.discard(nid)
+            self._orphans.discard(nid)
 
     def _link(self, nid: int, producers: set[int]):
         for p in producers:
@@ -169,10 +191,28 @@ class MigGraph:
                 users.discard(nid)
                 if not users:
                     del self._fanouts[p]
+                    if p > self.pi_count:
+                        self._orphans.add(p)
+
+    def _index(self) -> dict[int, set[int]]:
+        """The consumer index, built with the cleanup state on first use."""
+        if self._fanouts is None:
+            self._fanouts = self._scan_fanouts()
+            maj = self.maj_ids()
+            self._dirty = set(maj)
+            self._orphans = set(maj)
+            self._strash = {}
+        return self._fanouts
 
     def drop_fanout_index(self):
-        """Free the consumer index; `fanouts` or `redirect` rebuilds it."""
-        self._fanouts = None
+        """Free the consumer index and the cleanup state; `fanouts`,
+        `redirect` and the cleanup accessors rebuild both."""
+        # consumer ids per node that has any, one set per producer; `fanouts`
+        # sorts a set on read, so a write costs O(1)
+        self._fanouts: dict[int, set[int]] | None = None
+        self._dirty: set[int] | None = None  # written since the λ rules settled
+        self._orphans: set[int] | None = None  # pending dead removal
+        self._strash: dict[tuple[int, ...], int] | None = None  # fanin triple -> id
 
     def clone(self) -> "MigGraph":
         g = MigGraph.__new__(MigGraph)
@@ -180,8 +220,42 @@ class MigGraph:
         g.nodes = dict(self.nodes)  # fanin tuples are immutable, so share them
         g.outputs = list(self.outputs)
         g._next_id = self._next_id
-        g._fanouts = None
+        g.drop_fanout_index()
         return g
+
+    # -- cleanup state ------------------------------------------------
+
+    def pending(self) -> list[int]:
+        """Majority ids written since the λ rules last settled, ascending;
+        every majority id on a graph without cleanup state."""
+        self._index()
+        return sorted(self._dirty)
+
+    def hash_node(self, nid: int) -> int:
+        """Enter majority node `nid` in the structural hash under its fanin
+        triple; returns the id the hash already holds for that triple, or
+        `nid` when it holds none. Call it after `pending`, which starts the
+        cleanup state."""
+        return self._strash.setdefault(self.nodes[nid], nid)
+
+    def settle(self):
+        """Mark every pending node clean. Only the λ rules call it, once
+        each pending node is hashed and neither rule applies to it."""
+        self._dirty.clear()
+
+    def remove_orphans(self):
+        """Delete each orphan pending dead removal (every majority node on a
+        graph without cleanup state), a majority node that no node reads
+        and no output names; `remove` makes each fanin that loses its last
+        reader pending, so the deletion recurses. In a DAG every node left
+        has a path to an output."""
+        index = self._index()
+        outs = {s >> 1 for s in self.outputs}
+        orphans = self._orphans
+        while orphans:
+            nid = orphans.pop()
+            if nid not in index and nid not in outs:
+                self.remove(nid)
 
     # -- traversal ----------------------------------------------------
 
@@ -189,15 +263,17 @@ class MigGraph:
         """Distinct ids of the nodes that read `nid`, in creation order."""
         if nid not in self.nodes:
             raise MigError(f"no live node {nid}")
-        if self._fanouts is None:
-            self._fanouts = self._scan_fanouts()
-        return sorted(self._fanouts.get(nid, ()))
+        return sorted(self._index().get(nid, ()))
 
     def _scan_fanouts(self) -> dict[int, set[int]]:
         fo: dict[int, set[int]] = {}
         for nid, fanins in self.nodes.items():
             for s in fanins:
-                fo.setdefault(s >> 1, set()).add(nid)
+                users = fo.get(s >> 1)
+                if users is None:
+                    fo[s >> 1] = {nid}
+                else:
+                    users.add(nid)
         return fo
 
     def maj_ids(self) -> list[int]:
@@ -320,8 +396,19 @@ class MigGraph:
         for s in self.outputs:
             if s >> 1 not in self.nodes:
                 raise MigError(f"output references dead node {s >> 1}")
-        if self._fanouts is not None and self._fanouts != self._scan_fanouts():
-            raise MigError("fanout index disagrees with the fanins")
+        if self._fanouts is not None:
+            if self._fanouts != self._scan_fanouts():
+                raise MigError("fanout index disagrees with the fanins")
+            maj = set(self.maj_ids())
+            if not self._dirty <= maj or not self._orphans <= maj:
+                raise MigError("cleanup state names a gone node")
+            if any(self.nodes.get(n) != t for t, n in self._strash.items()):
+                raise MigError("structural hash disagrees with the fanins")
+            if any(self._strash.get(self.nodes[n]) != n for n in maj - self._dirty):
+                raise MigError("a settled node is missing from the structural hash")
+            outs = {s >> 1 for s in self.outputs}
+            if any(n not in self._fanouts and n not in outs for n in maj - self._orphans):
+                raise MigError("a node nothing reads is not pending dead removal")
         self.topological_order()
 
 

@@ -8,8 +8,11 @@ Two rule families:
   how operands happen to be arranged;
 * always-applied cleanup rules: majority collapse M(x,x,z)=x /
   M(x,x',z)=z and redundancy merging of nodes with identical fanin
-  triples. Each runs to its own fixpoint as repeated passes over the
-  nodes in id order, with no topological sort.
+  triples. Each runs to its own fixpoint over a worklist: the nodes the
+  graph's writers recorded since the last cleanup (all of them on a graph
+  without cleanup state), then each reader a replacement rewrites. The
+  fixpoint, counts and surviving ids are those of repeated full id-order
+  passes, with no topological sort.
 
 Every agent move instantiates one of the Ω identities, which are sound
 (Amarù, Gaillardon, De Micheli, "Majority-Inverter Graph", DAC 2014), and
@@ -47,12 +50,7 @@ class OmegaAction(IntEnum):
 
 ACTION_COUNT = len(OmegaAction)
 
-_COMM_PORTS = {
-    OmegaAction.COMM01: (0, 1),
-    OmegaAction.COMM02: (0, 2),
-    OmegaAction.COMM12: (1, 2),
-}
-
+_IDENTITY = OmegaAction.IDENTITY.value  # a plain int: no enum class lookup per compare
 
 Binding = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, int, int], bool]
 
@@ -87,31 +85,25 @@ def _virtual_ops(node_fanins, edge: int) -> tuple[int, int, int]:
     return node_fanins
 
 
-def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
-    """Find the first applicable binding for `action` at node `nid`.
+def _identity(g: MigGraph, nid: int, fan: tuple) -> Binding:
+    return nid, (), (), fan, False
 
-    Search order is fixed (ascending ports, then ascending child ports),
-    so the binding is deterministic for a given graph state. Returns None,
-    a normal outcome, when `nid` is gone, a terminal, or holds no match.
-    """
-    fan = g.nodes.get(nid)
-    if not fan:  # gone, or a terminal
-        return None
 
-    if action == OmegaAction.IDENTITY:
-        return nid, (), (), fan, False
-
-    if action in _COMM_PORTS:
-        i, j = _COMM_PORTS[action]
+def _commute(i: int, j: int):
+    def comm(g: MigGraph, nid: int, fan: tuple) -> Binding:
         new = list(fan)
         new[i], new[j] = new[j], new[i]
         return nid, (nid,), (), tuple(new), False
 
-    if action == OmegaAction.INV_PROP:
-        return nid, (nid, *g.fanouts(nid)), (), tuple(s ^ 1 for s in fan), True
+    return comm
 
-    if action in (OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC):
-        want_compl = action == OmegaAction.COMPL_ASSOC
+
+def _inv_prop(g: MigGraph, nid: int, fan: tuple) -> Binding:
+    return nid, (nid, *g.fanouts(nid)), (), tuple(s ^ 1 for s in fan), True
+
+
+def _associate(want_compl: bool):
+    def assoc(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
@@ -147,59 +139,91 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
                     return nid, (nid, child_sig >> 1), (tuple(nc),), tuple(new_root), False
         return None
 
-    if action == OmegaAction.DIST_LR:
-        # M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)
-        for cp in range(3):
-            child_sig = fan[cp]
-            child = g.nodes[child_sig >> 1]
-            if not child:
-                continue
-            virt = _virtual_ops(child, child_sig)
-            zc = 0
-            pa, pb = 1, 2
-            o0, o1 = [p for p in range(3) if p != cp]
-            node_a = [None, None, None]
-            node_b = [None, None, None]
-            node_a[o0], node_a[o1], node_a[cp] = fan[o0], fan[o1], virt[pa]
-            node_b[o0], node_b[o1], node_b[cp] = fan[o0], fan[o1], virt[pb]
-            new_root = [None, None, None]
-            new_root[o0] = ~0
-            new_root[o1] = ~1
-            new_root[cp] = virt[zc]
-            new_nodes = (tuple(node_a), tuple(node_b))
-            return nid, (nid, child_sig >> 1), new_nodes, tuple(new_root), False
-        return None
+    return assoc
 
-    if action == OmegaAction.DIST_RL:
-        # M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z))
-        for cpa, cpb in ((0, 1), (0, 2), (1, 2)):
-            sa, sb = fan[cpa], fan[cpb]
-            a, b = sa >> 1, sb >> 1
-            na, nb = g.nodes[a], g.nodes[b]
-            if not na or not nb:
-                continue
-            virt_a = _virtual_ops(na, sa)
-            virt_b = _virtual_ops(nb, sb)
-            zp = 3 - cpa - cpb
-            z = fan[zp]
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                p, q = virt_a[i], virt_a[j]
-                for k in range(3):
-                    if virt_b[k] != p:
+
+def _distribute_lr(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
+    # M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)
+    for cp in range(3):
+        child_sig = fan[cp]
+        child = g.nodes[child_sig >> 1]
+        if not child:
+            continue
+        virt = _virtual_ops(child, child_sig)
+        zc = 0
+        pa, pb = 1, 2
+        o0, o1 = [p for p in range(3) if p != cp]
+        node_a = [None, None, None]
+        node_b = [None, None, None]
+        node_a[o0], node_a[o1], node_a[cp] = fan[o0], fan[o1], virt[pa]
+        node_b[o0], node_b[o1], node_b[cp] = fan[o0], fan[o1], virt[pb]
+        new_root = [None, None, None]
+        new_root[o0] = ~0
+        new_root[o1] = ~1
+        new_root[cp] = virt[zc]
+        new_nodes = (tuple(node_a), tuple(node_b))
+        return nid, (nid, child_sig >> 1), new_nodes, tuple(new_root), False
+    return None
+
+
+def _distribute_rl(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
+    # M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z))
+    for cpa, cpb in ((0, 1), (0, 2), (1, 2)):
+        sa, sb = fan[cpa], fan[cpb]
+        a, b = sa >> 1, sb >> 1
+        na, nb = g.nodes[a], g.nodes[b]
+        if not na or not nb:
+            continue
+        virt_a = _virtual_ops(na, sa)
+        virt_b = _virtual_ops(nb, sb)
+        zp = 3 - cpa - cpb
+        z = fan[zp]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            p, q = virt_a[i], virt_a[j]
+            for k in range(3):
+                if virt_b[k] != p:
+                    continue
+                for l in range(3):
+                    if l == k or virt_b[l] != q:
                         continue
-                    for l in range(3):
-                        if l == k or virt_b[l] != q:
-                            continue
-                        ua = virt_a[3 - i - j]
-                        vb = virt_b[3 - k - l]
-                        new_root = [None, None, None]
-                        new_root[cpa] = p
-                        new_root[cpb] = q
-                        new_root[zp] = ~0
-                        return nid, (nid, a, b), ((ua, vb, z),), tuple(new_root), False
-        return None
+                    ua = virt_a[3 - i - j]
+                    vb = virt_b[3 - k - l]
+                    new_root = [None, None, None]
+                    new_root[cpa] = p
+                    new_root[cpb] = q
+                    new_root[zp] = ~0
+                    return nid, (nid, a, b), ((ua, vb, z),), tuple(new_root), False
+    return None
 
-    raise MigError(f"unknown action {action}")
+
+# one matcher per action value, so dispatch is a single int-keyed lookup
+_MATCHERS = {
+    OmegaAction.IDENTITY.value: _identity,
+    OmegaAction.COMM01.value: _commute(0, 1),
+    OmegaAction.COMM02.value: _commute(0, 2),
+    OmegaAction.COMM12.value: _commute(1, 2),
+    OmegaAction.ASSOC.value: _associate(False),
+    OmegaAction.COMPL_ASSOC.value: _associate(True),
+    OmegaAction.DIST_LR.value: _distribute_lr,
+    OmegaAction.DIST_RL.value: _distribute_rl,
+    OmegaAction.INV_PROP.value: _inv_prop,
+}
+
+
+def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
+    """Find the first applicable binding for `action` at node `nid`.
+
+    Search order is fixed (ascending ports, then ascending child ports),
+    so the binding is deterministic for a given graph state. Returns None,
+    a normal outcome, when `nid` is gone, a terminal, or holds no match.
+    """
+    fan = g.nodes.get(nid)
+    if not fan:  # gone, or a terminal
+        return None
+    matcher = _MATCHERS.get(action)
+    if matcher is None:
+        raise MigError(f"unknown action {action}")
+    return matcher(g, nid, fan)
 
 
 def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
@@ -226,44 +250,7 @@ def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
 # -- always-applied cleanup rules --------------------------------------
 
 
-def _resolve_subst(subst: dict[int, int], s: int) -> int:
-    while s >> 1 in subst:
-        s = subst[s >> 1] ^ (s & 1)
-    return s
-
-
-def _apply_subst(g: MigGraph, subst: dict[int, int]):
-    # polarity passes through each link, so resolving each target once suffices
-    g.redirect({n: _resolve_subst(subst, 2 * n) for n in subst})
-    for nid in subst:
-        g.remove(nid)
-
-
-def _sweep(g: MigGraph, rule) -> int:
-    """Replace nodes by rule(nid, fanins, seen) until a pass replaces none;
-    returns the count. A pass visits every majority node, dead ones too, in
-    id order (the order of `g.nodes`: ids only grow), with fanins resolved
-    through its earlier replacements and a fresh `seen`; a node whose fanin
-    has a higher id sees that fanin's replacement a pass later."""
-    total = 0
-    while True:
-        subst: dict[int, int] = {}
-        seen: dict[tuple, int] = {}
-        for nid, fanins in g.nodes.items():
-            if not fanins:  # a terminal
-                continue
-            if subst:  # before the pass's first replacement nothing resolves
-                fanins = tuple(_resolve_subst(subst, s) for s in fanins)
-            target = rule(nid, fanins, seen)
-            if target is not None:
-                subst[nid] = target
-        if not subst:
-            return total
-        total += len(subst)
-        _apply_subst(g, subst)
-
-
-def _collapse(nid: int, fanins: tuple, seen: dict) -> int | None:
+def _collapse(fanins: tuple) -> int | None:
     a, b, c = fanins  # M(x,x,z) = x, M(x,x',z) = z
     if a >> 1 == b >> 1:
         return a if a == b else c
@@ -274,46 +261,74 @@ def _collapse(nid: int, fanins: tuple, seen: dict) -> int | None:
     return None
 
 
-def _merge(nid: int, fanins: tuple, seen: dict) -> int | None:
-    other = seen.setdefault(fanins, nid)  # in id order the first holder is the lowest
-    return None if other == nid else 2 * other
-
-
 def lambda_majority(g: MigGraph) -> int:
-    """Collapse M(x,x,z) to x and M(x,x',z) to z, to this rule's fixpoint."""
-    return _sweep(g, _collapse)
+    """Collapse M(x,x,z) to x and M(x,x',z) to z, to this rule's fixpoint.
+
+    Visits the pending nodes (every majority node on a graph without
+    cleanup state), then each reader a collapse rewrites."""
+    count = 0
+    nodes = g.nodes
+    todo = g.pending()[::-1]  # popped in ascending id order
+    while todo:
+        nid = todo.pop()
+        fanins = nodes.get(nid)
+        target = None if fanins is None else _collapse(fanins)
+        if target is not None:
+            todo += g.redirect({nid: target})  # the readers it rewrote
+            g.remove(nid)
+            count += 1
+    return count
 
 
 def lambda_redundancy(g: MigGraph) -> int:
     """Merge nodes with identical port-ordered fanin triples (polarities
-    included) into the lowest id, to this rule's fixpoint."""
-    return _sweep(g, _merge)
+    included) into the lowest id, to this rule's fixpoint.
+
+    Hashes the pending nodes, then each reader a merge rewrites; a node
+    matches only nodes already hashed, and the lower id of a matching
+    pair is hashed in the higher's place."""
+    count = 0
+    nodes, hash_node = g.nodes, g.hash_node
+    todo = g.pending()[::-1]
+    while todo:
+        nid = todo.pop()
+        if nid not in nodes:
+            continue
+        other = hash_node(nid)
+        if other == nid:
+            continue
+        keep, drop = min(nid, other), max(nid, other)
+        todo += g.redirect({drop: 2 * keep})
+        g.remove(drop)
+        todo.append(keep)  # hashed once `drop` left the table
+        count += 1
+    return count
 
 
 def lambda_fixpoint(g: MigGraph) -> tuple[int, int]:
     """Run each cleanup rule to its own fixpoint, collapse first, and
     alternate until merge replaces nothing: then the graph is as the
-    collapse fixpoint left it; returns the (collapse, merge) counts."""
+    collapse fixpoint left it, and every pending node is settled; returns
+    the (collapse, merge) counts."""
     lm = lr = 0
     while True:
         lm += lambda_majority(g)
         r = lambda_redundancy(g)
         lr += r
         if r == 0:
+            g.settle()
             return lm, lr
 
 
 def delete_dead(g: MigGraph) -> list[int]:
     """Drop majority nodes unreachable from the outputs; returns the
-    majority ids left, ascending, all of them live."""
-    keep = g.reachable_nodes()
-    live = []
-    for nid in g.maj_ids():
-        if nid in keep:
-            live.append(nid)
-        else:
-            g.remove(nid)
-    return live
+    majority ids left, ascending, all of them live.
+
+    Deletes the nodes that nothing reads and no output names, starting
+    from those the graph's writers recorded, and recursively the fanins
+    each deletion orphans: in a DAG these are the unreachable ones."""
+    g.remove_orphans()
+    return g.maj_ids()
 
 
 def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) -> StepReport:
@@ -343,7 +358,7 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
         binding = match(g, nid, act)  # None for a gone node or a terminal
         if binding is None:
             outcomes[nid] = "blocked_illegal"
-        elif act == OmegaAction.IDENTITY:
+        elif act == _IDENTITY:
             outcomes[nid] = "identity"
         elif not touched.isdisjoint(binding[1]):
             outcomes[nid] = "blocked_collision"

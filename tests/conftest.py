@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from migopt.mig import MigGraph, lit, new_graph
 from migopt import rewrite as rw
 from migopt.policy import _forward_batch, batch_for
+
+# Budget of the hypothesis tests that name no example count of their own:
+# 150 derandomized examples, and 2,000 with `--hypothesis-profile=thorough`.
+settings.register_profile("tier1", max_examples=150, deadline=None, derandomize=True, database=None)
+settings.register_profile("thorough", settings.get_profile("tier1"), max_examples=2000)
+settings.load_profile("tier1")
 
 
 def crude_random_graph(pi_count: int, node_count: int, seed: int, po_count: int = 2) -> MigGraph:

@@ -1,15 +1,15 @@
 """Only `migopt.mig` writes `MigGraph` state: outside mig.py no module in
 src/migopt assigns to, augments or deletes a graph's node table, outputs,
 input count, consumer index or id counter, whole or by item, or calls a
-mutating method on one of them. So a table kept beside the nodes (a
-reference count, a structural hash) needs updating in `MigGraph`'s
-writers alone."""
+mutating method on one of them. So the tables kept beside the nodes (the
+consumer index, the pending and orphan sets, the structural hash) need
+updating in `MigGraph`'s writers alone."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STATE = {"nodes", "outputs", "pi_count", "_fanouts", "_next_id"}
+STATE = {"nodes", "outputs", "pi_count", "_fanouts", "_next_id", "_dirty", "_orphans", "_strash"}
 MUTATORS = {
     "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "reverse", "setdefault", "sort", "update",

@@ -418,3 +418,57 @@ def test_node_ids_never_reused():
     assert a >> 1 not in g.nodes
     b = g.add_and(g.pi(1), g.pi(2))
     assert b >> 1 > a >> 1
+
+
+def test_writers_record_pending_nodes_and_orphans():
+    g = new_graph(3)
+    x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
+    a = g.add_majority(x1, x2, x3)
+    b = g.add_majority(a, x1, x2)
+    c = g.add_majority(b, x2, x3)
+    g.set_outputs([c, a])
+    assert g.pending() == [a >> 1, b >> 1, c >> 1]  # a graph without state: all of them
+    assert rw.lambda_fixpoint(g) == (0, 0) and g.pending() == []
+    assert rw.delete_dead(g) == [a >> 1, b >> 1, c >> 1]
+    g.check()
+    d = g.add_majority(x1, x2, x3 ^ 1)
+    g.set_fanins(c >> 1, (b, d, x3))
+    assert g.pending() == [c >> 1, d >> 1]
+    g.set_outputs([c])  # a still has a reader, b
+    assert rw.delete_dead(g) == [a >> 1, b >> 1, c >> 1, d >> 1]  # d has one now too
+    g.set_fanins(c >> 1, (a, d, x3))  # b loses its only reader
+    g.check()
+    assert rw.delete_dead(g) == [a >> 1, c >> 1, d >> 1]
+    g.check()
+    rw.lambda_fixpoint(g)
+    g.set_outputs([d])
+    assert rw.delete_dead(g) == [d >> 1]  # c, then a once c is gone
+    g.check()
+
+
+def test_check_detects_stale_cleanup_state():
+    def settled():
+        g = crude_random_graph(4, 12, 8)
+        rw.step(g, {})
+        g.check()
+        return g, g.maj_ids()
+
+    g, maj = settled()
+    g._dirty.add(g._next_id)  # bypasses the writers
+    with pytest.raises(MigError, match="gone node"):
+        g.check()
+    g, maj = settled()
+    g._strash[(g.pi(1), g.pi(2), g.pi(3))] = maj[0]
+    with pytest.raises(MigError, match="structural hash disagrees"):
+        g.check()
+    g, maj = settled()
+    del g._strash[g.nodes[maj[-1]]]
+    with pytest.raises(MigError, match="missing from the structural hash"):
+        g.check()
+    g._dirty.add(maj[-1])  # a pending node need not be hashed
+    g.check()
+    g, maj = settled()
+    g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    g._orphans.clear()
+    with pytest.raises(MigError, match="not pending dead removal"):
+        g.check()

@@ -291,15 +291,18 @@ def test_lambda_fixpoint_stops_once_merge_replaces_nothing(monkeypatch):
     b = g.add_majority(a, g.pi(2), g.pi(2))  # == x2 once collapsed
     g.set_outputs([a, b])
     sweeps = []
-    sweep = rw._sweep
+    collapse, merge = rw.lambda_majority, rw.lambda_redundancy
 
-    def counted(g, rule):
-        sweeps.append(rule)
-        return sweep(g, rule)
+    def counted(rule):
+        def run(g):
+            sweeps.append(rule)
+            return rule(g)
+        return run
 
-    monkeypatch.setattr(rw, "_sweep", counted)
+    monkeypatch.setattr(rw, "lambda_majority", counted(collapse))
+    monkeypatch.setattr(rw, "lambda_redundancy", counted(merge))
     assert rw.lambda_fixpoint(g) == (2, 0)
-    assert sweeps == [rw._collapse, rw._merge]
+    assert sweeps == [collapse, merge]
     assert g.outputs == [g.pi(1), g.pi(2)]
 
 

@@ -7,15 +7,24 @@ only through `MigGraph`'s public writers, so a change to the rewrite
 engine or to the fanout index can be checked against them on random
 graphs and random action sets, not only on the golden fixtures: the node
 table, outputs, next id, step report and every node's fanouts must agree.
+
+The second test runs whole rollouts and `greedy_rules` from start graphs
+that still hold dead, collapsible and duplicate gates, against a chain of
+reference steps that starts with `reference_delete_dead`. Its example
+budget comes from the hypothesis profile in conftest.py.
 """
 
 import random
 from dataclasses import asdict, dataclass
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migopt import rewrite as rw
+from migopt import trainer
+from migopt.datagen import RandomGraphSpec, SopSpec, random_mig, sop_decompose
+from migopt.evaluate import greedy_rules
 from migopt.mig import MigGraph, lit
 from migopt.rewrite import OmegaAction, StepReport
 
@@ -300,7 +309,29 @@ def reference_step(g, actions, live=None):
     return rep
 
 
-# -- the differential test ---------------------------------------------
+def reference_greedy_rules(g):
+    work = g.clone()
+    size = reference_step(work, {}).size_after
+    live = work.maj_ids()
+    for _ in range(50):
+        progress = False
+        for nid in live:
+            desc = reference_match(work, nid, OmegaAction.DIST_RL)
+            if desc is None:
+                continue
+            trial = work.clone()
+            reference_apply_omega(trial, desc)
+            trial_size = reference_step(trial, {}, live).size_after
+            if trial_size < size:
+                work, size = trial, trial_size
+                live = work.maj_ids()
+                progress = True
+        if not progress:
+            break
+    return work
+
+
+# -- the differential tests ---------------------------------------------
 
 
 def add_redundancy(g: MigGraph, seed: int):
@@ -379,3 +410,30 @@ def test_step_matches_the_frozen_reference(inputs, gates, seed, redundant, clean
         got_rep = rw.step(got, actions, live)
         assert asdict(got_rep) == asdict(want_rep)
         assert_same_graph(got, want)
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    kind=st.sampled_from(["crude", "sop3", "random_mig"]),
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_rollouts_from_unclean_starts_match_a_chain_of_reference_steps(kind, inputs, gates, seed):
+    if kind == "crude":  # dead gates, and collapsible and duplicate live ones
+        g0 = crude_random_graph(inputs, gates, seed)
+        add_redundancy(g0, seed)
+    elif kind == "sop3":
+        g0 = sop_decompose(SopSpec(3, seed % 256))
+    else:
+        g0 = random_mig(RandomGraphSpec(50, 3 * inputs, 2, seed))
+    out, records = trainer.rollout(g0, 20, trainer.uniform_chooser(np.random.default_rng(seed)))
+    want = g0.clone()
+    live = reference_delete_dead(want)
+    for rec in records:
+        assert rec.centers == live
+        want_rep = reference_step(want, dict(zip(rec.centers, rec.actions.tolist())), live)
+        assert asdict(rec.report) == asdict(want_rep)
+        live = want.maj_ids()
+    assert_same_graph(out, want)
+    assert_same_graph(greedy_rules(g0), reference_greedy_rules(g0))

@@ -71,8 +71,8 @@ def test_episode_sizes_come_from_the_step_reports(monkeypatch):
         monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
         trace = tr.run_episode(g0, params, steps, np.random.default_rng(seed))
         monkeypatch.undo()
-        # the rollout's walks only; no steps means two more, for the sizes
-        assert len(walks) == (steps + 1 if steps else 3)
+        # a rollout does not walk; no steps means two walks, for the sizes
+        assert len(walks) == (0 if steps else 2)
         g, _ = tr.rollout(g0, steps, tr.policy_chooser(params, np.random.default_rng(seed)))
         assert (trace.initial_size, trace.final_size) == (g0.size(), g.size())
 
@@ -201,7 +201,7 @@ def test_dead_gates_do_not_change_a_rollout():
         assert fmt.emit_mig(out_g) == fmt.emit_mig(out_p)
 
 
-def test_rollout_walks_the_graph_once_plus_once_per_step(monkeypatch):
+def test_rollout_never_walks_the_graph(monkeypatch):
     g = crude_random_graph(5, 30, 4)
     assert len(g.maj_ids()) > g.size()  # starts with dead nodes
     walks = []
@@ -216,7 +216,7 @@ def test_rollout_walks_the_graph_once_plus_once_per_step(monkeypatch):
         walks.clear()
         out, records = tr.rollout(g, k, tr.uniform_chooser(np.random.default_rng(k)))
         assert len(records) == k
-        assert len(walks) == k + 1  # the start, then `delete_dead` in each step
+        assert walks == []  # dead removal follows the fanout index instead
     monkeypatch.undo()
     assert all(rec.centers == sorted(rec.centers) for rec in records)
     assert records[-1].centers  # the last step still had acting nodes

@@ -250,17 +250,6 @@ def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
 # -- always-applied cleanup rules --------------------------------------
 
 
-def _collapse(fanins: tuple) -> int | None:
-    a, b, c = fanins  # M(x,x,z) = x, M(x,x',z) = z
-    if a >> 1 == b >> 1:
-        return a if a == b else c
-    if a >> 1 == c >> 1:
-        return a if a == c else b
-    if b >> 1 == c >> 1:
-        return b if b == c else a
-    return None
-
-
 def lambda_majority(g: MigGraph) -> int:
     """Collapse M(x,x,z) to x and M(x,x',z) to z, to this rule's fixpoint.
 
@@ -272,11 +261,20 @@ def lambda_majority(g: MigGraph) -> int:
     while todo:
         nid = todo.pop()
         fanins = nodes.get(nid)
-        target = None if fanins is None else _collapse(fanins)
-        if target is not None:
-            todo += g.redirect({nid: target})  # the readers it rewrote
-            g.remove(nid)
-            count += 1
+        if fanins is None:
+            continue
+        a, b, c = fanins  # M(x,x,z) = x, M(x,x',z) = z
+        if a >> 1 == b >> 1:
+            target = a if a == b else c
+        elif a >> 1 == c >> 1:
+            target = a if a == c else b
+        elif b >> 1 == c >> 1:
+            target = b if b == c else a
+        else:
+            continue
+        todo += g.redirect({nid: target})  # the readers it rewrote
+        g.remove(nid)
+        count += 1
     return count
 
 

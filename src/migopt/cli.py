@@ -112,13 +112,17 @@ def _cmd_optimize(args) -> int:
     g = formats.load_mig(args.infile)
     params = formats.load_checkpoint(args.ckpt)
     rng = None if args.mode == "greedy" else np.random.default_rng(args.seed)
-    out, _ = trainer.rollout(g, args.steps, trainer.policy_chooser(params, rng))
+    out, records = trainer.rollout(g, args.steps, trainer.policy_chooser(params, rng))
     equivalent, proven = rewrite.verify_equivalence(g, out)
     if not equivalent:
         print("refusing to write: optimized graph is not equivalent", file=sys.stderr)
         return 1
     formats.save_mig(out, args.out)
-    print(f"size_before {g.size()} size_after {out.size()}")
+    if records:  # the step reports counted both sizes already
+        before, after = records[0].report.size_before, records[-1].report.size_after
+    else:
+        before, after = g.size(), out.size()
+    print(f"size_before {before} size_after {after}")
     return 0 if proven else 2
 
 

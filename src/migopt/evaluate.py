@@ -119,7 +119,8 @@ def random_policy(seed: int):
 def greedy_rules(g: MigGraph) -> MigGraph:
     """Rule-driven hill climbing: factor with the shrinking distributivity
     move whenever it strictly reduces the cleaned size, plus cleanup;
-    at most 50 passes over the nodes."""
+    at most 50 passes over the nodes. Each trial is a clone of the
+    settled graph, so its cleanup visits only the nodes the move wrote."""
     work = g.clone()
     size = rw.step(work, {}).size_after
     live = work.maj_ids()  # a step leaves only live majority nodes
@@ -138,7 +139,6 @@ def greedy_rules(g: MigGraph) -> MigGraph:
                 progress = True
         if not progress:
             break
-    work.drop_fanout_index()
     return work
 
 
@@ -166,6 +166,7 @@ def evaluate(
         equivalent, proven = rw.verify_equivalence(g, out)
         if not equivalent:
             raise EvalError(f"optimizer broke equivalence on item {name!r}")
+        out.drop_fanout_index()  # a caller may keep every output
         items.append(
             EvalItem(
                 name=name,

@@ -68,7 +68,9 @@ class MigGraph:
     majority ids that were created or lost their last reader or output
     since dead removal last ran (`remove_orphans`). A graph without
     an index has no such state; building the index starts it with every
-    majority node pending for both, and none hashed.
+    majority node pending for both, and none hashed. `clone` copies the
+    index and the state with the nodes; code that keeps many graphs drops
+    them with `drop_fanout_index`.
     """
 
     def __init__(self, pi_count: int):
@@ -215,12 +217,21 @@ class MigGraph:
         self._strash: dict[tuple[int, ...], int] | None = None  # fanin triple -> id
 
     def clone(self) -> "MigGraph":
+        """An independent copy, with copies of the consumer index and the
+        cleanup state, so its cleanup continues where this graph's left off
+        instead of starting over with every node pending."""
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count
         g.nodes = dict(self.nodes)  # fanin tuples are immutable, so share them
         g.outputs = list(self.outputs)
         g._next_id = self._next_id
-        g.drop_fanout_index()
+        if self._fanouts is None:
+            g.drop_fanout_index()
+        else:
+            g._fanouts = {p: users.copy() for p, users in self._fanouts.items()}
+            g._dirty = self._dirty.copy()
+            g._orphans = self._orphans.copy()
+            g._strash = self._strash.copy()  # keys and ids are immutable
         return g
 
     # -- cleanup state ------------------------------------------------

@@ -167,6 +167,16 @@ def _graph_arrays(g: MigGraph) -> tuple[np.ndarray, ...]:
     return ids, kind, fanin_idx, fanin_pol, edge_prod[order], order % 3, first + order // 3, pol
 
 
+# Most entries a build uses in its table from pair key to pair row. The
+# table is filled for one block of consecutive centers at a time, so its
+# int32 `_SCRATCH` buffer stays under 5.3 MB whatever the graph (every
+# all-center 500-gate build is one block of 0.3M to 0.5M entries), unless
+# a graph has more nodes than this, when each block is one center. Entries
+# left by an earlier block or build are never cleared: a hit counts only
+# where the row it names holds the key read.
+_PAIR_TABLE = 1 << 20
+
+
 def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     ids, kind, fanin_idx, fanin_pol, prod, port, cons, pol = _graph_arrays(g)
     n = ids.size
@@ -221,10 +231,22 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     e_row = np.repeat(np.arange(pairs, dtype=np.int64), lengths)  # pair row of each edge
     p_fanin, e_cons = fanin_idx[pair_v], cons[flat]
     reads = np.concatenate([(pair_ci[:, None] * s + p_fanin).ravel(), pair_ci[e_row] * s + e_cons])
-    sorter = np.argsort(pair_key)
-    sorted_key = pair_key[sorter]
-    pos = np.minimum(np.searchsorted(sorted_key, reads), pairs - 1)
-    at = np.where(sorted_key[pos] == reads, sorter[pos], pairs)
+    at = np.empty(reads.size, dtype=np.int64)
+    # the pair rows sit in center order, and so do the reads of either kind:
+    # a block of consecutive centers owns one range of each
+    per = max(1, _PAIR_TABLE // s)  # centers per block
+    table = _scratch("pair_table", (min(per, cidx.size) * s,), np.int32)
+    p_bound = np.searchsorted(pair_ci, np.arange(0, cidx.size + per, per))
+    e_bound = 3 * pairs + np.concatenate([[0], np.cumsum(lengths)])[p_bound]
+    for b in range(p_bound.size - 1):
+        p0, p1, base = p_bound[b], p_bound[b + 1], b * per * s
+        table[pair_key[p0:p1] - base] = np.arange(p0, p1)
+        for r0, r1 in ((3 * p0, 3 * p1), (e_bound[b], e_bound[b + 1])):
+            r = reads[r0:r1]
+            # an entry no pair of this block wrote holds anything; fanin slot
+            # -1 of the block's first center reads index -1, the last entry
+            hit = table[r - base].clip(0, pairs - 1)
+            at[r0:r1] = np.where(pair_key[hit] == r, hit, pairs)
     shared = (p_fanin, at[: 3 * pairs].reshape(-1, 3), fanin_pol[pair_v])
     shared_edges = (e_cons, at[3 * pairs :], e_row, port[flat], pol[flat])
 
@@ -281,17 +303,18 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
 # first 11 steps after the first; with it, under 70 on each. Held at module
 # level, like mig._PI_PATTERNS, so a checkpoint parsed anew reuses them;
 # the pass is therefore not reentrant (one pass at a time, the
-# single-threaded use that MigGraph already requires).
+# single-threaded use that MigGraph already requires). The build's pair
+# table is one more buffer here (see `_PAIR_TABLE`).
 _SCRATCH: dict[str, np.ndarray] = {}
 
 
-def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A C-contiguous view of buffer `name` with the given shape, holding
-    whatever the previous pass left there."""
+    whatever the previous pass left there; a name keeps one dtype."""
     size = math.prod(shape)
     buf = _SCRATCH.get(name)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[name] = np.empty(size + size // 4)
+        buf = _SCRATCH[name] = np.empty(size + size // 4, dtype)
     return buf[:size].reshape(shape)
 
 

@@ -371,10 +371,13 @@ def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) ->
     rep.identity_count = counts.count("identity")
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
-    reach_after = set(delete_dead(g))
-    rep.size_after = len(reach_after)
-    rep.nodes_added = len(reach_after - reach_before)
-    rep.nodes_removed = len(reach_before - reach_after)
+    g.remove_orphans()
+    # every majority node left is live, and ids are never reused: a node of
+    # reach_before is gone exactly when it is no longer in the graph
+    nodes = g.nodes
+    rep.size_after = len(nodes) - g.pi_count - 1
+    rep.nodes_removed = sum(n not in nodes for n in reach_before)
+    rep.nodes_added = rep.size_after - rep.size_before + rep.nodes_removed
     return rep
 
 

@@ -95,7 +95,9 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     choose(g, centers) gets the acting nodes and returns (actions,
     log_probs, batch, probs): the action index and its log-prob per
     center, in center order, plus what the step record keeps for a
-    gradient pass (None when nothing is kept).
+    gradient pass (None when nothing is kept). The graph returned keeps
+    its consumer index and settled cleanup state, so a rollout chained on
+    it starts where this one stopped.
     """
     g = g0.clone()
     records: list[StepRecord] = []
@@ -108,7 +110,6 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
         report = rw.step(g, dict(zip(centers, actions.tolist())), centers)
         records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
         centers = g.maj_ids()
-    g.drop_fanout_index()
     return g, records
 
 

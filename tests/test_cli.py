@@ -10,6 +10,7 @@ import pytest
 from migopt import cli
 from migopt import formats as fmt
 from migopt import trainer
+from migopt.mig import MigGraph
 from migopt.policy import Hyperparams, PolicyParams
 
 AND_AAG = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
@@ -125,6 +126,31 @@ def test_optimize_roundtrip(tmp_path):
     code = run("optimize", "--in", src, "--ckpt", ckpt, "--steps", 3, "--out", out)
     assert code == 0
     assert run("verify-equiv", "--a", src, "--b", out) == 0
+
+
+def test_optimize_prints_the_sizes_its_step_reports_counted(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "ds"
+    run("gen", "--n", 12, "--pi", 8, "--count", 1, "--seed", 3, "--out-dir", d)
+    src = next(d.glob("*.mig"))
+    ckpt = tmp_path / "p.ckpt"
+    fmt.save_checkpoint(PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=1), ckpt)
+    walks = []
+    walk = MigGraph.reachable_nodes
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    for steps in (0, 3):
+        out = tmp_path / f"opt{steps}.mig"
+        walks.clear()
+        capsys.readouterr()
+        monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
+        assert run("optimize", "--in", src, "--ckpt", ckpt, "--steps", steps, "--out", out) == 0
+        monkeypatch.undo()
+        assert len(walks) == (0 if steps else 2)  # no step report to read without a step
+        before, after = fmt.load_mig(src).size(), fmt.load_mig(out).size()
+        assert capsys.readouterr().out == f"size_before {before} size_after {after}\n"
 
 
 def test_optimize_sample_mode(tmp_path):

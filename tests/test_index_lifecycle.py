@@ -1,0 +1,131 @@
+"""The consumer index and the cleanup state travel with a graph.
+
+`MigGraph.clone` copies them, so a rollout or a `greedy_rules` trial on a
+clone of a settled graph continues from the settled state instead of
+rescanning every fanin and sweeping every gate. The graphs that callers
+keep hold none: `evaluate` drops them from each output it has verified.
+
+The hypothesis test chains one-step rollouts, each starting from the
+settled graph the one before returned, against one rollout of as many
+steps. Its example budget comes from the hypothesis profile in
+conftest.py.
+"""
+
+from dataclasses import asdict
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from migopt import evaluate as ev
+from migopt import rewrite as rw
+from migopt import trainer
+from migopt.datagen import RandomGraphSpec, SopSpec, enumerate_sop3, random_mig, sop_decompose
+from migopt.formats import emit_mig
+from migopt.mig import MigGraph
+from migopt.policy import Hyperparams, PolicyParams
+
+from conftest import crude_random_graph
+from test_step_reference import add_redundancy, assert_same_graph
+
+PARAMS = PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=11)
+
+
+def start_graph(kind: str, inputs: int, gates: int, seed: int) -> MigGraph:
+    if kind == "crude":  # dead gates, and collapsible and duplicate live ones
+        g = crude_random_graph(inputs, gates, seed)
+        add_redundancy(g, seed)
+        return g
+    if kind == "sop3":
+        return sop_decompose(SopSpec(3, seed % 256))
+    return random_mig(RandomGraphSpec(50, 3 * inputs, 2, seed))
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    kind=st.sampled_from(["crude", "sop3", "random_mig"]),
+    greedy=st.booleans(),
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+)
+def test_chained_one_step_rollouts_equal_one_rollout(kind, greedy, inputs, gates, seed, k):
+    g0 = start_graph(kind, inputs, gates, seed)
+    text = emit_mig(g0)
+    if greedy:
+        want, want_reps = trainer.greedy_optimize(g0, PARAMS, k)
+    else:
+        want, want_reps = trainer.random_rollout(g0, k, np.random.default_rng(seed))
+    g, reps, rng = g0, [], np.random.default_rng(seed)
+    for _ in range(k):
+        if greedy:
+            g, step_reps = trainer.greedy_optimize(g, PARAMS, 1)
+        else:
+            g, step_reps = trainer.random_rollout(g, 1, rng)
+        assert g._fanouts is not None and g.pending() == []  # settled, index kept
+        reps += step_reps
+    assert [asdict(r) for r in reps] == [asdict(r) for r in want_reps]
+    assert emit_mig(g) == emit_mig(want)
+    assert_same_graph(g, want)  # check() compares both graphs' state with a fresh scan
+    assert emit_mig(g0) == text  # the start graph is never mutated
+
+
+def test_a_clone_of_a_settled_graph_needs_no_sweep(monkeypatch):
+    g = crude_random_graph(5, 40, 3)
+    add_redundancy(g, 3)
+    rw.step(g, {})
+    h = g.clone()
+    h.check()  # the copied index and cleanup state agree with a fresh scan
+    assert all(h._fanouts[p] is not users for p, users in g._fanouts.items())  # copied
+    hashed = []
+    hash_node = MigGraph.hash_node
+
+    def counted(self, nid):
+        hashed.append(nid)
+        return hash_node(self, nid)
+
+    monkeypatch.setattr(MigGraph, "hash_node", counted)
+    assert rw.lambda_fixpoint(h) == (0, 0)
+    assert hashed == []
+    h.drop_fanout_index()  # with no state, every node is pending again
+    assert rw.lambda_fixpoint(h) == (0, 0)
+    assert sorted(hashed) == h.maj_ids()
+
+
+def test_a_clone_keeps_its_state_apart_from_the_original():
+    g = crude_random_graph(4, 20, 6)
+    rw.step(g, {})
+    h = g.clone()
+    nid = h.maj_ids()[-1]
+    h.set_fanins(nid, (h.pi(1), h.pi(2) ^ 1, h.pi(3)))
+    h.set_outputs([h.pi(4)])
+    assert h.pending() == [nid]
+    assert g.pending() == []
+    g.check()  # the original's index and state still match its own fanins
+    rw.step(h, {})
+    h.check()
+    assert h.maj_ids() == []
+
+
+def test_greedy_rules_returns_its_graph_settled():
+    for name, g in enumerate_sop3()[::37]:
+        out = ev.greedy_rules(g)
+        assert out._fanouts is not None and out.pending() == [], name
+        out.check()
+        assert g._fanouts is None  # the dataset graph is left as it was
+
+
+def test_evaluate_drops_the_index_of_every_output_it_verified():
+    data = [*enumerate_sop3()[::51], ("rand", random_mig(RandomGraphSpec(30, 8, 2, 4)))]
+    for opt in (ev.policy_optimizer(PARAMS), ev.random_policy(5), ev.greedy_rules_optimizer()):
+        kept = []
+
+        def keep(g, steps, idx, opt=opt):
+            kept.append(opt(g, steps, idx))
+            return kept[-1]
+
+        ev.evaluate(data, keep, ev.EvalConfig(steps=3))
+        assert len(kept) == len(data)
+        for out in kept:
+            assert (out._fanouts, out._dirty, out._orphans, out._strash) == (None,) * 4

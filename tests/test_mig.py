@@ -320,7 +320,10 @@ def test_check_detects_stale_fanout_index():
     g.nodes[b >> 1] = (g.pi(2), g.pi(1), g.const0())  # bypasses set_fanins
     with pytest.raises(MigError):
         g.check()
-    h = g.clone()  # the clone drops the index and rebuilds it from the fanins
+    with pytest.raises(MigError):
+        g.clone().check()  # a clone carries the index, stale as it is
+    h = g.clone()
+    h.drop_fanout_index()  # rebuilt from the fanins on next use
     h.check()
     assert h.fanouts(a >> 1) == []
 

@@ -465,6 +465,26 @@ def test_policy_pass_matches_the_reference_bit_for_bit(depth, hidden):
         assert min(scatter_sizes) <= 192 < max(scatter_sizes)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pair_table_blocks_and_stale_entries_match_the_reference(depth, monkeypatch):
+    """The build looks pair rows up in a table that it never clears and
+    fills for one block of centers at a time. A build after a larger one
+    reads that one's entries, and a smaller table splits a build into
+    blocks of a few centers or of one, which then needs more entries than
+    the table's size; the arrays equal the reference's byte for byte."""
+    big = crude_random_graph(12, 120, 6)
+    for table in (pol._PAIR_TABLE, 200, 64, 1):
+        monkeypatch.setattr(pol, "_PAIR_TABLE", table)
+        pol._build_batch(big, big.maj_ids(), 4)  # the smaller builds read its entries
+        for g in batch_graphs():
+            for centers in center_sets(g):
+                got, want = pol._build_batch(g, centers, depth), reference_build_batch(g, centers, depth)
+                assert same_bits(got.x0, want.x0)
+                for lg, lw in zip(got.layers, want.layers, strict=True):
+                    for name in lg.__slots__:
+                        assert same_bits(getattr(lg, name), getattr(lw, name)), name
+
+
 def test_no_cache_results_survive_later_passes():
     """The no-cache pass writes its layers into module buffers, but the
     arrays it returns are its own: they share no memory with the buffers,

@@ -24,7 +24,8 @@ def test_steps_keep_function_and_fanout_index(inputs, gates, seed, data):
     for t in range(steps):
         if t == steps // 2:
             maintained = g
-            g = g.clone()  # drops the index; rebuild it from the fanins
+            g = g.clone()
+            g.drop_fanout_index()  # rebuild it from the fanins
             assert all(g.fanouts(n) == maintained.fanouts(n) for n in g.nodes)
         ids = g.maj_ids()
         acts = data.draw(
@@ -35,4 +36,6 @@ def test_steps_keep_function_and_fanout_index(inputs, gates, seed, data):
         g.check()
         assert set(g.maj_ids()) <= g.reachable_nodes()  # rollout acts on maj_ids()
         assert g.simulate_truth_tables() == ref
-        assert rw.lambda_fixpoint(g.clone()) == (0, 0)
+        swept = g.clone()
+        swept.drop_fanout_index()  # a full sweep: every node pending
+        assert rw.lambda_fixpoint(swept) == (0, 0)

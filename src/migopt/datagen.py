@@ -1,10 +1,11 @@
 """Dataset builders: random graphs, sum-of-products circuits, exact oracle.
 
 The random generator follows a draw-and-retry recipe: majority nodes are
-created one at a time with fanins drawn uniformly from everything built so
-far, triples that the cleanup rules would immediately collapse are
-rejected, and output signals are redrawn until the cleaned reachable size
-hits the target exactly.
+created one at a time with three distinct fanins drawn uniformly from
+everything built so far, so no triple collapses, and output signals are
+redrawn until the cleaned reachable size hits the target exactly. An
+attempt is only a list of fanin triples, each output draw is sized by a
+walk over it, and a graph is built only for a draw that hits the target.
 
 `optimal_size_3` reads a constant table of exact minimum sizes for the
 256 3-input functions, the reduction ceiling for sop3. The tests
@@ -37,6 +38,39 @@ class SopSpec:
     table: int
 
 
+def _draw3(rng: random.Random, n: int) -> tuple[int, int, int]:
+    """Three distinct ids below `n`, drawn draw for draw as
+    `rng.sample(range(n), 3)` draws them, without its set for n > 21."""
+    if n <= 21:  # sample's pool branch
+        return tuple(rng.sample(range(n), 3))
+    # sample's set branch: redraw an index that is out of range or taken
+    bits, k = rng.getrandbits, n.bit_length()
+    a = bits(k)
+    while a >= n:
+        a = bits(k)
+    b = bits(k)
+    while b >= n or b == a:
+        b = bits(k)
+    c = bits(k)
+    while c >= n or c == a or c == b:
+        c = bits(k)
+    return a, b, c
+
+
+def _cone(triples: list[tuple[int, int, int]], first: int, outs: list[int]) -> set[int]:
+    """Majority ids in the fanin cone of `outs`, where `triples[i]` holds
+    the fanin literals of node `first + i` and ids below `first` are
+    terminals."""
+    seen: set[int] = set()
+    stack = list(outs)
+    while stack:
+        nid = stack.pop() >> 1
+        if nid >= first and nid not in seen:
+            seen.add(nid)
+            stack.extend(triples[nid - first])
+    return seen
+
+
 def random_mig(spec: RandomGraphSpec) -> MigGraph:
     """Random MIG with exactly `spec.size` reachable majority nodes."""
     if spec.size < 1:
@@ -44,32 +78,33 @@ def random_mig(spec: RandomGraphSpec) -> MigGraph:
     if spec.pi_count < 2 or spec.po_count < 1:  # fanins are 3 distinct nodes of 0 and the PIs
         raise MigError("random graphs need at least 2 inputs and 1 output")
     rng = random.Random(spec.seed)
+    rand = rng.random
+    first = spec.pi_count + 1  # id of the first majority node
     pool_target = max(spec.size + 2, int(spec.size * 1.6))
     for _ in range(_MAX_ATTEMPTS):
-        g = new_graph(spec.pi_count)
-        pool = list(range(spec.pi_count + 1))
-        for _ in range(pool_target):
-            ids = rng.sample(pool, 3)
-            fanins = tuple(lit(i, rng.random() < 0.5) for i in ids)
-            pool.append(g.add_majority(*fanins) >> 1)
-        maj = pool[spec.pi_count + 1 :]
+        # an attempt is only fanin triples; the graph is built for a hit
+        triples = []  # fanin literals of node first + i
+        for n in range(first, first + pool_target):
+            a, b, c = _draw3(rng, n)
+            triples.append((2 * a + (rand() < 0.5), 2 * b + (rand() < 0.5), 2 * c + (rand() < 0.5)))
+        maj = range(first, first + pool_target)
         sizes = []
         for _ in range(30):
-            outs = [
-                lit(rng.choice(maj), rng.random() < 0.5)
-                for _ in range(spec.po_count)
-            ]
-            # uncleaned size first; cleanup rarely changes it because
-            # collapse triples were rejected during construction
-            g.set_outputs(outs)
-            s = g.size()
+            outs = [lit(rng.choice(maj), rand() < 0.5) for _ in range(spec.po_count)]
+            # uncleaned size first; cleanup rarely changes it, since no
+            # triple collapses (a merge of twin triples can)
+            live = _cone(triples, first, outs)
+            s = len(live)
             if s == spec.size:
-                cleaned = g.clone()
-                s = rw.step(cleaned, {}).size_after
+                g = new_graph(spec.pi_count)
+                for t in triples:
+                    g.add_majority(*t)
+                g.set_outputs(outs)
+                s = rw.step(g, {}, live).size_after
                 if s == spec.size:
-                    cleaned.check()
-                    cleaned.drop_fanout_index()  # the cleanup built it
-                    return cleaned
+                    g.check()
+                    g.drop_fanout_index()  # the cleanup built it
+                    return g
             sizes.append(s)
         mean = sum(sizes) / len(sizes)
         step = int(round((spec.size - mean) * 1.2))
@@ -120,7 +155,7 @@ def sop_decompose(spec: SopSpec) -> MigGraph:
     for m in minterms[1:]:
         out = g.add_or(out, m)
     g.set_outputs([out])
-    rw.step(g, {})
+    rw.step(g, {}, g.maj_ids())  # every gate built feeds the output
     g.drop_fanout_index()  # the cleanup built it; callers keep these graphs
     return g
 

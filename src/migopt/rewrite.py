@@ -30,6 +30,7 @@ triples of the nodes to create, and the root's new fanins. In a triple,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -103,7 +104,22 @@ def _inv_prop(g: MigGraph, nid: int, fan: tuple) -> Binding:
 
 
 def _associate(want_compl: bool):
+    flip = int(want_compl)
+
     def assoc(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
+        # quick reject, as most calls miss: a match needs a majority fanin
+        # that holds another fanin (its complement for COMPL_ASSOC), with
+        # the child edge's polarity folded in as `_virtual_ops` folds it
+        nodes = g.nodes
+        a, b, c = fan
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            child = nodes[x >> 1]
+            if child:
+                pol = (x & 1) ^ flip
+                if (y ^ pol) in child or (z ^ pol) in child:
+                    break
+        else:
+            return None
         for cp in range(3):
             child_sig = fan[cp]
             child = g.nodes[child_sig >> 1]
@@ -329,7 +345,7 @@ def delete_dead(g: MigGraph) -> list[int]:
     return g.maj_ids()
 
 
-def step(g: MigGraph, actions: dict[int, int], live: list[int] | None = None) -> StepReport:
+def step(g: MigGraph, actions: dict[int, int], live: Iterable[int] | None = None) -> StepReport:
     """Apply one simultaneous action set, then cleanup and dead-node removal.
 
     `live` holds the reachable majority ids when the caller already has

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -256,3 +257,15 @@ def test_oracle_ceiling_value():
 def test_pi_pattern_values():
     assert pi_pattern(1, 2) == 0b1010
     assert pi_pattern(2, 2) == 0b1100
+
+
+def test_draw3_draws_as_sample_does():
+    # random_mig's datasets depend on every draw: the helper must consume
+    # the generator exactly as `sample(range(n), 3)` does, on both of
+    # sample's branches (a copied pool up to 21, a set of taken ids above)
+    for n in [*range(3, 201), 255, 256, 257, 1000, 4097, 65537, 10**6]:
+        for seed in range(3):
+            want, got = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                assert dg._draw3(got, n) == tuple(want.sample(range(n), 3)), (n, seed)
+            assert got.random() == want.random(), (n, seed)

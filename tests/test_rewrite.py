@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
+from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
+from migopt import trainer as tr
 from migopt.mig import MigError, MigGraph, new_graph
 from migopt.rewrite import OmegaAction
 
@@ -507,3 +510,82 @@ def test_inv_prop_self_inverse():
         desc = rw.match(g, nid, OmegaAction.INV_PROP)
         assert rw.apply_omega(g, desc).applied
     assert fmt.emit_mig(g) == before
+
+
+def _full_assoc_search(g, nid, want_compl):
+    """`rewrite._associate`'s port search without its quick reject."""
+    fan = g.nodes[nid]
+    for cp in range(3):
+        child_sig = fan[cp]
+        child = g.nodes[child_sig >> 1]
+        if not child:
+            continue
+        virt = rw._virtual_ops(child, child_sig)
+        for up in range(3):
+            if up == cp:
+                continue
+            u = fan[up]
+            needle = u ^ 1 if want_compl else u
+            for uc in range(3):
+                if virt[uc] != needle:
+                    continue
+                xp = 3 - cp - up
+                x = fan[xp]
+                rest = [p for p in range(3) if p != uc]
+                nc = [None, None, None]
+                new_root = list(fan)
+                if want_compl:
+                    nc[uc] = x
+                    nc[rest[0]] = virt[rest[0]]
+                    nc[rest[1]] = virt[rest[1]]
+                else:
+                    zc, yc = rest
+                    nc[uc] = u
+                    nc[yc] = virt[yc]
+                    nc[zc] = x
+                    new_root[xp] = virt[zc]
+                new_root[cp] = ~0
+                return nid, (nid, child_sig >> 1), (tuple(nc),), tuple(new_root), False
+    return None
+
+
+def test_assoc_quick_reject_keeps_every_binding():
+    # sop3's AND/OR chains share constants (many hits); random graphs and
+    # their rollouts mix complemented child edges into the misses
+    graphs = [g for _, g in dg.enumerate_sop3()[::4]]
+    graphs += [crude_random_graph(6, 60, seed) for seed in range(4)]
+    for seed in range(4):
+        start = dg.random_mig(dg.RandomGraphSpec(40, 8, 2, seed))
+        graphs += [start, tr.random_rollout(start, 6, np.random.default_rng(seed))[0]]
+    found = {False: 0, True: 0}
+    for g in graphs:
+        for nid in g.maj_ids():
+            for action, want_compl in ((OmegaAction.ASSOC, False), (OmegaAction.COMPL_ASSOC, True)):
+                want = _full_assoc_search(g, nid, want_compl)
+                assert rw.match(g, nid, action) == want
+                found[want is not None] += 1
+    assert min(found.values()) > 100
+
+
+def test_every_live_set_handed_to_step_is_the_reachable_set(monkeypatch):
+    # `live` stands in for the walk `step` would make, so it must be that walk
+    real_step = rw.step
+    checked_calls = []
+
+    def checked(g, actions, live=None):
+        if live is not None:
+            assert set(live) == {n for n in g.reachable_nodes() if n > g.pi_count}
+            checked_calls.append(actions)
+        return real_step(g, actions, live)
+
+    monkeypatch.setattr(rw, "step", checked)
+    sop3 = [g for _, g in dg.enumerate_sop3()]
+    assert len(checked_calls) == sum(g.size() > 0 for g in sop3)
+    del checked_calls[:]
+    rand = [dg.random_mig(dg.RandomGraphSpec(n, 20, 2, s)) for n, s in ((10, 1), (60, 2), (150, 3))]
+    assert len(checked_calls) >= len(rand)
+    del checked_calls[:]
+    starts = sop3[::32] + rand
+    for i, g in enumerate(starts):
+        tr.random_rollout(g, 5, np.random.default_rng(i))
+    assert len(checked_calls) == 5 * len(starts)

@@ -581,10 +581,10 @@ def test_every_live_set_handed_to_step_is_the_reachable_set(monkeypatch):
     monkeypatch.setattr(rw, "step", checked)
     sop3 = [g for _, g in dg.enumerate_sop3()]
     assert len(checked_calls) == sum(g.size() > 0 for g in sop3)
-    del checked_calls[:]
+    checked_calls.clear()
     rand = [dg.random_mig(dg.RandomGraphSpec(n, 20, 2, s)) for n, s in ((10, 1), (60, 2), (150, 3))]
     assert len(checked_calls) >= len(rand)
-    del checked_calls[:]
+    checked_calls.clear()
     starts = sop3[::32] + rand
     for i, g in enumerate(starts):
         tr.random_rollout(g, 5, np.random.default_rng(i))

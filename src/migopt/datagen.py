@@ -93,14 +93,13 @@ def random_mig(spec: RandomGraphSpec) -> MigGraph:
             outs = [lit(rng.choice(maj), rand() < 0.5) for _ in range(spec.po_count)]
             # uncleaned size first; cleanup rarely changes it, since no
             # triple collapses (a merge of twin triples can)
-            live = _cone(triples, first, outs)
-            s = len(live)
+            s = len(_cone(triples, first, outs))
             if s == spec.size:
                 g = new_graph(spec.pi_count)
                 for t in triples:
                     g.add_majority(*t)
                 g.set_outputs(outs)
-                s = rw.step(g, {}, live).size_after
+                s = rw.step(g, {}).size_after
                 if s == spec.size:
                     g.check()
                     g.drop_fanout_index()  # the cleanup built it
@@ -155,7 +154,7 @@ def sop_decompose(spec: SopSpec) -> MigGraph:
     for m in minterms[1:]:
         out = g.add_or(out, m)
     g.set_outputs([out])
-    rw.step(g, {}, g.maj_ids())  # every gate built feeds the output
+    rw.step(g, {})  # merges the shared AND prefixes
     g.drop_fanout_index()  # the cleanup built it; callers keep these graphs
     return g
 

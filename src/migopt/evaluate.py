@@ -121,21 +121,20 @@ def greedy_rules(g: MigGraph) -> MigGraph:
     move whenever it strictly reduces the cleaned size, plus cleanup;
     at most 50 passes over the nodes. Each trial is a clone of the
     settled graph, so its cleanup visits only the nodes the move wrote."""
+    dist_rl = rw.OmegaAction.DIST_RL
     work = g.clone()
     size = rw.step(work, {}).size_after
-    live = work.maj_ids()  # a step leaves only live majority nodes
+    gates = work.maj_ids()  # a step leaves only live majority nodes
     for _ in range(50):
         progress = False
-        for nid in live:  # this pass's ids; an accepted trial rebinds `live`
-            binding = rw.match(work, nid, rw.OmegaAction.DIST_RL)
-            if binding is None:
-                continue
+        for nid in gates:  # this pass's ids; an accepted trial rebinds `gates`
+            if rw.match(work, nid, dist_rl) is None:
+                continue  # no clone for a move that cannot apply
             trial = work.clone()
-            rw.apply_omega(trial, binding)  # as step(trial, {nid: DIST_RL}, live) would
-            trial_size = rw.step(trial, {}, live).size_after
+            trial_size = rw.step(trial, {nid: dist_rl}).size_after
             if trial_size < size:
                 work, size = trial, trial_size
-                live = work.maj_ids()
+                gates = work.maj_ids()
                 progress = True
         if not progress:
             break
@@ -166,12 +165,13 @@ def evaluate(
         equivalent, proven = rw.verify_equivalence(g, out)
         if not equivalent:
             raise EvalError(f"optimizer broke equivalence on item {name!r}")
+        final_size = out.size()  # read from the cleanup state while it is there
         out.drop_fanout_index()  # a caller may keep every output
         items.append(
             EvalItem(
                 name=name,
                 initial_size=g.size(),
-                final_size=out.size(),
+                final_size=final_size,
                 steps=cfg.steps,
                 wall_time=time.perf_counter() - t0,
                 proven=proven,

@@ -305,7 +305,7 @@ def _checkpoint_payload(lines: list[str]):
 
     # each array must come in the order checkpoint_text writes it, with the
     # shape of the view it fills; a vector is written as one row
-    params = PolicyParams.zeros(hp)
+    params = PolicyParams(hp)
     for name, arr in params.arrays():
         rows = np.atleast_2d(arr)
         want = ["array", name, *map(str, rows.shape)]

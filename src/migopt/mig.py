@@ -16,6 +16,7 @@ grow monotonically and are never reused, even after deletion, so
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 
 def lit(node: int, neg: bool = False) -> int:
@@ -68,7 +69,9 @@ class MigGraph:
     majority ids that were created or lost their last reader or output
     since dead removal last ran (`remove_orphans`). A graph without
     an index has no such state; building the index starts it with every
-    majority node pending for both, and none hashed. `clone` copies the
+    majority node pending for both, and none hashed. Every other majority
+    node has a reader or names an output, so `live_ids` and `size` walk
+    the output cone only when an orphan has neither. `clone` copies the
     index and the state with the nodes; code that keeps many graphs drops
     them with `drop_fanout_index`.
     """
@@ -288,7 +291,21 @@ class MigGraph:
         return fo
 
     def maj_ids(self) -> list[int]:
-        return [nid for nid in self.nodes if nid > self.pi_count]
+        # the node table holds the constant and the inputs first, then the gates
+        return list(islice(self.nodes, self.pi_count + 1, None))
+
+    def live_ids(self) -> list[int]:
+        """Majority ids in the output cone, ascending. Starts the cleanup
+        state, and walks the cone only when an orphan has neither reader
+        nor output: every other majority node has one, so in a DAG each
+        then has a path to an output."""
+        index, orphans = self._index(), self._orphans
+        if orphans:
+            outs = {s >> 1 for s in self.outputs}
+            if not all(n in index or n in outs for n in orphans):
+                reach = self.reachable_nodes()
+                return [n for n in self.maj_ids() if n in reach]
+        return self.maj_ids()
 
     def reachable_nodes(self) -> set[int]:
         """Transitive fanin closure of the outputs (all node kinds)."""
@@ -341,7 +358,10 @@ class MigGraph:
         return order
 
     def size(self) -> int:
-        """Number of majority nodes in the output cone."""
+        """Number of majority nodes in the output cone. A graph without
+        cleanup state is walked and left without it."""
+        if self._fanouts is not None:
+            return len(self.live_ids())
         return sum(1 for nid in self.reachable_nodes() if nid > self.pi_count)
 
     # -- simulation ---------------------------------------------------

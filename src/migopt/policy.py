@@ -102,10 +102,6 @@ class PolicyParams:
             w[...] = rng.uniform(-bound, bound, size=w.shape)
         return params
 
-    @classmethod
-    def zeros(cls, hp: Hyperparams) -> "PolicyParams":
-        return cls(hp)
-
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         return list(self._arrays)
 

@@ -30,7 +30,6 @@ triples of the nodes to create, and the root's new fanins. In a triple,
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -345,12 +344,12 @@ def delete_dead(g: MigGraph) -> list[int]:
     return g.maj_ids()
 
 
-def step(g: MigGraph, actions: dict[int, int], live: Iterable[int] | None = None) -> StepReport:
+def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
     """Apply one simultaneous action set, then cleanup and dead-node removal.
 
-    `live` holds the reachable majority ids when the caller already has
-    them; when it is None the step walks the graph for them. Afterwards
-    every majority node left in the graph is reachable.
+    The size before is that of `g.live_ids()`, which walks the graph only
+    when its cleanup state shows a dead node. Afterwards every majority
+    node left in the graph is reachable.
 
     Acting nodes run in ascending id order. An action that `match` binds
     nothing for (the node is gone, a terminal, or holds no match) is
@@ -359,10 +358,7 @@ def step(g: MigGraph, actions: dict[int, int], live: Iterable[int] | None = None
     Both leave the graph unchanged for that node.
     """
     rep = StepReport()
-    if live is None:
-        reach_before = {n for n in g.reachable_nodes() if n > g.pi_count}
-    else:
-        reach_before = set(live)
+    reach_before = g.live_ids()
     rep.size_before = len(reach_before)
 
     touched: set[int] = set()

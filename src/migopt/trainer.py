@@ -107,7 +107,7 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     centers = rw.delete_dead(g)
     for _ in range(steps):
         actions, log_probs, batch, probs = choose(g, centers)
-        report = rw.step(g, dict(zip(centers, actions.tolist())), centers)
+        report = rw.step(g, dict(zip(centers, actions.tolist())))
         records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
         centers = g.maj_ids()
     return g, records
@@ -174,7 +174,7 @@ def reinforce_update(
     are none, it is applied undivided. The entropy term, when enabled,
     covers every observed state of every step.
     """
-    grads = PolicyParams.zeros(params.hp)
+    grads = PolicyParams(params.hp)
     action_count = 0
     for trace in batch:
         reward = trace.reward

@@ -5,10 +5,13 @@ clone of a settled graph continues from the settled state instead of
 rescanning every fanin and sweeping every gate. The graphs that callers
 keep hold none: `evaluate` drops them from each output it has verified.
 
-The hypothesis test chains one-step rollouts, each starting from the
+The state also shows which gates are live, so `live_ids` and `size`
+walk the output cone only when an orphan has neither reader nor output.
+
+One hypothesis test chains one-step rollouts, each starting from the
 settled graph the one before returned, against one rollout of as many
-steps. Its example budget comes from the hypothesis profile in
-conftest.py.
+steps; another checks `live_ids` and `size` against the walk. Their
+example budget comes from the hypothesis profile in conftest.py.
 """
 
 from dataclasses import asdict
@@ -29,6 +32,9 @@ from conftest import crude_random_graph
 from test_step_reference import add_redundancy, assert_same_graph
 
 PARAMS = PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=11)
+# the moves that unlink a footprint node other than the root from the root
+UNLINKING = (rw.OmegaAction.ASSOC, rw.OmegaAction.COMPL_ASSOC, rw.OmegaAction.DIST_LR,
+             rw.OmegaAction.DIST_RL)
 
 
 def start_graph(kind: str, inputs: int, gates: int, seed: int) -> MigGraph:
@@ -69,6 +75,44 @@ def test_chained_one_step_rollouts_equal_one_rollout(kind, greedy, inputs, gates
     assert emit_mig(g) == emit_mig(want)
     assert_same_graph(g, want)  # check() compares both graphs' state with a fresh scan
     assert emit_mig(g0) == text  # the start graph is never mutated
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    case=st.sampled_from(["dead gates", "orphaning move", "dropped output", "settled"]),
+    stated=st.booleans(),
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_live_ids_and_size_agree_with_the_walk(case, stated, inputs, gates, seed, data):
+    g = crude_random_graph(inputs, gates, seed)  # dead gates as built
+    g.fanouts(0)  # start the cleanup state
+    if case != "dead gates":
+        rw.step(g, {})  # settled: no dead gate, no orphan
+    if case == "orphaning move":
+        # a move orphans a footprint node whose only reader was the root
+        outs = {s >> 1 for s in g.outputs}
+        moves = [
+            b for nid in g.maj_ids() for act in UNLINKING
+            if (b := rw.match(g, nid, act))
+            and any(f != nid and f not in outs and g.fanouts(f) == [nid] for f in b[1])
+        ]
+        if moves:
+            rw.apply_omega(g, data.draw(st.sampled_from(moves), label="move"))
+    elif case == "dropped output":
+        kept = data.draw(st.integers(0, len(g.outputs) - 1), label="kept output")
+        g.set_outputs([g.outputs[kept]])
+    if not stated:
+        g.drop_fanout_index()
+    want = sorted(n for n in g.reachable_nodes() if n > g.pi_count)
+    assert g.size() == len(want)
+    if not stated:  # a graph without state is walked and left without it
+        assert (g._fanouts, g._dirty, g._orphans, g._strash) == (None,) * 4
+    assert g.live_ids() == want
+    assert g.size() == len(want)  # with the state `live_ids` started
+    g.check()
 
 
 def test_a_clone_of_a_settled_graph_needs_no_sweep(monkeypatch):

@@ -271,7 +271,7 @@ def test_param_count_formula():
 
 def test_arrays_are_views_of_flat_in_checkpoint_order():
     hp = Hyperparams(layers=3, hidden=5)
-    params = PolicyParams.zeros(hp)
+    params = PolicyParams(hp)
     names = [name for name, _ in params.arrays()]
     assert names == ["w0", "b0", "w1", "b1", "w2", "b2", "head_w", "head_b"]
     params.flat[:] = np.arange(params.flat.size)
@@ -307,7 +307,7 @@ def test_add_scaled_matches_per_array_update_bit_for_bit():
 
 def test_zero_params_give_uniform_distribution():
     g, center = motif_graph()
-    params = PolicyParams.zeros(Hyperparams(layers=2, hidden=5))
+    params = PolicyParams(Hyperparams(layers=2, hidden=5))
     probs = dists(params, g, [center])[0][0]
     assert np.allclose(probs, 1.0 / 9.0)
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -453,7 +453,7 @@ def test_policy_pass_matches_the_reference_bit_for_bit(depth, hidden):
             actions = rng.integers(rw.ACTION_COUNT, size=len(centers))
             scales = rng.normal(size=len(centers))
             scales[::3] = 0.0
-            grads, want_grads = PolicyParams.zeros(params.hp), PolicyParams.zeros(params.hp)
+            grads, want_grads = PolicyParams(params.hp), PolicyParams(params.hp)
             pol._backward_batch(params, got, probs, actions, scales, grads, entropy_coef=0.01)
             reference_backward_batch(
                 params, want, want_probs, actions, scales, want_grads, entropy_coef=0.01
@@ -598,7 +598,7 @@ def test_backward_zero_scale():
     g, center = motif_graph()
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=0)
-    grads = PolicyParams.zeros(hp)
+    grads = PolicyParams(hp)
     backward_one(params, g, center, rw.OmegaAction.ASSOC, 0.0, grads)
     assert max(float(np.max(np.abs(a))) for _, a in grads.arrays()) == 0.0
 
@@ -609,7 +609,7 @@ def test_backward_head_bias_is_softmax_identity():
     hp = Hyperparams(layers=2, hidden=5)
     params = PolicyParams.init(hp, seed=5)
     probs = dists(params, g, [center])[0][0]
-    grads = PolicyParams.zeros(hp)
+    grads = PolicyParams(hp)
     action = rw.OmegaAction.DIST_RL
     backward_one(params, g, center, action, 1.0, grads)
     want = -probs.copy()
@@ -638,7 +638,7 @@ def fd_gradient_check(seed, layers, hidden, stride, centers="one"):
         sigs.append(g_sig)
     g.set_outputs([sigs[-1]])
     maj = g.maj_ids()
-    grads = PolicyParams.zeros(hp)
+    grads = PolicyParams(hp)
     if centers == "one":
         center = maj[int(rng.integers(len(maj)))]
         action = rw.OmegaAction(int(rng.integers(9)))
@@ -699,7 +699,7 @@ def test_entropy_gradient_matches_finite_differences():
     params = PolicyParams.init(hp, seed=8)
     batch = pol.batch_for(params, g, [center])
     probs, _ = pol._forward_batch(params, batch, keep_cache=True)
-    grads = PolicyParams.zeros(hp)
+    grads = PolicyParams(hp)
     action = np.array([int(rw.OmegaAction.IDENTITY)])
     pol._backward_batch(params, batch, probs, action, np.zeros(1), grads, entropy_coef=1.0)
 
@@ -757,7 +757,7 @@ def golden_values(layers, hidden, kind):
     actions = rng.integers(rw.ACTION_COUNT, size=len(centers))
     scales = rng.normal(size=len(centers))
     scales[::3] = 0.0
-    grads = PolicyParams.zeros(params.hp)
+    grads = PolicyParams(params.hp)
     pol._backward_batch(params, batch, probs, actions, scales, grads, entropy_coef=0.01)
     out.update(grads.arrays())
     return out

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from migopt import datagen as dg
+from migopt import evaluate as ev
 from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr
 from migopt.mig import MigError, MigGraph, new_graph
+from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import OmegaAction
 
-from conftest import acting_nodes, clean_random_graph, crude_random_graph
+from conftest import clean_random_graph, crude_random_graph
 
 
 def tt(g):
@@ -383,22 +385,6 @@ def test_step_determinism():
     assert r1 == r2
 
 
-def test_step_with_handed_in_live_set_matches_its_own_walk():
-    rng = random.Random(6)
-    for seed in range(40):
-        g = crude_random_graph(2 + seed % 4, 5 + seed % 25, 900 + seed)
-        live = acting_nodes(g)
-        assert len(live) < len(g.maj_ids())  # dead nodes on the first step
-        swept = g.clone()  # the sweep returns the live set it leaves
-        assert rw.delete_dead(swept) == live == swept.maj_ids()
-        walked = g.clone()
-        for _ in range(3):
-            acts = {nid: rng.randrange(rw.ACTION_COUNT) for nid in live}
-            assert rw.step(g, acts, live) == rw.step(walked, acts)
-            assert fmt.emit_mig(g) == fmt.emit_mig(walked)
-            live = g.maj_ids()
-
-
 def test_blocked_actions_leave_graph_bit_identical():
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
@@ -567,25 +553,37 @@ def test_assoc_quick_reject_keeps_every_binding():
     assert min(found.values()) > 100
 
 
-def test_every_live_set_handed_to_step_is_the_reachable_set(monkeypatch):
-    # `live` stands in for the walk `step` would make, so it must be that walk
+def test_every_step_report_matches_a_walk(monkeypatch):
+    # `step` reads its sizes from the graph's cleanup state; a walk before
+    # and after each call must count the same gates
     real_step = rw.step
-    checked_calls = []
+    calls = []
 
-    def checked(g, actions, live=None):
-        if live is not None:
-            assert set(live) == {n for n in g.reachable_nodes() if n > g.pi_count}
-            checked_calls.append(actions)
-        return real_step(g, actions, live)
+    def walk(g):
+        return {n for n in g.reachable_nodes() if n > g.pi_count}
+
+    def checked(g, actions):
+        before = walk(g)
+        rep = real_step(g, actions)
+        after = walk(g)
+        assert (rep.size_before, rep.size_after) == (len(before), len(after))
+        assert (rep.nodes_removed, rep.nodes_added) == (len(before - after), len(after - before))
+        calls.append(actions)
+        return rep
 
     monkeypatch.setattr(rw, "step", checked)
-    sop3 = [g for _, g in dg.enumerate_sop3()]
-    assert len(checked_calls) == sum(g.size() > 0 for g in sop3)
-    checked_calls.clear()
+    sop3 = dg.enumerate_sop3()
+    assert len(calls) == sum(g.size() > 0 for _, g in sop3)
+    calls.clear()
     rand = [dg.random_mig(dg.RandomGraphSpec(n, 20, 2, s)) for n, s in ((10, 1), (60, 2), (150, 3))]
-    assert len(checked_calls) >= len(rand)
-    checked_calls.clear()
-    starts = sop3[::32] + rand
+    assert len(calls) >= len(rand)
+    calls.clear()
+    starts = [g for _, g in sop3[::32]] + rand
+    params = PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=4)
     for i, g in enumerate(starts):
         tr.random_rollout(g, 5, np.random.default_rng(i))
-    assert len(checked_calls) == 5 * len(starts)
+        tr.greedy_optimize(g, params, 3)
+    assert len(calls) == 8 * len(starts)
+    calls.clear()
+    ev.evaluate(sop3, ev.greedy_rules_optimizer(), ev.EvalConfig(steps=0))
+    assert sum(bool(acts) for acts in calls) > len(sop3)  # the trials, one move each

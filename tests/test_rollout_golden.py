@@ -48,8 +48,8 @@ def _captured_steps():
     orig = rw.step
     reports = []
 
-    def step(g, actions, live=None):
-        rep = orig(g, actions, live)
+    def step(g, actions):
+        rep = orig(g, actions)
         reports.append(rep)
         return rep
 

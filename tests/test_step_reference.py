@@ -407,7 +407,7 @@ def test_step_matches_the_frozen_reference(inputs, gates, seed, redundant, clean
         if data.draw(st.booleans(), label="live given"):
             live = sorted(n for n in want.reachable_nodes() if n > want.pi_count)
         want_rep = reference_step(want, actions, live)
-        got_rep = rw.step(got, actions, live)
+        got_rep = rw.step(got, actions)
         assert asdict(got_rep) == asdict(want_rep)
         assert_same_graph(got, want)
 

@@ -15,7 +15,7 @@ HP = Hyperparams(layers=2, hidden=6)
 
 
 def identity_forced_params():
-    params = PolicyParams.zeros(HP)
+    params = PolicyParams(HP)
     params.head_b[int(rw.OmegaAction.IDENTITY)] = 50.0
     return params
 
@@ -71,8 +71,9 @@ def test_episode_sizes_come_from_the_step_reports(monkeypatch):
         monkeypatch.setattr(MigGraph, "reachable_nodes", counted)
         trace = tr.run_episode(g0, params, steps, np.random.default_rng(seed))
         monkeypatch.undo()
-        # a rollout does not walk; no steps means two walks, for the sizes
-        assert len(walks) == (0 if steps else 2)
+        # a rollout does not walk; no steps means one walk, for the start
+        # graph's size: the rolled-out copy's cleanup state gives its own
+        assert len(walks) == (0 if steps else 1)
         g, _ = tr.rollout(g0, steps, tr.policy_chooser(params, np.random.default_rng(seed)))
         assert (trace.initial_size, trace.final_size) == (g0.size(), g.size())
 
@@ -141,7 +142,7 @@ def test_blocked_only_trace_contributes_no_gradient():
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
-    params = PolicyParams.zeros(HP)
+    params = PolicyParams(HP)
     params.head_b[int(rw.OmegaAction.ASSOC)] = 50.0  # always blocked: no child
     trace = tr.run_episode(g, params, 3, None)
     assert all(v == "blocked_illegal" for rec in trace.steps for v in rec.report.outcomes.values())

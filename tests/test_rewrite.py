@@ -12,7 +12,7 @@ from migopt.mig import MigError, MigGraph, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import OmegaAction
 
-from conftest import clean_random_graph, crude_random_graph
+from conftest import acting_nodes, clean_random_graph, crude_random_graph
 
 
 def tt(g):
@@ -385,6 +385,27 @@ def test_step_determinism():
     assert r1 == r2
 
 
+def test_step_with_handed_in_live_set_matches_its_own_walk():
+    # `step` takes its live set from the graph's cleanup state; a graph that
+    # carries that state from earlier steps must step like one indexed afresh
+    rng = random.Random(6)
+    for seed in range(40):
+        g = crude_random_graph(2 + seed % 4, 5 + seed % 25, 900 + seed)
+        live = g.live_ids()
+        assert live == acting_nodes(g)
+        assert len(live) < len(g.maj_ids())  # dead nodes on the first step
+        swept = g.clone()  # the sweep returns the live set it leaves
+        assert rw.delete_dead(swept) == live == swept.maj_ids()
+        walked = g.clone()
+        for _ in range(3):
+            acts = {nid: rng.randrange(rw.ACTION_COUNT) for nid in live}
+            walked.drop_fanout_index()
+            assert rw.step(g, acts) == rw.step(walked, acts)
+            assert fmt.emit_mig(g) == fmt.emit_mig(walked)
+            live = g.live_ids()
+            assert live == acting_nodes(g) == g.maj_ids()
+
+
 def test_blocked_actions_leave_graph_bit_identical():
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
@@ -553,9 +574,9 @@ def test_assoc_quick_reject_keeps_every_binding():
     assert min(found.values()) > 100
 
 
-def test_every_step_report_matches_a_walk(monkeypatch):
-    # `step` reads its sizes from the graph's cleanup state; a walk before
-    # and after each call must count the same gates
+def test_every_live_set_handed_to_step_is_the_reachable_set(monkeypatch):
+    # `step` reads its live set and sizes from the graph's cleanup state; a
+    # walk before and after each call must find the same gates
     real_step = rw.step
     calls = []
 
@@ -564,6 +585,7 @@ def test_every_step_report_matches_a_walk(monkeypatch):
 
     def checked(g, actions):
         before = walk(g)
+        assert g.live_ids() == sorted(before)
         rep = real_step(g, actions)
         after = walk(g)
         assert (rep.size_before, rep.size_after) == (len(before), len(after))

@@ -10,20 +10,23 @@ L layers the center's feature vector feeds a linear head and a softmax
 over the action catalog.
 
 One pass serves every center. The is_self bit is the only input that
-depends on the center, and each layer moves information by one hop. So
-at layer l a node more than l hops from center c has the features it has
-in a *background* pass in which no node is a center; and only nodes
-within L - l hops of c reach c's output. The engine runs the background
-pass once over every node of the graph. Per center it recomputes *delta
-rows* only for the nodes within min(l, L - l) hops at layer l. A delta
-row reads a neighbor's delta row of the layer below where the neighbor
-has one, and its background row otherwise. For L = 3 that is the center
-and its 1-hop neighbors at layers 1 and 2, and the center alone at layer
-3. Every row a delta row reads at layer L / 2 or above is itself a delta
-row, so background rows exist only below L / 2. Every row that reaches
-the center's output thus sees the same inputs over the same edges as
-when the network runs on the center's L-hop neighborhood alone, and the
-result is the same. Backward mirrors this: each center's adjoint flows
+depends on the center, and a message reads a node's fanins and fanout
+consumers, never the node itself. So a node's layer-l row can differ from
+its row in a *background* pass, in which no node is a center, only if a
+walk of exactly l undirected edges joins it to center c; and that row
+reaches c's output only if a walk of exactly L - l edges leads back to c.
+The engine runs the background pass once over every node of the graph.
+Per center it computes *delta rows* at layer l only for the nodes at step
+l of some closed walk of length L through c. A delta row reads a
+neighbor's delta row of the layer below where the neighbor has one, and
+its background row otherwise, so the layers below L keep their background
+rows wherever such a read needs them. For L = 3 the delta rows at layers
+1 and 2 are the neighbors of c that lie on a triangle through c, and at
+layer 3 the center alone; a center on no triangle reads background rows
+only, and its own is_self bit never reaches its output. Every row that
+reaches the center's output thus sees the same inputs over the same edges
+as when the network runs on the center's L-hop neighborhood alone, and
+the result is the same. Backward mirrors this: each center's adjoint flows
 into its delta rows and into the shared background rows, whose pass is
 then backpropagated once for all centers.
 
@@ -163,14 +166,13 @@ def _graph_arrays(g: MigGraph) -> tuple[np.ndarray, ...]:
     return ids, kind, fanin_idx, fanin_pol, edge_prod[order], order % 3, first + order // 3, pol
 
 
-# Most entries a build uses in its table from pair key to pair row. The
-# table is filled for one block of consecutive centers at a time, so its
-# int32 `_SCRATCH` buffer stays under 5.3 MB whatever the graph (every
-# all-center 500-gate build is one block of 0.3M to 0.5M entries), unless
-# a graph has more nodes than this, when each block is one center. Entries
-# left by an earlier block or build are never cleared: a hit counts only
-# where the row it names holds the key read.
-_PAIR_TABLE = 1 << 20
+def _find(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index of an entry equal to each entry of q in the sorted keys, -1
+    where there is none."""
+    if not keys.size:
+        return np.full(q.shape, -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return np.where(keys[at] == q, at, -1)
 
 
 def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
@@ -184,12 +186,17 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     if (ids[cidx] != wanted).any() or cidx.min() <= g.pi_count:
         raise MigError("every center must be a live majority node")
 
-    # (center, node) pairs within depth // 2 undirected hops, by center then
-    # hop then node, keyed center * s + node; s = n + 1 keeps a fanin slot of
-    # -1 from reading as another center's pair
+    # (center, node) pairs keyed center * s + node, so a sorted key array
+    # runs by center, then node; s = n + 1 keeps a fanin slot of -1 from
+    # reading as another center's pair
     s = n + 1
-    pair_key = np.arange(cidx.size, dtype=np.int64) * s + cidx
-    pair_dist = np.zeros(cidx.size, dtype=np.int64)
+    own = np.arange(cidx.size, dtype=np.int64) * s + cidx
+    # reach[l]: the pairs joined by a walk of exactly l undirected edges.
+    # delta[l]: the pairs at step l of a closed walk of length depth through
+    # the center, so in reach[l] and reach[depth - l]; these are the delta
+    # rows of layer l. Layer 0 keeps every center's own row, x0's is_self row
+    reach = [own]
+    delta = [own] * (depth + 1)
     if depth >= 2:
         both = np.concatenate([prod * n + cons, cons * n + prod])
         both.sort()
@@ -199,92 +206,55 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
         nbr_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
         nbr = both % n
-        keys, dists = [pair_key], [pair_dist]
-        seen = frontier = pair_key
-        for hop in range(1, depth // 2 + 1):
-            ci, v = np.divmod(frontier, s)
+
+        def neighbors(keys):  # key by key, with repeats
+            ci, v = np.divmod(keys, s)
             lengths = nbr_ptr[v + 1] - nbr_ptr[v]
-            frontier = np.repeat(ci * s, lengths) + nbr[_ranges(nbr_ptr[v], lengths)]
-            # at hop 1 the frontier is sorted and distinct already, since
-            # each center's neighbours are, and no node neighbours itself
-            if hop > 1:
-                frontier = np.setdiff1d(frontier, seen)
-            if hop < depth // 2:
-                seen = np.union1d(seen, frontier)
-            keys.append(frontier)
-            dists.append(np.full(frontier.size, hop))
-        pair_key, pair_dist = np.concatenate(keys), np.concatenate(dists)
-        order = np.argsort(pair_key // s, kind="stable")
-        pair_key, pair_dist = pair_key[order], pair_dist[order]
-    pair_ci, pair_v = np.divmod(pair_key, s)
-    pairs = pair_key.size
+            return np.repeat(ci * s, lengths) + nbr[_ranges(nbr_ptr[v], lengths)]
 
-    # the index work of every pair row, done once for all layers: its fanin
-    # slots, its fanout edges, and the pair row that each slot or edge reads,
-    # `pairs` where the node read is no pair of the same center
-    lengths = fo_ptr[pair_v + 1] - fo_ptr[pair_v]
-    flat = _ranges(fo_ptr[pair_v], lengths)
-    e_row = np.repeat(np.arange(pairs, dtype=np.int64), lengths)  # pair row of each edge
-    p_fanin, e_cons = fanin_idx[pair_v], cons[flat]
-    reads = np.concatenate([(pair_ci[:, None] * s + p_fanin).ravel(), pair_ci[e_row] * s + e_cons])
-    at = np.empty(reads.size, dtype=np.int64)
-    # the pair rows sit in center order, and so do the reads of either kind:
-    # a block of consecutive centers owns one range of each
-    per = max(1, _PAIR_TABLE // s)  # centers per block
-    table = _scratch("pair_table", (min(per, cidx.size) * s,), np.int32)
-    p_bound = np.searchsorted(pair_ci, np.arange(0, cidx.size + per, per))
-    e_bound = 3 * pairs + np.concatenate([[0], np.cumsum(lengths)])[p_bound]
-    for b in range(p_bound.size - 1):
-        p0, p1, base = p_bound[b], p_bound[b + 1], b * per * s
-        table[pair_key[p0:p1] - base] = np.arange(p0, p1)
-        for r0, r1 in ((3 * p0, 3 * p1), (e_bound[b], e_bound[b + 1])):
-            r = reads[r0:r1]
-            # an entry no pair of this block wrote holds anything; fanin slot
-            # -1 of the block's first center reads index -1, the last entry
-            hit = table[r - base].clip(0, pairs - 1)
-            at[r0:r1] = np.where(pair_key[hit] == r, hit, pairs)
-    shared = (p_fanin, at[: 3 * pairs].reshape(-1, 3), fanin_pol[pair_v])
-    shared_edges = (e_cons, at[3 * pairs :], e_row, port[flat], pol[flat])
+        # a center's neighbors are sorted and distinct, so reach[1] is too
+        for layer in range(1, max(depth // 2, depth - 2) + 1):
+            step = neighbors(reach[-1])
+            reach.append(step if layer == 1 else np.unique(step))
+        for near in range(1, depth // 2 + 1):
+            far = depth - near
+            walks = np.sort(neighbors(reach[far - 1]))  # reach[far], with repeats
+            delta[near] = delta[far] = reach[near][_find(walks, reach[near]) >= 0]
 
-    # per radius m: each pair's row among the pairs within m hops (-1 beyond,
-    # and -1 at index `pairs`), and the shared arrays cut to those pairs
-    within = {}
-    for m in range(depth // 2 + 1):
-        rows = pair_dist <= m
-        rank = np.full(pairs + 1, -1, dtype=np.int64)
-        rank[:pairs][rows] = np.arange(np.count_nonzero(rows), dtype=np.int64)
-        cut, cut_edges = shared, shared_edges
-        if m < depth // 2:
-            edges = rows[e_row]
-            cut = tuple(a[rows] for a in shared)
-            cut_edges = tuple(a[edges] for a in shared_edges)
-        within[m] = rank, cut, cut_edges
-
-    top = (depth - 1) // 2  # highest layer that keeps background rows
     x0 = np.concatenate([kind, kind[cidx]])
     x0[n:, 0] = 1.0
     background = (fanin_idx, fanin_pol, cons, prod * 3 + port, pol)
-    below_base = n
     layers = []
-    for layer in range(1, depth + 1):
-        rank, (d_fanin, fanin_at, d_pol), (d_cons, cons_at, d_row, d_port, d_epol) = within[
-            min(layer, depth - layer)
-        ]
-        below = within[min(layer - 1, depth - layer + 1)][0]
-        base = n if layer <= top else 0
-        # a read takes its pair's delta row in the layer below, else the background row
-        r_fanin, r_cons = below[fanin_at], below[cons_at]
+    base = 0  # row of the layer's first delta row: n below background rows
+    for layer in range(depth, 0, -1):
+        ci, v = np.divmod(delta[layer], s)
+        lengths = fo_ptr[v + 1] - fo_ptr[v]
+        flat = _ranges(fo_ptr[v], lengths)
+        d_fanin, d_cons = fanin_idx[v], cons[flat]
+        # a read takes its pair's delta row in the layer below, else the
+        # background row; a fanin slot of -1 finds no pair and stays -1
+        fanin_at = _find(delta[layer - 1], (ci * s)[:, None] + d_fanin)
+        cons_at = _find(delta[layer - 1], np.repeat(ci * s, lengths) + d_cons)
+        # the layer below keeps background rows where a read here or a
+        # background row of this layer needs one; layer 0 (x0) always has them
+        below = n if (
+            layer == 1
+            or base
+            or ((fanin_at < 0) & (d_fanin >= 0)).any()
+            or (cons_at < 0).any()
+        ) else 0
         out = (
-            np.where(r_fanin >= 0, r_fanin + below_base, d_fanin),
-            d_pol,
-            np.where(r_cons >= 0, r_cons + below_base, d_cons),
-            (rank[d_row] + base) * 3 + d_port,
-            d_epol,
+            np.where(fanin_at >= 0, fanin_at + below, d_fanin),
+            fanin_pol[v],
+            np.where(cons_at >= 0, cons_at + below, d_cons),
+            (np.repeat(np.arange(v.size, dtype=np.int64), lengths) + base) * 3 + port[flat],
+            pol[flat],
         )
         if base:  # background rows first, in node order
             out = tuple(np.concatenate(pair) for pair in zip(background, out))
         layers.append(_Layer(*out))
-        below_base = base
+        base = below
+    layers.reverse()
     return _Batch(x0, layers, centers=centers)
 
 
@@ -292,25 +262,24 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
 # a few megabytes went back to the kernel on free and were faulted in again
 # by the next pass, which made a 500-gate pass twice as slow as its
 # arithmetic. Each buffer grows to a quarter more than the largest pass
-# seen and never shrinks: 7.7 MB in all after 500-gate graphs, so about
-# 31 MB at 2000 gates (computed from the 500-gate row counts, not
-# measured). Without the quarter, a 500-gate graph that gained a few gates
+# seen and never shrinks: 1.7 MB in all after 20 greedy steps on each of
+# four 500-gate graphs, and 5.6 MB after 20 on a 2000-gate graph
+# (measured). Without the quarter, a 500-gate graph that gained a few gates
 # per greedy step regrew them and took 300 to 1,400 faults on 8 of its
 # first 11 steps after the first; with it, under 70 on each. Held at module
 # level, like mig._PI_PATTERNS, so a checkpoint parsed anew reuses them;
 # the pass is therefore not reentrant (one pass at a time, the
-# single-threaded use that MigGraph already requires). The build's pair
-# table is one more buffer here (see `_PAIR_TABLE`).
+# single-threaded use that MigGraph already requires).
 _SCRATCH: dict[str, np.ndarray] = {}
 
 
-def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """A C-contiguous view of buffer `name` with the given shape, holding
-    whatever the previous pass left there; a name keeps one dtype."""
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 view of buffer `name` with the given shape,
+    holding whatever the previous pass left there."""
     size = math.prod(shape)
     buf = _SCRATCH.get(name)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[name] = np.empty(size + size // 4, dtype)
+        buf = _SCRATCH[name] = np.empty(size + size // 4)
     return buf[:size].reshape(shape)
 
 

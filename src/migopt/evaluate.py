@@ -19,19 +19,6 @@ from migopt.mig import MigGraph
 from migopt.policy import PolicyParams
 from migopt.trainer import greedy_optimize, random_rollout
 
-# Externally reported results for this benchmark family, kept for context
-# in report metadata: dataset -> (mean size reduction, fraction of its
-# baseline). Never recomputed here. They are context, not targets: sop3's
-# 7.38 exceeds this repo's exact ceiling, `datagen.sop3_oracle_ceiling()`
-# of 6.92, presumably because the SOP start graphs here are smaller.
-REFERENCE_POINTS = {
-    "sop3": (7.38, 0.85),
-    "rand50": (44.92, 1.75),
-    "rand500": (413.68, 1.52),
-    "c1355": (106.0, 0.93),
-}
-
-
 class EvalError(Exception):
     pass
 
@@ -187,6 +174,5 @@ def evaluate(
             "steps": cfg.steps,
             "optimizer": cfg.optimizer_id,
             "baseline_msr": cfg.baseline_msr,
-            "reference_points": REFERENCE_POINTS,
         },
     )

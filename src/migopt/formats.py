@@ -185,6 +185,8 @@ def parse_aiger_ascii(text: str) -> MigGraph:
         lit = literal_line("input")
         if lit & 1 or lit == 0:
             raise ParseError(idx, f"input literal {lit} must be even nonzero")
+        if lit >> 1 in pi_var:
+            raise ParseError(idx, f"input literal {lit} repeats an input")
         pi_var[lit >> 1] = k + 1
     out_lits = [literal_line("output") for _ in range(n_out)]
     and_def: dict[int, tuple[int, int]] = {}

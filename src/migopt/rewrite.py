@@ -24,8 +24,9 @@ scored.
 
 A binding is a plain tuple of ints, `(root, footprint, new nodes, root
 fanins, complements_root)`: the ids the move reads or writes, the fanin
-triples of the nodes to create, and the root's new fanins. In a triple,
-``~k`` (a negative int, so no literal) names the k-th new node.
+triples of the nodes to create, and the root's new fanins. No new node
+reads another, so only the root fanins hold ``~k`` (a negative int, so no
+literal), which names the k-th new node.
 """
 
 from __future__ import annotations
@@ -106,108 +107,79 @@ def _associate(want_compl: bool):
     flip = int(want_compl)
 
     def assoc(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
-        # quick reject, as most calls miss: a match needs a majority fanin
-        # that holds another fanin (its complement for COMPL_ASSOC), with
-        # the child edge's polarity folded in as `_virtual_ops` folds it
+        # a majority fanin (child port cp) whose operands, the child edge's
+        # polarity folded in, hold another fanin u (its complement for
+        # COMPL_ASSOC); the third fanin is x, at port xp. Ports ascend: cp,
+        # then u's, then u's first place in the child
         nodes = g.nodes
         a, b, c = fan
-        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-            child = nodes[x >> 1]
-            if child:
-                pol = (x & 1) ^ flip
-                if (y ^ pol) in child or (z ^ pol) in child:
-                    break
-        else:
-            return None
-        for cp in range(3):
-            child_sig = fan[cp]
-            child = g.nodes[child_sig >> 1]
+        for cp, s, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
+            child = nodes[s >> 1]
             if not child:
                 continue
-            virt = _virtual_ops(child, child_sig)
-            for up in range(3):
-                if up == cp:
-                    continue
-                u = fan[up]
-                needle = u ^ 1 if want_compl else u
-                for uc in range(3):
-                    if virt[uc] != needle:
-                        continue
-                    xp = 3 - cp - up
-                    x = fan[xp]
-                    rest = [p for p in range(3) if p != uc]
-                    nc = [None, None, None]
-                    new_root = list(fan)
-                    if want_compl:
-                        # M(x,u,M(y,u',z)) = M(x,u,M(y,x,z))
-                        nc[uc] = x
-                        nc[rest[0]] = virt[rest[0]]
-                        nc[rest[1]] = virt[rest[1]]
-                    else:
-                        # M(x,u,M(y,u,z)) = M(z,u,M(y,u,x)); z := lower rest port
-                        zc, yc = rest
-                        nc[uc] = u
-                        nc[yc] = virt[yc]
-                        nc[zc] = x
-                        new_root[xp] = virt[zc]
-                    new_root[cp] = ~0
-                    return nid, (nid, child_sig >> 1), (tuple(nc),), tuple(new_root), False
+            pol = (s & 1) ^ flip
+            if (y ^ pol) in child:
+                u, xp = y, 1 if cp == 2 else 2
+            elif (z ^ pol) in child:
+                u, xp = z, 0 if cp else 1
+            else:
+                continue
+            uc = child.index(u ^ pol)
+            ops = list(_virtual_ops(child, s))
+            root = list(fan)
+            if want_compl:
+                # M(x,u,M(y,u',z)) = M(x,u,M(y,x,z))
+                ops[uc] = fan[xp]
+            else:
+                # M(x,u,M(y,u,z)) = M(z,u,M(y,u,x)), z at the lower port of the
+                # two that do not hold u
+                zc = int(uc == 0)
+                root[xp], ops[zc] = ops[zc], fan[xp]
+            root[cp] = ~0
+            return nid, (nid, s >> 1), (tuple(ops),), tuple(root), False
         return None
 
     return assoc
 
 
 def _distribute_lr(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
-    # M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)
-    for cp in range(3):
-        child_sig = fan[cp]
-        child = g.nodes[child_sig >> 1]
-        if not child:
-            continue
-        virt = _virtual_ops(child, child_sig)
-        zc = 0
-        pa, pb = 1, 2
-        o0, o1 = [p for p in range(3) if p != cp]
-        node_a = [None, None, None]
-        node_b = [None, None, None]
-        node_a[o0], node_a[o1], node_a[cp] = fan[o0], fan[o1], virt[pa]
-        node_b[o0], node_b[o1], node_b[cp] = fan[o0], fan[o1], virt[pb]
-        new_root = [None, None, None]
-        new_root[o0] = ~0
-        new_root[o1] = ~1
-        new_root[cp] = virt[zc]
-        new_nodes = (tuple(node_a), tuple(node_b))
-        return nid, (nid, child_sig >> 1), new_nodes, tuple(new_root), False
+    # M(x,y,M(z,u,v)) = M(M(x,y,u),M(x,y,v),z), at the first majority fanin
+    nodes = g.nodes
+    for cp, s in enumerate(fan):
+        child = nodes[s >> 1]
+        if child:
+            z, u, v = _virtual_ops(child, s)
+            node_a, node_b = list(fan), list(fan)
+            node_a[cp], node_b[cp] = u, v
+            root = [~0, ~1]
+            root.insert(cp, z)
+            return nid, (nid, s >> 1), (tuple(node_a), tuple(node_b)), tuple(root), False
     return None
 
 
 def _distribute_rl(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
-    # M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z))
-    for cpa, cpb in ((0, 1), (0, 2), (1, 2)):
+    # M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z)): the first pair of majority
+    # fanins, then the first operand pair (x, y) of the first one, folded,
+    # that the second one's folded operands also hold; taking out the first
+    # place that holds x, then the first other place that holds y, leaves v
+    nodes = g.nodes
+    for cpa, cpb, zp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         sa, sb = fan[cpa], fan[cpb]
-        a, b = sa >> 1, sb >> 1
-        na, nb = g.nodes[a], g.nodes[b]
+        na, nb = nodes[sa >> 1], nodes[sb >> 1]
         if not na or not nb:
             continue
-        virt_a = _virtual_ops(na, sa)
-        virt_b = _virtual_ops(nb, sb)
-        zp = 3 - cpa - cpb
-        z = fan[zp]
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            p, q = virt_a[i], virt_a[j]
-            for k in range(3):
-                if virt_b[k] != p:
-                    continue
-                for l in range(3):
-                    if l == k or virt_b[l] != q:
-                        continue
-                    ua = virt_a[3 - i - j]
-                    vb = virt_b[3 - k - l]
-                    new_root = [None, None, None]
-                    new_root[cpa] = p
-                    new_root[cpb] = q
-                    new_root[zp] = ~0
-                    return nid, (nid, a, b), ((ua, vb, z),), tuple(new_root), False
+        x0, x1, x2 = _virtual_ops(na, sa)
+        vb = _virtual_ops(nb, sb)
+        for x, y, u in ((x0, x1, x2), (x0, x2, x1), (x1, x2, x0)):
+            if x not in vb:
+                continue
+            rest = list(vb)
+            rest.remove(x)
+            if y in rest:
+                rest.remove(y)
+                root = [~0, ~0, ~0]
+                root[cpa], root[cpb] = x, y
+                return nid, (nid, sa >> 1, sb >> 1), ((u, rest[0], fan[zp]),), tuple(root), False
     return None
 
 
@@ -253,7 +225,7 @@ def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
 
     new: list[int] = []  # literals of the created nodes; ~k names new[k]
     for fanins in new_nodes:
-        new.append(g.add_majority(*(new[~s] if s < 0 else s for s in fanins)))
+        new.append(g.add_majority(*fanins))
     if new:
         root_fanins = tuple(new[~s] if s < 0 else s for s in root_fanins)
     g.set_fanins(root, root_fanins)

@@ -109,7 +109,7 @@ def test_report_serialization_and_reference_points():
     assert rec["name"] == "g" and "reduction" in rec
     summary = json.loads(lines[-1])
     assert summary["config"]["optimizer"] == "random"
-    assert summary["config"]["reference_points"]["sop3"] == [7.38, 0.85]
+    assert "reference_points" not in summary["config"]  # figures this repo cannot reach
     assert "MSR" in rep.summary_text()
 
 

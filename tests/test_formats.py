@@ -146,6 +146,8 @@ def test_aiger_rejects_latches_and_bad_literals():
         fmt.parse_aiger_ascii("aag 3 1 0 1 1\n2\n6\n6 6 2\n")
     with pytest.raises(fmt.ParseError, match="variable 4 is never defined"):
         fmt.parse_aiger_ascii("aag 4 1 0 1 1\n2\n6\n6 2 8\n")
+    with pytest.raises(fmt.ParseError, match="line 3: input literal 2 repeats an input"):
+        fmt.parse_aiger_ascii("aag 1 2 0 1 0\n2\n2\n2\n")
 
 
 def random_aag(n_inputs, n_ands, seed):

@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migopt import datagen as dg
 from migopt import evaluate as ev
@@ -13,6 +16,7 @@ from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import OmegaAction
 
 from conftest import acting_nodes, clean_random_graph, crude_random_graph
+from test_step_reference import PlanRef, add_redundancy, reference_apply_omega, reference_match
 
 
 def tt(g):
@@ -519,41 +523,30 @@ def test_inv_prop_self_inverse():
     assert fmt.emit_mig(g) == before
 
 
-def _full_assoc_search(g, nid, want_compl):
-    """`rewrite._associate`'s port search without its quick reject."""
-    fan = g.nodes[nid]
-    for cp in range(3):
-        child_sig = fan[cp]
-        child = g.nodes[child_sig >> 1]
-        if not child:
-            continue
-        virt = rw._virtual_ops(child, child_sig)
-        for up in range(3):
-            if up == cp:
-                continue
-            u = fan[up]
-            needle = u ^ 1 if want_compl else u
-            for uc in range(3):
-                if virt[uc] != needle:
-                    continue
-                xp = 3 - cp - up
-                x = fan[xp]
-                rest = [p for p in range(3) if p != uc]
-                nc = [None, None, None]
-                new_root = list(fan)
-                if want_compl:
-                    nc[uc] = x
-                    nc[rest[0]] = virt[rest[0]]
-                    nc[rest[1]] = virt[rest[1]]
-                else:
-                    zc, yc = rest
-                    nc[uc] = u
-                    nc[yc] = virt[yc]
-                    nc[zc] = x
-                    new_root[xp] = virt[zc]
-                new_root[cp] = ~0
-                return nid, (nid, child_sig >> 1), (tuple(nc),), tuple(new_root), False
-    return None
+def reference_binding(g, nid, action):
+    """The frozen `reference_match` in the form of a binding, footprint as a set."""
+    desc = reference_match(g, nid, action)
+    if desc is None:
+        return None
+
+    def lit(s):
+        return ~s.idx if isinstance(s, PlanRef) else s
+
+    new_nodes = tuple(tuple(map(lit, fanins)) for fanins in desc.new_nodes)
+    root_fanins = tuple(map(lit, desc.new_root_fanins))
+    return desc.root, desc.footprint, new_nodes, root_fanins, desc.complements_root
+
+
+def assert_match_is_the_reference(g, found=None):
+    # every id up to one past the last, so terminals and gone nodes too
+    for nid in range(g._next_id + 1):
+        for action in OmegaAction:
+            got = rw.match(g, nid, action)
+            if got is not None:
+                got = (got[0], frozenset(got[1]), *got[2:])
+            assert got == reference_binding(g, nid, action), (nid, action.name)
+            if found is not None:
+                found[action, got is not None] += 1
 
 
 def test_assoc_quick_reject_keeps_every_binding():
@@ -564,14 +557,41 @@ def test_assoc_quick_reject_keeps_every_binding():
     for seed in range(4):
         start = dg.random_mig(dg.RandomGraphSpec(40, 8, 2, seed))
         graphs += [start, tr.random_rollout(start, 6, np.random.default_rng(seed))[0]]
-    found = {False: 0, True: 0}
+    found = Counter()
     for g in graphs:
-        for nid in g.maj_ids():
-            for action, want_compl in ((OmegaAction.ASSOC, False), (OmegaAction.COMPL_ASSOC, True)):
-                want = _full_assoc_search(g, nid, want_compl)
-                assert rw.match(g, nid, action) == want
-                found[want is not None] += 1
-    assert min(found.values()) > 100
+        assert_match_is_the_reference(g, found)
+    for action in OmegaAction:
+        assert min(found[action, False], found[action, True]) > 50, action.name
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    kind=st.sampled_from(["crude", "sop3", "random_mig"]),
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_match_is_the_reference_in_mid_step_states(kind, inputs, gates, seed, data):
+    # a step's moves up to a drawn one, before any cleanup: duplicate
+    # fanins and complemented child edges that no settled graph holds
+    if kind == "crude":
+        g = crude_random_graph(inputs, gates, seed)
+        add_redundancy(g, seed)
+    elif kind == "sop3":
+        g = dg.sop_decompose(dg.SopSpec(3, seed % 256))
+    else:
+        g = dg.random_mig(dg.RandomGraphSpec(50, 3 * inputs, 2, seed))
+    rng = random.Random(seed)
+    centers = g.maj_ids()
+    moves = data.draw(st.integers(0, len(centers)), label="moves")
+    touched = set()
+    for nid in centers[:moves]:
+        desc = reference_match(g, nid, OmegaAction(rng.randrange(rw.ACTION_COUNT)))
+        if desc is not None and not desc.footprint & touched:
+            touched |= desc.footprint
+            touched.update(reference_apply_omega(g, desc)[1])
+    assert_match_is_the_reference(g)
 
 
 def test_every_live_set_handed_to_step_is_the_reachable_set(monkeypatch):

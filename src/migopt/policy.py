@@ -183,7 +183,7 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
 
     wanted = np.asarray(centers, dtype=np.int64)
     cidx = np.minimum(np.searchsorted(ids, wanted), n - 1)
-    if (ids[cidx] != wanted).any() or cidx.min() <= g.pi_count:
+    if (ids[cidx] != wanted).any() or (cidx <= g.pi_count).any():
         raise MigError("every center must be a live majority node")
 
     # (center, node) pairs keyed center * s + node, so a sorted key array
@@ -197,29 +197,28 @@ def _build_batch(g: MigGraph, centers: list[int], depth: int) -> _Batch:
     # rows of layer l. Layer 0 keeps every center's own row, x0's is_self row
     reach = [own]
     delta = [own] * (depth + 1)
-    if depth >= 2:
-        both = np.concatenate([prod * n + cons, cons * n + prod])
-        both.sort()
-        distinct = np.ones(both.size, dtype=bool)
-        np.not_equal(both[1:], both[:-1], out=distinct[1:])
-        both = both[distinct]
-        nbr_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
-        nbr = both % n
+    both = np.concatenate([prod * n + cons, cons * n + prod])
+    both.sort()
+    distinct = np.ones(both.size, dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=distinct[1:])
+    both = both[distinct]
+    nbr_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both // n, minlength=n), out=nbr_ptr[1:])
+    nbr = both % n
 
-        def neighbors(keys):  # key by key, with repeats
-            ci, v = np.divmod(keys, s)
-            lengths = nbr_ptr[v + 1] - nbr_ptr[v]
-            return np.repeat(ci * s, lengths) + nbr[_ranges(nbr_ptr[v], lengths)]
+    def neighbors(keys):  # key by key, with repeats
+        ci, v = np.divmod(keys, s)
+        lengths = nbr_ptr[v + 1] - nbr_ptr[v]
+        return np.repeat(ci * s, lengths) + nbr[_ranges(nbr_ptr[v], lengths)]
 
-        # a center's neighbors are sorted and distinct, so reach[1] is too
-        for layer in range(1, max(depth // 2, depth - 2) + 1):
-            step = neighbors(reach[-1])
-            reach.append(step if layer == 1 else np.unique(step))
-        for near in range(1, depth // 2 + 1):
-            far = depth - near
-            walks = np.sort(neighbors(reach[far - 1]))  # reach[far], with repeats
-            delta[near] = delta[far] = reach[near][_find(walks, reach[near]) >= 0]
+    # a center's neighbors are sorted and distinct, so reach[1] is too
+    for layer in range(1, max(depth // 2, depth - 2) + 1):
+        step = neighbors(reach[-1])
+        reach.append(step if layer == 1 else np.unique(step))
+    for near in range(1, depth // 2 + 1):
+        far = depth - near
+        walks = np.sort(neighbors(reach[far - 1]))  # reach[far], with repeats
+        delta[near] = delta[far] = reach[near][_find(walks, reach[near]) >= 0]
 
     x0 = np.concatenate([kind, kind[cidx]])
     x0[n:, 0] = 1.0
@@ -419,7 +418,7 @@ def _backward_batch(
 
 
 def batch_for(params: PolicyParams, g: MigGraph, centers: list[int]) -> _Batch:
-    """Index arrays for a pass over the given majority nodes (at least one)."""
+    """Index arrays for a pass over any number of majority nodes (none: zero rows)."""
     return _build_batch(g, centers, params.hp.layers)
 
 

@@ -17,8 +17,9 @@ uniform actions without a network.
 The reward is terminal: initial minus final reachable gate count.
 Updates are plain gradient ascent on the mean of scale * log pi over the
 actions the environment actually applied, with scale = reward minus the
-start graph's moving-average baseline, plus an entropy bonus on every
-observed state.
+start graph's moving-average baseline, plus an entropy bonus weighted by
+ENTROPY_COEF on every observed state. A step with no acting node is an
+ordinary step whose batch has zero rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from migopt.policy import (
 )
 from migopt.rewrite import StepReport
 
-ENTROPY_COEF = 0.01  # exploration pressure on every visited state
+ENTROPY_COEF = 0.01  # entropy bonus weight on every visited state, read per update
 
 
 @dataclass(slots=True)
@@ -69,12 +70,12 @@ class TrainConfig:
 
 @dataclass(slots=True)
 class StepRecord:
-    centers: list[int]  # acting nodes, ascending id
+    centers: list[int]  # acting nodes, ascending id; may be empty
     actions: np.ndarray  # action index per center
     log_probs: np.ndarray  # log-prob of each chosen action
     report: StepReport
-    batch: object = None  # forward cache for the gradient pass, if kept
-    probs: object = None  # (centers, actions) distributions, if kept
+    batch: object = None  # forward cache for the update (zero rows if no center), None unless kept
+    probs: object = None  # (centers, actions) distributions, None unless kept
 
 
 @dataclass(slots=True)
@@ -121,8 +122,6 @@ def policy_chooser(
     O(nodes * layers), stay in the step record for the gradient pass."""
 
     def choose(g: MigGraph, centers: list[int]):
-        if not centers:
-            return np.zeros(0, dtype=np.int64), np.zeros(0), None, None
         batch = batch_for(params, g, centers)
         probs, log_probs = _forward_batch(params, batch, keep_cache=keep_cache)
         idx = probs.argmax(axis=1) if rng is None else sample_actions(probs, rng)
@@ -160,7 +159,6 @@ def reinforce_update(
     baseline: dict[str, float],
     lr: float,
     baseline_decay: float,
-    entropy_coef: float = 0.0,
 ) -> PolicyParams:
     """In-place gradient-ascent update from a batch of traces.
 
@@ -171,8 +169,10 @@ def reinforce_update(
     Only applied actions enter the reinforcement term. The gradient is
     divided by the number of rows with a nonzero scale, that is, the
     applied actions of the traces whose scale is not exactly 0; when there
-    are none, it is applied undivided. The entropy term, when enabled,
-    covers every observed state of every step.
+    are none, it is applied undivided. The entropy term, weighted by
+    ENTROPY_COEF, covers every observed state of every step, one with no
+    acting node adding exact zeros. The traces need their forward caches
+    (`run_episode` keeps them).
     """
     grads = PolicyParams(params.hp)
     action_count = 0
@@ -182,23 +182,11 @@ def reinforce_update(
         baseline[trace.item] = b
         scale = reward - b
         for rec in trace.steps:
-            if rec.batch is None:
-                continue  # no acting node, so no action
-            # zero-scale rows contribute nothing, so reuse the full batch
+            # a zero-scale row adds its entropy term only, so reuse the full batch
             applied = [rec.report.outcomes.get(c) == "applied" for c in rec.centers]
             scales = np.where(applied, scale, 0.0)
             action_count += int(np.count_nonzero(scales))
-            if not scales.any() and not entropy_coef:
-                continue
-            _backward_batch(
-                params,
-                rec.batch,
-                rec.probs,
-                rec.actions,
-                scales,
-                grads,
-                entropy_coef=entropy_coef,
-            )
+            _backward_batch(params, rec.batch, rec.probs, rec.actions, scales, grads, ENTROPY_COEF)
     if action_count:
         grads.flat /= action_count
     params.add_scaled(grads, lr)
@@ -249,14 +237,7 @@ def train(
         trace.item = name
         batch.append(trace)
         if len(batch) >= cfg.batch_size or ep == cfg.episodes - 1:
-            reinforce_update(
-                params,
-                batch,
-                baseline,
-                cfg.lr,
-                cfg.baseline_decay,
-                entropy_coef=ENTROPY_COEF,
-            )
+            reinforce_update(params, batch, baseline, cfg.lr, cfg.baseline_decay)
             batch = []
         metrics.append(
             EpisodeMetrics(

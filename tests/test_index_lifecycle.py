@@ -10,7 +10,9 @@ walk the output cone only when an orphan has neither reader nor output.
 
 One hypothesis test chains one-step rollouts, each starting from the
 settled graph the one before returned, against one rollout of as many
-steps; another checks `live_ids` and `size` against the walk. Their
+steps; another checks `live_ids` and `size` against the walk; a third
+steps graphs with 8-64 extra outputs, among them repeated outputs, inputs
+and constants, against the frozen reference step and the walk. Their
 example budget comes from the hypothesis profile in conftest.py.
 """
 
@@ -25,11 +27,11 @@ from migopt import rewrite as rw
 from migopt import trainer
 from migopt.datagen import RandomGraphSpec, SopSpec, enumerate_sop3, random_mig, sop_decompose
 from migopt.formats import emit_mig
-from migopt.mig import MigGraph
+from migopt.mig import MigGraph, lit
 from migopt.policy import Hyperparams, PolicyParams
 
 from conftest import crude_random_graph
-from test_step_reference import add_redundancy, assert_same_graph
+from test_step_reference import add_redundancy, assert_same_graph, reference_step
 
 PARAMS = PolicyParams.init(Hyperparams(layers=2, hidden=6), seed=11)
 # the moves that unlink a footprint node other than the root from the root
@@ -113,6 +115,56 @@ def test_live_ids_and_size_agree_with_the_walk(case, stated, inputs, gates, seed
     assert g.live_ids() == want
     assert g.size() == len(want)  # with the state `live_ids` started
     g.check()
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    redundant=st.booleans(),
+    indexed=st.booleans(),
+    extra=st.integers(8, 64),
+    data=st.data(),
+)
+def test_steps_on_many_outputs_match_the_reference(
+    inputs, gates, seed, redundant, indexed, extra, data
+):
+    g = crude_random_graph(inputs, gates, seed)  # dead gates as built
+    if redundant:
+        add_redundancy(g, seed)
+    if indexed:  # the appended outputs then go through a maintained index
+        g.fanouts(0)
+    # outputs on every kind of node: a repeated one, an input plain and
+    # complemented, both constants, and drawn literals of any node
+    drawn = data.draw(
+        st.lists(
+            st.builds(lit, st.sampled_from(list(g.nodes)), st.booleans()),
+            min_size=extra - 5,
+            max_size=extra - 5,
+        ),
+        label="drawn outputs",
+    )
+    k = data.draw(st.integers(1, inputs), label="input")
+    fixed = [g.outputs[0], g.pi(k), g.pi(k) ^ 1, lit(0), lit(0, True)]
+    g.set_outputs([*g.outputs, *data.draw(st.permutations(fixed + drawn), label="order")])
+    want, got = g.clone(), g.clone()
+    for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        # centers: terminals, live and dead gates, and ids no node has yet
+        ids = data.draw(
+            st.lists(st.integers(0, want._next_id + 2), max_size=len(want.nodes) + 3),
+            label="centers",
+        )
+        acts = data.draw(
+            st.lists(st.sampled_from(rw.OmegaAction), min_size=len(ids), max_size=len(ids)),
+            label="actions",
+        )
+        actions = dict(zip(ids, acts))
+        assert asdict(rw.step(got, actions)) == asdict(reference_step(want, actions))
+        assert_same_graph(got, want)
+        walk = sorted(n for n in got.reachable_nodes() if n > got.pi_count)
+        assert got.live_ids() == walk
+        assert got.size() == len(walk)
 
 
 def test_a_clone_of_a_settled_graph_needs_no_sweep(monkeypatch):

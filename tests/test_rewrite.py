@@ -549,7 +549,7 @@ def assert_match_is_the_reference(g, found=None):
                 found[action, got is not None] += 1
 
 
-def test_assoc_quick_reject_keeps_every_binding():
+def test_match_is_the_reference_on_settled_and_rolled_out_graphs():
     # sop3's AND/OR chains share constants (many hits); random graphs and
     # their rollouts mix complemented child edges into the misses
     graphs = [g for _, g in dg.enumerate_sop3()[::4]]

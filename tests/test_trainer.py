@@ -7,7 +7,7 @@ from migopt import formats as fmt
 from migopt import rewrite as rw
 from migopt import trainer as tr
 from migopt.mig import MigGraph, new_graph
-from migopt.policy import Hyperparams, PolicyParams
+from migopt.policy import Hyperparams, PolicyParams, _backward_batch, _forward_batch, batch_for
 
 from conftest import clean_random_graph, crude_random_graph, dists
 
@@ -85,7 +85,8 @@ def test_episode_config_validation():
     tr.TrainConfig(episodes=1, steps=1).validate()
 
 
-def test_reinforce_zero_scale_leaves_params():
+def test_reinforce_zero_scale_leaves_params(monkeypatch):
+    monkeypatch.setattr(tr, "ENTROPY_COEF", 0.0)  # the REINFORCE term alone
     g = clean_random_graph(5, 10, 4)
     params = PolicyParams.init(HP, seed=3)
     snap = params.clone()
@@ -122,7 +123,8 @@ def test_reinforce_increases_probability_of_rewarded_action():
     assert p_after > p_before
 
 
-def test_opposite_scales_cancel():
+def test_opposite_scales_cancel(monkeypatch):
+    monkeypatch.setattr(tr, "ENTROPY_COEF", 0.0)  # the REINFORCE term alone
     g = clean_random_graph(5, 12, 7)
     params = PolicyParams.init(HP, seed=6)
     snap = params.clone()
@@ -138,7 +140,8 @@ def test_opposite_scales_cancel():
         assert np.allclose(a, b, atol=1e-15)
 
 
-def test_blocked_only_trace_contributes_no_gradient():
+def test_blocked_only_trace_contributes_no_gradient(monkeypatch):
+    monkeypatch.setattr(tr, "ENTROPY_COEF", 0.0)  # the REINFORCE term alone
     g = new_graph(3)
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
@@ -166,9 +169,34 @@ def test_empty_acting_set_gives_empty_records():
         assert rec.centers == []
         assert rec.actions.size == 0 and rec.log_probs.size == 0
     rewarded = replace(trace, final_size=trace.initial_size - 3)
-    tr.reinforce_update(params, [rewarded], {}, 1e-2, 0.5, 0.01)
+    tr.reinforce_update(params, [rewarded], {}, 1e-2, 0.5)
     for (_, a), (_, b) in zip(params.arrays(), snap.arrays()):
         assert np.array_equal(a, b)
+
+
+def test_no_center_is_an_ordinary_batch():
+    # a graph with gates, none of them acting: zero rows at every depth
+    g = clean_random_graph(5, 12, 8)
+    assert g.maj_ids()
+    for layers in (1, 2, 3):
+        hp = Hyperparams(layers=layers, hidden=6)
+        params = PolicyParams.init(hp, seed=layers)
+        batch = batch_for(params, g, [])
+        assert all(p.shape == (0, rw.ACTION_COUNT) for p in _forward_batch(params, batch))
+        probs, log_probs = _forward_batch(params, batch, keep_cache=True)
+        assert probs.shape == log_probs.shape == (0, rw.ACTION_COUNT)
+        grads = PolicyParams(hp)
+        actions = np.zeros(0, dtype=np.int64)
+        _backward_batch(params, batch, probs, actions, np.zeros(0), grads, tr.ENTROPY_COEF)
+        assert grads.flat.tobytes() == PolicyParams(hp).flat.tobytes()
+    # the only output is an input: a sampled step draws nothing
+    h = new_graph(2)
+    h.set_outputs([h.pi(1)])
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    actions, log_probs, _, _ = tr.policy_chooser(params, rng)(h, [])
+    assert actions.size == log_probs.size == 0
+    assert rng.bit_generator.state == state
 
 
 def test_acting_set_skips_dead_nodes():

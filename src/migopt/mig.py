@@ -58,9 +58,11 @@ class MigGraph:
 
     Single-writer: all mutation must be serialized per graph, and nodes
     and outputs change only through `add_majority`, `set_fanins`,
-    `redirect`, `remove` and `set_outputs`, which keep the consumer index
-    behind `fanouts` current. Reads (simulation, traversal) are safe on a
-    graph that is not being mutated.
+    `complement`, `redirect`, `remove` and `set_outputs`, which keep the
+    consumer index behind `fanouts` current: the readers of each node,
+    and the output positions that name it. Each writer touches only the
+    nodes and output positions it changes. Reads (simulation, traversal)
+    are safe on a graph that is not being mutated.
 
     Beside the index the writers keep the cleanup state that the λ rules
     and `delete_dead` work from: the majority ids written since the λ
@@ -81,7 +83,7 @@ class MigGraph:
             raise MigError("pi_count must be non-negative")
         self.pi_count = pi_count
         self.nodes: dict[int, tuple[int, ...]] = dict.fromkeys(range(pi_count + 1), ())
-        self.outputs: list[int] = []  # literals
+        self._outputs: list[int] = []  # literals
         self._next_id = pi_count + 1
         self.drop_fanout_index()
 
@@ -103,8 +105,10 @@ class MigGraph:
             raise MigError(f"literal {s} references a dead or unknown node")
 
     def add_majority(self, a: int, b: int, c: int) -> int:
-        for s in (a, b, c):
-            self._check_live(s)
+        nodes = self.nodes
+        if not (a >> 1 in nodes and b >> 1 in nodes and c >> 1 in nodes):
+            for s in (a, b, c):  # name the first bad literal
+                self._check_live(s)
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = (a, b, c)
@@ -120,13 +124,27 @@ class MigGraph:
     def add_or(self, a: int, b: int) -> int:
         return self.add_majority(a, b, 1)
 
+    @property
+    def outputs(self) -> list[int]:
+        """The output literals. Assigning a list is `set_outputs`; an item
+        written in place would bypass the output table."""
+        return self._outputs
+
+    @outputs.setter
+    def outputs(self, sigs: list[int]):
+        self.set_outputs(sigs)
+
     def set_outputs(self, sigs: list[int]):
+        sigs = list(sigs)
         for s in sigs:
             self._check_live(s)
         if self._fanouts is not None:
-            dropped = {s >> 1 for s in self.outputs}.difference(s >> 1 for s in sigs)
-            self._orphans.update(n for n in dropped if n > self.pi_count and n in self.nodes)
-        self.outputs = list(sigs)
+            dropped, self._out_pos = self._out_pos, _scan_outputs(sigs)
+            self._orphans.update(
+                n for n in dropped
+                if n not in self._out_pos and n > self.pi_count and n in self.nodes
+            )
+        self._outputs = sigs
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
         """Replace the fanins of majority node `nid` with three live literals,
@@ -139,35 +157,74 @@ class MigGraph:
         fanins = tuple(fanins)
         if len(fanins) != 3:
             raise MigError(f"majority node {nid} needs 3 fanins, got {len(fanins)}")
-        for s in fanins:
-            if s >> 1 not in nodes:
-                raise MigError(f"literal {s} references a dead or unknown node")
-            if s >> 1 == nid:
-                raise MigError(f"node {nid} cannot read itself")
+        a, b, c = fanins
+        pa, pb, pc = a >> 1, b >> 1, c >> 1
+        if not (pa in nodes and pb in nodes and pc in nodes and nid not in (pa, pb, pc)):
+            for s in fanins:  # name the first bad literal
+                if s >> 1 not in nodes:
+                    raise MigError(f"literal {s} references a dead or unknown node")
+                if s >> 1 == nid:
+                    raise MigError(f"node {nid} cannot read itself")
         if self._fanouts is not None:
-            before = {s >> 1 for s in old}
-            after = {s >> 1 for s in fanins}
-            if before != after:  # a port swap or a polarity flip keeps them
-                self._unlink(nid, before - after)
-                self._link(nid, after - before)
+            oa, ob, oc = old
+            if oa >> 1 != pa or ob >> 1 != pb or oc >> 1 != pc:
+                before = {oa >> 1, ob >> 1, oc >> 1}
+                after = {pa, pb, pc}
+                if before != after:  # a port swap keeps them
+                    self._unlink(nid, before - after)
+                    self._link(nid, after - before)
             if self._strash.get(old) == nid:
                 del self._strash[old]
             self._dirty.add(nid)
         nodes[nid] = fanins  # same key, so id order holds
 
+    def complement(self, nid: int):
+        """Complement majority node `nid` where it stands: flip its fanins,
+        and each reader edge and output position that names it, so every
+        reader and output computes what it did. No node's producers change,
+        so the consumer index stays as it is."""
+        nodes = self.nodes
+        fanins = nodes.get(nid)
+        if not fanins:
+            raise MigError(f"node {nid} is not a live majority node")
+        index = self._index()
+        strash, dirty = self._strash, self._dirty
+        if strash.get(fanins) == nid:
+            del strash[fanins]
+        a, b, c = fanins
+        nodes[nid] = (a ^ 1, b ^ 1, c ^ 1)
+        dirty.add(nid)
+        for cid in index.get(nid, ()):  # flip the edges that name nid
+            old = nodes[cid]
+            if strash.get(old) == cid:
+                del strash[old]
+            a, b, c = old
+            nodes[cid] = (a ^ (a >> 1 == nid), b ^ (b >> 1 == nid), c ^ (c >> 1 == nid))
+            dirty.add(cid)
+        outputs = self._outputs
+        for i in self._out_pos.get(nid, ()):
+            outputs[i] ^= 1
+
     def redirect(self, mapping: dict[int, int]) -> set[int]:
         """Point each reader of a node in `mapping` at `mapping[node]`,
-        complemented where its edge was: the outputs, and each consumer
-        outside `mapping` once, however many ports move. Mapped nodes stay.
-        Returns the consumers it rewrote."""
+        complemented where its edge was: the output positions that name
+        it, and each consumer outside `mapping` once, however many ports
+        move. Mapped nodes stay. Returns the consumers it rewrote."""
+        for t in mapping.values():  # before any write
+            self._check_live(t)
         index = self._index()
         users = {cid for n in mapping for cid in index.get(n, ()) if cid not in mapping}
         # an unmapped node stands for itself: its positive literal
         for cid in users:
             self.set_fanins(cid, [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.nodes[cid]])
-        outputs = [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.outputs]
-        if outputs != self.outputs:
-            self.set_outputs(outputs)
+        out_pos, outputs = self._out_pos, self._outputs
+        moved = [(n, out_pos.pop(n)) for n in mapping if n in out_pos]
+        for n, at in moved:  # all popped first: the mapping is applied at once
+            t = mapping[n]
+            for i in at:
+                outputs[i] = t ^ (outputs[i] & 1)
+            out_pos.setdefault(t >> 1, set()).update(at)
+        self._orphans.update(n for n, _ in moved if n not in out_pos and n > self.pi_count)
         return users
 
     def remove(self, nid: int):
@@ -200,9 +257,11 @@ class MigGraph:
                         self._orphans.add(p)
 
     def _index(self) -> dict[int, set[int]]:
-        """The consumer index, built with the cleanup state on first use."""
+        """The consumer index, built with the output table and the cleanup
+        state on first use."""
         if self._fanouts is None:
             self._fanouts = self._scan_fanouts()
+            self._out_pos = _scan_outputs(self.outputs)
             maj = self.maj_ids()
             self._dirty = set(maj)
             self._orphans = set(maj)
@@ -210,11 +269,14 @@ class MigGraph:
         return self._fanouts
 
     def drop_fanout_index(self):
-        """Free the consumer index and the cleanup state; `fanouts`,
-        `redirect` and the cleanup accessors rebuild both."""
+        """Free the consumer index, its output table and the cleanup state;
+        `fanouts`, `complement`, `redirect` and the cleanup accessors
+        rebuild them."""
         # consumer ids per node that has any, one set per producer; `fanouts`
         # sorts a set on read, so a write costs O(1)
         self._fanouts: dict[int, set[int]] | None = None
+        # output positions per node that an output names, beside the readers
+        self._out_pos: dict[int, set[int]] | None = None
         self._dirty: set[int] | None = None  # written since the λ rules settled
         self._orphans: set[int] | None = None  # pending dead removal
         self._strash: dict[tuple[int, ...], int] | None = None  # fanin triple -> id
@@ -226,12 +288,13 @@ class MigGraph:
         g = MigGraph.__new__(MigGraph)
         g.pi_count = self.pi_count
         g.nodes = dict(self.nodes)  # fanin tuples are immutable, so share them
-        g.outputs = list(self.outputs)
+        g._outputs = list(self._outputs)
         g._next_id = self._next_id
         if self._fanouts is None:
             g.drop_fanout_index()
         else:
             g._fanouts = {p: users.copy() for p, users in self._fanouts.items()}
+            g._out_pos = {n: at.copy() for n, at in self._out_pos.items()}
             g._dirty = self._dirty.copy()
             g._orphans = self._orphans.copy()
             g._strash = self._strash.copy()  # keys and ids are immutable
@@ -264,11 +327,10 @@ class MigGraph:
         reader pending, so the deletion recurses. In a DAG every node left
         has a path to an output."""
         index = self._index()
-        outs = {s >> 1 for s in self.outputs}
-        orphans = self._orphans
+        out_pos, orphans = self._out_pos, self._orphans
         while orphans:
             nid = orphans.pop()
-            if nid not in index and nid not in outs:
+            if nid not in index and nid not in out_pos:
                 self.remove(nid)
 
     # -- traversal ----------------------------------------------------
@@ -299,10 +361,9 @@ class MigGraph:
         state, and walks the cone only when an orphan has neither reader
         nor output: every other majority node has one, so in a DAG each
         then has a path to an output."""
-        index, orphans = self._index(), self._orphans
+        index, out_pos, orphans = self._index(), self._out_pos, self._orphans
         if orphans:
-            outs = {s >> 1 for s in self.outputs}
-            if not all(n in index or n in outs for n in orphans):
+            if not all(n in index or n in out_pos for n in orphans):
                 reach = self.reachable_nodes()
                 return [n for n in self.maj_ids() if n in reach]
         return self.maj_ids()
@@ -430,6 +491,8 @@ class MigGraph:
         if self._fanouts is not None:
             if self._fanouts != self._scan_fanouts():
                 raise MigError("fanout index disagrees with the fanins")
+            if self._out_pos != _scan_outputs(self.outputs):
+                raise MigError("output table disagrees with the outputs")
             maj = set(self.maj_ids())
             if not self._dirty <= maj or not self._orphans <= maj:
                 raise MigError("cleanup state names a gone node")
@@ -437,10 +500,17 @@ class MigGraph:
                 raise MigError("structural hash disagrees with the fanins")
             if any(self._strash.get(self.nodes[n]) != n for n in maj - self._dirty):
                 raise MigError("a settled node is missing from the structural hash")
-            outs = {s >> 1 for s in self.outputs}
-            if any(n not in self._fanouts and n not in outs for n in maj - self._orphans):
+            if any(n not in self._fanouts and n not in self._out_pos for n in maj - self._orphans):
                 raise MigError("a node nothing reads is not pending dead removal")
         self.topological_order()
+
+
+def _scan_outputs(sigs: list[int]) -> dict[int, set[int]]:
+    """The positions in `sigs` that name each node."""
+    at: dict[int, set[int]] = {}
+    for i, s in enumerate(sigs):
+        at.setdefault(s >> 1, set()).add(i)
+    return at
 
 
 def new_graph(pi_count: int) -> MigGraph:

@@ -27,6 +27,11 @@ fanins, complements_root)`: the ids the move reads or writes, the fanin
 triples of the nodes to create, and the root's new fanins. No new node
 reads another, so only the root fanins hold ``~k`` (a negative int, so no
 literal), which names the k-th new node.
+
+The engine writes the graph only through `MigGraph`'s writers: inverter
+propagation is one `complement` call, which flips the root with its reader
+edges and outputs and creates no node; every other move adds its new nodes
+and sets the root's fanins; each λ replacement is one `redirect`.
 """
 
 from __future__ import annotations
@@ -91,16 +96,19 @@ def _identity(g: MigGraph, nid: int, fan: tuple) -> Binding:
 
 
 def _commute(i: int, j: int):
+    ports = [0, 1, 2]
+    ports[i], ports[j] = j, i
+    p, q, r = ports
+
     def comm(g: MigGraph, nid: int, fan: tuple) -> Binding:
-        new = list(fan)
-        new[i], new[j] = new[j], new[i]
-        return nid, (nid,), (), tuple(new), False
+        return nid, (nid,), (), (fan[p], fan[q], fan[r]), False
 
     return comm
 
 
 def _inv_prop(g: MigGraph, nid: int, fan: tuple) -> Binding:
-    return nid, (nid, *g.fanouts(nid)), (), tuple(s ^ 1 for s in fan), True
+    a, b, c = fan
+    return nid, (nid, *g.fanouts(nid)), (), (a ^ 1, b ^ 1, c ^ 1), True
 
 
 def _associate(want_compl: bool):
@@ -216,12 +224,19 @@ def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
 def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
     """Commit a rewrite that `match` returned for the current graph.
 
-    A binding whose root is gone does not apply and leaves the graph
+    A binding that complements its root (`INV_PROP`) creates no node: its
+    root fanins are the root's own, flipped, and `MigGraph.complement`
+    flips them with each edge and output that names the root. Any other
+    binding creates its new nodes and gives the root its new fanins. A
+    binding whose root is gone does not apply and leaves the graph
     bit-identical.
     """
     root, _, new_nodes, root_fanins, complements_root = binding
     if root not in g.nodes:
         return ApplyResult(False)
+    if complements_root:
+        g.complement(root)
+        return ApplyResult(True)
 
     new: list[int] = []  # literals of the created nodes; ~k names new[k]
     for fanins in new_nodes:
@@ -229,8 +244,6 @@ def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
     if new:
         root_fanins = tuple(new[~s] if s < 0 else s for s in root_fanins)
     g.set_fanins(root, root_fanins)
-    if complements_root:
-        g.redirect({root: 2 * root + 1})
     return ApplyResult(True, [s >> 1 for s in new])
 
 

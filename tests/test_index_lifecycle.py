@@ -12,14 +12,16 @@ One hypothesis test chains one-step rollouts, each starting from the
 settled graph the one before returned, against one rollout of as many
 steps; another checks `live_ids` and `size` against the walk; a third
 steps graphs with 8-64 extra outputs, among them repeated outputs, inputs
-and constants, against the frozen reference step and the walk. Their
-example budget comes from the hypothesis profile in conftest.py.
+and constants, against the frozen reference step and the walk; a fourth
+checks that `complement` leaves the state that `set_fanins` plus
+`redirect` leave. Their example budget comes from the hypothesis profile
+in conftest.py.
 """
 
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from migopt import evaluate as ev
@@ -165,6 +167,52 @@ def test_steps_on_many_outputs_match_the_reference(
         walk = sorted(n for n in got.reachable_nodes() if n > got.pi_count)
         assert got.live_ids() == walk
         assert got.size() == len(walk)
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    redundant=st.booleans(),
+    state=st.sampled_from(["none", "built", "settled"]),
+    twice=st.booleans(),
+    named=st.booleans(),
+    data=st.data(),
+)
+def test_complement_is_set_fanins_then_redirect(
+    inputs, gates, seed, redundant, state, twice, named, data
+):
+    g = crude_random_graph(inputs, gates, seed)  # dead gates as built
+    if redundant:
+        add_redundancy(g, seed)
+    if state == "settled":  # every gate hashed, so the hash loses entries
+        rw.step(g, {})
+        assume(g.maj_ids())
+    elif state == "built":  # the additions below then go through the index
+        g.fanouts(0)
+    nid = data.draw(st.sampled_from(g.maj_ids()), label="node")
+    if twice:  # a reader that reads the node on two ports, in either polarity
+        other = data.draw(st.sampled_from([n for n in g.nodes if n != nid]), label="other")
+        ports = [lit(nid), lit(nid, data.draw(st.booleans(), label="neg")), lit(other)]
+        g.add_majority(*data.draw(st.permutations(ports), label="ports"))
+    if named:  # a repeated output, a complemented one, and an input
+        k = data.draw(st.integers(1, inputs), label="input")
+        named_outs = [lit(nid), lit(nid), lit(nid, True), g.pi(k)]
+        g.set_outputs([*g.outputs, *data.draw(st.permutations(named_outs), label="order")])
+    want, got = g.clone(), g.clone()
+    a, b, c = want.nodes[nid]
+    want.set_fanins(nid, (a ^ 1, b ^ 1, c ^ 1))
+    want.redirect({nid: lit(nid, True)})
+    got.complement(nid)
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert got.outputs == want.outputs
+    assert {n: got.fanouts(n) for n in got.nodes} == {n: want.fanouts(n) for n in want.nodes}
+    assert got.pending() == want.pending()
+    assert got._strash == want._strash
+    assert got._orphans == want._orphans
+    got.check()
+    assert got.simulate_signatures(seed, 64) == g.simulate_signatures(seed, 64)
 
 
 def test_a_clone_of_a_settled_graph_needs_no_sweep(monkeypatch):

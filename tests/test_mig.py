@@ -267,6 +267,37 @@ def test_redirect_to_the_complement_of_the_node_itself():
     g.check()
 
 
+def test_redirect_applies_the_mapping_at_once():
+    # an output moved to a mapped node is not moved again
+    g, a, b, c, d = _redirect_graph()
+    g.redirect({d >> 1: a, a >> 1: b ^ 1})
+    assert g.outputs == [b, a, g.pi(1)]
+    assert g.nodes[c >> 1] == (b ^ 1, b, g.pi(3))
+    g.check()
+    nodes, outputs = dict(g.nodes), list(g.outputs)
+    for target in (lit(g._next_id), -b - 1):  # a node not yet made, no literal
+        with pytest.raises(MigError, match=f"literal {target} references a dead"):
+            g.redirect({b >> 1: b, a >> 1: target})
+        assert g.nodes == nodes and g.outputs == outputs
+    g.check()
+
+
+def test_complement_flips_the_node_and_each_edge_and_output_naming_it():
+    g, a, b, c, d = _redirect_graph()
+    g.outputs = [a ^ 1, d, g.pi(1), a, a ^ 1]  # a named plain and complemented, repeated
+    tables = g.simulate_truth_tables()
+    g.complement(a >> 1)
+    assert g.nodes[a >> 1] == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
+    assert g.nodes[c >> 1] == (a ^ 1, a, g.pi(3))  # both ports
+    assert g.nodes[d >> 1] == (c, a ^ 1, b)
+    assert g.outputs == [a, d, g.pi(1), a ^ 1, a]
+    assert g.simulate_truth_tables() == tables  # every reader computes what it did
+    g.check()
+    for nid in (1, 0, g._next_id):  # an input, the constant, no node
+        with pytest.raises(MigError, match="not a live majority node"):
+            g.complement(nid)
+
+
 def test_redirect_leaves_a_mapped_consumer_alone():
     g, a, b, c, d = _redirect_graph()
     c_fanins = g.nodes[c >> 1]
@@ -308,6 +339,69 @@ def test_set_fanins_rejects_a_self_loop():
         assert g.nodes == nodes and g._fanouts == index
     g.check()
     assert g.simulate_truth_tables() == tables
+
+
+def _raises_exactly(msg, write, *args):
+    with pytest.raises(MigError) as err:
+        write(*args)
+    assert str(err.value) == msg
+
+
+def test_fused_literal_checks_name_the_first_bad_literal():
+    # one test covers all three literals; a failing one falls back to the
+    # per-literal loop, whose message names the first bad port
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    b = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
+    gone = g.add_majority(g.pi(1), g.pi(2), g.pi(3) ^ 1)
+    g.remove(gone >> 1)
+    g.set_outputs([b])
+    g.fanouts(0)  # build the index, so a bad write could reach it
+    index = {p: set(users) for p, users in g._fanouts.items()}
+    nodes, next_id = dict(g.nodes), g._next_id
+    good = (a, g.pi(1), g.pi(2) ^ 1)
+
+    def dead_msg(s):
+        return f"literal {s} references a dead or unknown node"
+
+    self_msg = f"node {b >> 1} cannot read itself"
+    bad = {gone ^ 1: dead_msg(gone ^ 1), -a - 1: dead_msg(-a - 1), b ^ 1: self_msg}
+    for i in range(3):
+        for lit_i, msg in bad.items():
+            fanins = list(good)
+            fanins[i] = lit_i
+            _raises_exactly(msg, g.set_fanins, b >> 1, tuple(fanins))
+            if msg != self_msg:  # a new node cannot read itself
+                _raises_exactly(msg, g.add_majority, *fanins)
+            for j in range(3):  # a second bad literal, before or after
+                for lit_j, msg_j in bad.items():
+                    if j == i or msg_j == msg:
+                        continue
+                    fanins[j] = lit_j
+                    first = msg if i < j else msg_j
+                    _raises_exactly(first, g.set_fanins, b >> 1, tuple(fanins))
+                    if self_msg not in (msg, msg_j):
+                        _raises_exactly(first, g.add_majority, *fanins)
+                    fanins[j] = good[j]
+    assert g.nodes == nodes and g._fanouts == index and g._next_id == next_id
+    g.check()
+
+
+def test_check_detects_a_stale_output_table():
+    g, a, b, c, d = _redirect_graph()
+    g.outputs[0] = b  # an item written in place bypasses the table
+    with pytest.raises(MigError, match="output table disagrees with the outputs"):
+        g.check()
+    with pytest.raises(MigError, match="output table disagrees with the outputs"):
+        g.clone().check()  # a clone carries the table, stale as it is
+    g, a, b, c, d = _redirect_graph()
+    g._out_pos[d >> 1].add(2)
+    with pytest.raises(MigError, match="output table disagrees with the outputs"):
+        g.check()
+    g, a, b, c, d = _redirect_graph()
+    g.outputs = [b, d, g.pi(1), b ^ 1]  # assigning the list is `set_outputs`
+    assert g._out_pos == {b >> 1: {0, 3}, d >> 1: {1}, 1: {2}}
+    g.check()
 
 
 def test_check_detects_stale_fanout_index():

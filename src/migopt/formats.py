@@ -353,10 +353,16 @@ def save_dataset(dirpath, items: list[tuple[str, MigGraph]], meta: dict):
 
 def load_dataset(dirpath) -> tuple[list[tuple[str, MigGraph]], dict]:
     d = Path(dirpath)
-    manifest = json.loads((d / "dataset.manifest").read_text())
+    try:
+        manifest = json.loads((d / "dataset.manifest").read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MigError(f"dataset.manifest is not UTF-8 JSON: {exc}") from None
     names = manifest.get("items") if isinstance(manifest, dict) else None
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise MigError("dataset.manifest needs an object whose 'items' is a list of file names")
+    # a bare name, so every item is read from inside the dataset directory
+    if not isinstance(names, list) or not all(
+        isinstance(n, str) and n not in ("", ".", "..") and Path(n).name == n for n in names
+    ):
+        raise MigError("dataset.manifest needs an object whose 'items' lists bare file names")
     items = []
     for fname in names:
         g = load_mig(d / fname)

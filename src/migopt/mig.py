@@ -59,23 +59,24 @@ class MigGraph:
     Single-writer: all mutation must be serialized per graph, and nodes
     and outputs change only through `add_majority`, `set_fanins`,
     `complement`, `redirect`, `remove` and `set_outputs`, which keep the
-    consumer index behind `fanouts` current: the readers of each node,
-    and the output positions that name it. Each writer touches only the
-    nodes and output positions it changes. Reads (simulation, traversal)
-    are safe on a graph that is not being mutated.
+    consumer index current: the readers of each node, where a reader is
+    the id of a node that reads it or ``~i`` for output position ``i``
+    that names it (negative, so never a node id; `fanouts` lists the
+    node readers). Each writer touches only the nodes and output
+    positions it changes. Reads (simulation, traversal) are safe on a
+    graph that is not being mutated.
 
     Beside the index the writers keep the cleanup state that the λ rules
     and `delete_dead` work from: the majority ids written since the λ
     rules last settled them (`pending`), a structural hash from fanin
     triple to the id of each node they have hashed (`hash_node`), and the
-    majority ids that were created or lost their last reader or output
-    since dead removal last ran (`remove_orphans`). A graph without
-    an index has no such state; building the index starts it with every
-    majority node pending for both, and none hashed. Every other majority
-    node has a reader or names an output, so `live_ids` and `size` walk
-    the output cone only when an orphan has neither. `clone` copies the
-    index and the state with the nodes; code that keeps many graphs drops
-    them with `drop_fanout_index`.
+    majority ids that were created or lost their last reader since dead
+    removal last ran (`remove_orphans`). A graph without an index has no
+    such state; building the index starts it with every majority node
+    pending for both, and none hashed. Every other majority node has a
+    reader, so `live_ids` and `size` walk the output cone only when an
+    orphan has none. `clone` copies the index and the state with the
+    nodes; code that keeps many graphs drops them with `drop_fanout_index`.
     """
 
     def __init__(self, pi_count: int):
@@ -127,7 +128,7 @@ class MigGraph:
     @property
     def outputs(self) -> list[int]:
         """The output literals. Assigning a list is `set_outputs`; an item
-        written in place would bypass the output table."""
+        written in place would bypass the consumer index."""
         return self._outputs
 
     @outputs.setter
@@ -138,12 +139,14 @@ class MigGraph:
         sigs = list(sigs)
         for s in sigs:
             self._check_live(s)
-        if self._fanouts is not None:
-            dropped, self._out_pos = self._out_pos, _scan_outputs(sigs)
-            self._orphans.update(
-                n for n in dropped
-                if n not in self._out_pos and n > self.pi_count and n in self.nodes
-            )
+        if self._fanouts is not None:  # link first: a node that only moves position stays read
+            old = self._outputs
+            for i, s in enumerate(sigs):
+                if i >= len(old) or old[i] >> 1 != s >> 1:
+                    self._link(~i, {s >> 1})
+            for i, s in enumerate(old):
+                if i >= len(sigs) or sigs[i] >> 1 != s >> 1:
+                    self._unlink(~i, {s >> 1})
         self._outputs = sigs
 
     def set_fanins(self, nid: int, fanins: tuple[int, int, int]):
@@ -181,8 +184,8 @@ class MigGraph:
     def complement(self, nid: int):
         """Complement majority node `nid` where it stands: flip its fanins,
         and each reader edge and output position that names it, so every
-        reader and output computes what it did. No node's producers change,
-        so the consumer index stays as it is."""
+        reader computes what it did. No node's readers change, so the
+        consumer index stays as it is."""
         nodes = self.nodes
         fanins = nodes.get(nid)
         if not fanins:
@@ -194,16 +197,17 @@ class MigGraph:
         a, b, c = fanins
         nodes[nid] = (a ^ 1, b ^ 1, c ^ 1)
         dirty.add(nid)
+        outputs = self._outputs
         for cid in index.get(nid, ()):  # flip the edges that name nid
+            if cid < 0:  # output position ~cid
+                outputs[~cid] ^= 1
+                continue
             old = nodes[cid]
             if strash.get(old) == cid:
                 del strash[old]
             a, b, c = old
             nodes[cid] = (a ^ (a >> 1 == nid), b ^ (b >> 1 == nid), c ^ (c >> 1 == nid))
             dirty.add(cid)
-        outputs = self._outputs
-        for i in self._out_pos.get(nid, ()):
-            outputs[i] ^= 1
 
     def redirect(self, mapping: dict[int, int]) -> set[int]:
         """Point each reader of a node in `mapping` at `mapping[node]`,
@@ -213,18 +217,19 @@ class MigGraph:
         for t in mapping.values():  # before any write
             self._check_live(t)
         index = self._index()
-        users = {cid for n in mapping for cid in index.get(n, ()) if cid not in mapping}
+        users = {cid for n in mapping for cid in index.get(n, ()) if 0 <= cid not in mapping}
+        # all read first: the mapping is applied at once
+        moved = [(~r, n) for n in mapping for r in index.get(n, ()) if r < 0]
         # an unmapped node stands for itself: its positive literal
         for cid in users:
             self.set_fanins(cid, [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.nodes[cid]])
-        out_pos, outputs = self._out_pos, self._outputs
-        moved = [(n, out_pos.pop(n)) for n in mapping if n in out_pos]
-        for n, at in moved:  # all popped first: the mapping is applied at once
+        outputs = self._outputs
+        for i, n in moved:
             t = mapping[n]
-            for i in at:
-                outputs[i] = t ^ (outputs[i] & 1)
-            out_pos.setdefault(t >> 1, set()).update(at)
-        self._orphans.update(n for n, _ in moved if n not in out_pos and n > self.pi_count)
+            outputs[i] = t ^ (outputs[i] & 1)
+            if t >> 1 != n:
+                self._link(~i, {t >> 1})
+                self._unlink(~i, {n})
         return users
 
     def remove(self, nid: int):
@@ -242,26 +247,24 @@ class MigGraph:
             self._dirty.discard(nid)
             self._orphans.discard(nid)
 
-    def _link(self, nid: int, producers: set[int]):
+    def _link(self, reader: int, producers: set[int]):
         for p in producers:
-            self._fanouts.setdefault(p, set()).add(nid)
+            self._fanouts.setdefault(p, set()).add(reader)
 
-    def _unlink(self, nid: int, producers: set[int]):
+    def _unlink(self, reader: int, producers: set[int]):
         for p in producers:  # a producer may be gone already
             users = self._fanouts.get(p)
             if users is not None:
-                users.discard(nid)
+                users.discard(reader)
                 if not users:
                     del self._fanouts[p]
                     if p > self.pi_count:
                         self._orphans.add(p)
 
     def _index(self) -> dict[int, set[int]]:
-        """The consumer index, built with the output table and the cleanup
-        state on first use."""
+        """The consumer index, built with the cleanup state on first use."""
         if self._fanouts is None:
             self._fanouts = self._scan_fanouts()
-            self._out_pos = _scan_outputs(self.outputs)
             maj = self.maj_ids()
             self._dirty = set(maj)
             self._orphans = set(maj)
@@ -269,14 +272,12 @@ class MigGraph:
         return self._fanouts
 
     def drop_fanout_index(self):
-        """Free the consumer index, its output table and the cleanup state;
-        `fanouts`, `complement`, `redirect` and the cleanup accessors
-        rebuild them."""
-        # consumer ids per node that has any, one set per producer; `fanouts`
-        # sorts a set on read, so a write costs O(1)
+        """Free the consumer index and the cleanup state; `fanouts`,
+        `complement`, `redirect` and the cleanup accessors rebuild them."""
+        # readers per node that has any, one set per producer: consumer ids,
+        # and ~i for each output position i; `fanouts` sorts a set on read,
+        # so a write costs O(1)
         self._fanouts: dict[int, set[int]] | None = None
-        # output positions per node that an output names, beside the readers
-        self._out_pos: dict[int, set[int]] | None = None
         self._dirty: set[int] | None = None  # written since the λ rules settled
         self._orphans: set[int] | None = None  # pending dead removal
         self._strash: dict[tuple[int, ...], int] | None = None  # fanin triple -> id
@@ -294,7 +295,6 @@ class MigGraph:
             g.drop_fanout_index()
         else:
             g._fanouts = {p: users.copy() for p, users in self._fanouts.items()}
-            g._out_pos = {n: at.copy() for n, at in self._out_pos.items()}
             g._dirty = self._dirty.copy()
             g._orphans = self._orphans.copy()
             g._strash = self._strash.copy()  # keys and ids are immutable
@@ -326,11 +326,10 @@ class MigGraph:
         and no output names; `remove` makes each fanin that loses its last
         reader pending, so the deletion recurses. In a DAG every node left
         has a path to an output."""
-        index = self._index()
-        out_pos, orphans = self._out_pos, self._orphans
+        index, orphans = self._index(), self._orphans
         while orphans:
             nid = orphans.pop()
-            if nid not in index and nid not in out_pos:
+            if nid not in index:
                 self.remove(nid)
 
     # -- traversal ----------------------------------------------------
@@ -339,7 +338,7 @@ class MigGraph:
         """Distinct ids of the nodes that read `nid`, in creation order."""
         if nid not in self.nodes:
             raise MigError(f"no live node {nid}")
-        return sorted(self._index().get(nid, ()))
+        return sorted(r for r in self._index().get(nid, ()) if r >= 0)
 
     def _scan_fanouts(self) -> dict[int, set[int]]:
         fo: dict[int, set[int]] = {}
@@ -350,6 +349,8 @@ class MigGraph:
                     fo[s >> 1] = {nid}
                 else:
                     users.add(nid)
+        for i, s in enumerate(self._outputs):
+            fo.setdefault(s >> 1, set()).add(~i)
         return fo
 
     def maj_ids(self) -> list[int]:
@@ -358,12 +359,12 @@ class MigGraph:
 
     def live_ids(self) -> list[int]:
         """Majority ids in the output cone, ascending. Starts the cleanup
-        state, and walks the cone only when an orphan has neither reader
-        nor output: every other majority node has one, so in a DAG each
+        state, and walks the cone only when an orphan has no reader (node
+        or output): every other majority node has one, so in a DAG each
         then has a path to an output."""
-        index, out_pos, orphans = self._index(), self._out_pos, self._orphans
+        index, orphans = self._index(), self._orphans
         if orphans:
-            if not all(n in index or n in out_pos for n in orphans):
+            if not all(n in index for n in orphans):
                 reach = self.reachable_nodes()
                 return [n for n in self.maj_ids() if n in reach]
         return self.maj_ids()
@@ -490,9 +491,7 @@ class MigGraph:
                 raise MigError(f"output references dead node {s >> 1}")
         if self._fanouts is not None:
             if self._fanouts != self._scan_fanouts():
-                raise MigError("fanout index disagrees with the fanins")
-            if self._out_pos != _scan_outputs(self.outputs):
-                raise MigError("output table disagrees with the outputs")
+                raise MigError("fanout index disagrees with the fanins and outputs")
             maj = set(self.maj_ids())
             if not self._dirty <= maj or not self._orphans <= maj:
                 raise MigError("cleanup state names a gone node")
@@ -500,17 +499,9 @@ class MigGraph:
                 raise MigError("structural hash disagrees with the fanins")
             if any(self._strash.get(self.nodes[n]) != n for n in maj - self._dirty):
                 raise MigError("a settled node is missing from the structural hash")
-            if any(n not in self._fanouts and n not in self._out_pos for n in maj - self._orphans):
+            if any(n not in self._fanouts for n in maj - self._orphans):
                 raise MigError("a node nothing reads is not pending dead removal")
         self.topological_order()
-
-
-def _scan_outputs(sigs: list[int]) -> dict[int, set[int]]:
-    """The positions in `sigs` that name each node."""
-    at: dict[int, set[int]] = {}
-    for i, s in enumerate(sigs):
-        at.setdefault(s >> 1, set()).add(i)
-    return at
 
 
 def new_graph(pi_count: int) -> MigGraph:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -352,14 +353,25 @@ def test_dataset_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest",
-    ['{"count": 0}', '{"items": [3]}', '["g0.mig"]'],
-    ids=["no-items", "non-string-item", "not-an-object"],
+    [
+        b'{"count": 0}', b'{"items": [3]}', b'["g0.mig"]', b'{"items": ["g0.mig"', b"\xff\xfe{}",
+        b'{"items": ["ABS"]}', b'{"items": ["../g0.mig"]}', b'{"items": ["sub/g0.mig"]}',
+        b'{"items": [".."]}', b'{"items": [""]}',
+    ],
+    ids=[
+        "no-items", "non-string-item", "not-an-object", "not-json", "not-utf8",
+        "absolute-path", "parent-path", "sub-path", "parent-dir", "empty-name",
+    ],
 )
 def test_load_dataset_rejects_a_malformed_manifest(tmp_path, manifest):
-    fmt.save_dataset(tmp_path, [("g0", clean_random_graph(3, 4, 0))], {})
-    (tmp_path / "dataset.manifest").write_text(manifest)
+    fmt.save_dataset(tmp_path / "ds", [("g0", clean_random_graph(3, 4, 0))], {})
+    fmt.save_mig(clean_random_graph(3, 4, 1), tmp_path / "g0.mig")  # outside the dataset
+    (tmp_path / "ds" / "sub").mkdir()
+    fmt.save_mig(clean_random_graph(3, 4, 2), tmp_path / "ds" / "sub" / "g0.mig")
+    outside = json.dumps(str(tmp_path / "g0.mig"))[1:-1].encode()
+    (tmp_path / "ds" / "dataset.manifest").write_bytes(manifest.replace(b"ABS", outside))
     with pytest.raises(MigError, match="dataset.manifest"):
-        fmt.load_dataset(tmp_path)
+        fmt.load_dataset(tmp_path / "ds")
 
 
 # -- robustness -----------------------------------------------------------

@@ -9,7 +9,10 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STATE = {"nodes", "outputs", "pi_count", "_fanouts", "_next_id", "_dirty", "_orphans", "_strash"}
+STATE = {
+    "nodes", "outputs", "_outputs", "pi_count", "_fanouts", "_next_id", "_dirty", "_orphans",
+    "_strash",
+}
 MUTATORS = {
     "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "reverse", "setdefault", "sort", "update",
@@ -68,6 +71,7 @@ def test_state_writes_are_flagged():
         "    del h.nodes[5]\n"
         "    a, g.pi_count = 1, 2\n"
         "    g._fanouts[3].add(5)\n"
+        "    g._outputs[0] = 4\n"
         "    n: int = len(g.nodes)\n"
         "    g.set_outputs(list(g.outputs))\n"
         "    g.remove(5)\n"
@@ -75,7 +79,7 @@ def test_state_writes_are_flagged():
     )
     assert state_writes(source) == [
         (2, "outputs"), (3, "nodes"), (4, "_next_id"), (5, "nodes"), (6, "pi_count"),
-        (7, "_fanouts"),
+        (7, "_fanouts"), (8, "_outputs"),
     ]
 
 

@@ -14,8 +14,10 @@ steps; another checks `live_ids` and `size` against the walk; a third
 steps graphs with 8-64 extra outputs, among them repeated outputs, inputs
 and constants, against the frozen reference step and the walk; a fourth
 checks that `complement` leaves the state that `set_fanins` plus
-`redirect` leave. Their example budget comes from the hypothesis profile
-in conftest.py.
+`redirect` leave; a fifth rewrites the output list through `set_outputs`,
+whose positions are readers in the consumer index, and checks the index
+and the live gates against a rebuilt index and the walk. Their example
+budget comes from the hypothesis profile in conftest.py.
 """
 
 from dataclasses import asdict
@@ -213,6 +215,57 @@ def test_complement_is_set_fanins_then_redirect(
     assert got._orphans == want._orphans
     got.check()
     assert got.simulate_signatures(seed, 64) == g.simulate_signatures(seed, 64)
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    state=st.sampled_from(["none", "built", "settled"]),
+    data=st.data(),
+)
+def test_set_outputs_keeps_the_index_and_the_live_gates(inputs, gates, seed, state, data):
+    g = crude_random_graph(inputs, gates, seed)  # dead gates as built
+    if state == "settled":
+        rw.step(g, {})
+    elif state == "built":  # the writes below then go through the index
+        g.fanouts(0)
+    for _ in range(data.draw(st.integers(1, 3), label="writes")):
+        terminals = [lit(n, neg) for n in range(g.pi_count + 1) for neg in (False, True)]
+        literal = st.sampled_from(terminals) | st.builds(
+            lit, st.sampled_from(list(g.nodes)), st.booleans()
+        )
+        outs = list(g.outputs)
+        edit = data.draw(
+            st.sampled_from(["shrink", "grow", "repeat", "move", "complement", "any"]),
+            label="edit",
+        )
+        if edit == "shrink" and outs:  # drop a run of positions, perhaps all
+            i = data.draw(st.integers(0, len(outs) - 1), label="from")
+            del outs[i : data.draw(st.integers(i + 1, len(outs)), label="to")]
+        elif edit == "grow":
+            outs += data.draw(st.lists(literal, min_size=1, max_size=8), label="added")
+        elif edit == "repeat" and outs:
+            at = data.draw(st.integers(0, len(outs)), label="at")
+            outs.insert(at, data.draw(st.sampled_from(outs), label="repeated"))
+        elif edit == "move":  # each node to other positions
+            outs = data.draw(st.permutations(outs), label="order")
+        elif edit == "complement" and outs:
+            outs[data.draw(st.integers(0, len(outs) - 1), label="position")] ^= 1
+        else:  # any list: constants, inputs and gates, in either polarity
+            outs = data.draw(st.lists(literal, max_size=len(outs) + 8), label="outputs")
+        g.set_outputs(outs)
+        g.check()
+        rebuilt = g.clone()
+        rebuilt.drop_fanout_index()
+        assert {n: g.fanouts(n) for n in g.nodes} == {n: rebuilt.fanouts(n) for n in g.nodes}
+        want = sorted(n for n in g.reachable_nodes() if n > g.pi_count)
+        assert g.live_ids() == want
+        assert g.size() == len(want)
+        g.remove_orphans()
+        assert g.maj_ids() == want
+        g.check()
 
 
 def test_a_clone_of_a_settled_graph_needs_no_sweep(monkeypatch):

@@ -387,20 +387,24 @@ def test_fused_literal_checks_name_the_first_bad_literal():
     g.check()
 
 
-def test_check_detects_a_stale_output_table():
+def test_check_detects_a_stale_output_reader():
+    stale = "fanout index disagrees with the fanins and outputs"
     g, a, b, c, d = _redirect_graph()
-    g.outputs[0] = b  # an item written in place bypasses the table
-    with pytest.raises(MigError, match="output table disagrees with the outputs"):
+    g.outputs[0] = b  # an item written in place bypasses the index
+    with pytest.raises(MigError, match=stale):
         g.check()
-    with pytest.raises(MigError, match="output table disagrees with the outputs"):
-        g.clone().check()  # a clone carries the table, stale as it is
+    with pytest.raises(MigError, match=stale):
+        g.clone().check()  # a clone carries the index, stale as it is
     g, a, b, c, d = _redirect_graph()
-    g._out_pos[d >> 1].add(2)
-    with pytest.raises(MigError, match="output table disagrees with the outputs"):
+    g._fanouts[d >> 1].add(~2)
+    with pytest.raises(MigError, match=stale):
         g.check()
     g, a, b, c, d = _redirect_graph()
     g.outputs = [b, d, g.pi(1), b ^ 1]  # assigning the list is `set_outputs`
-    assert g._out_pos == {b >> 1: {0, 3}, d >> 1: {1}, 1: {2}}
+    positions = {n: {~r for r in users if r < 0} for n, users in g._fanouts.items()}
+    assert {n: at for n, at in positions.items() if at} == {b >> 1: {0, 3}, d >> 1: {1}, 1: {2}}
+    assert g._fanouts[a >> 1] == {c >> 1, d >> 1}  # position 0 left a, its node readers stay
+    assert g.fanouts(b >> 1) == [d >> 1]  # node readers only
     g.check()
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from migopt.mig import MigError, MigGraph, lit, new_graph
+from migopt.mig import MigError, MigGraph, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import ACTION_COUNT
 
@@ -32,29 +32,32 @@ from migopt.rewrite import ACTION_COUNT
 # -- native MIG text ----------------------------------------------------
 
 
-def _sig_str(s: int, file_ids: dict[int, int], pi_count: int) -> str:
-    nid, neg = s >> 1, "!" if s & 1 else ""
-    if nid == 0:
-        return f"{neg}0"
-    if nid <= pi_count:
-        return f"{neg}x{nid}"
-    return f"{neg}n{file_ids[nid]}"
-
-
 def emit_mig(g: MigGraph) -> str:
-    maj_order = [nid for nid in g.topological_order() if nid > g.pi_count]
-    file_ids = {nid: i + 1 for i, nid in enumerate(maj_order)}
-    lines = [f"mig {g.pi_count} {len(g.outputs)} {len(maj_order)}"]
-    for nid in maj_order:
-        a, b, c = (_sig_str(s, file_ids, g.pi_count) for s in g.nodes[nid])
-        lines.append(f"n{file_ids[nid]} = M({a},{b},{c})")
+    pi_count, nodes = g.pi_count, g.nodes
+    name = {0: "0"}  # node id -> its name in the file, set as it is placed
+    neg = ("", "!")
+    gate_lines = []
+    for nid in g.topological_order():
+        if nid > pi_count:
+            a, b, c = nodes[nid]
+            name[nid] = n = f"n{len(gate_lines) + 1}"
+            gate_lines.append(
+                f"{n} = M({neg[a & 1]}{name[a >> 1]},{neg[b & 1]}{name[b >> 1]},"
+                f"{neg[c & 1]}{name[c >> 1]})"
+            )
+        elif nid:
+            name[nid] = f"x{nid}"
+    lines = [f"mig {pi_count} {len(g.outputs)} {len(gate_lines)}", *gate_lines]
     for k, s in enumerate(g.outputs):
-        lines.append(f"po{k} = {_sig_str(s, file_ids, g.pi_count)}")
+        lines.append(f"po{k} = {neg[s & 1]}{name[s >> 1]}")
     return "\n".join(lines) + "\n"
 
 
-_SIG_RE = re.compile(r"^(!?)(0|x(\d+)|n(\d+))$")
-_NODE_RE = re.compile(r"^n(\d+)\s*=\s*M\(([^,()]+),([^,()]+),([^,()]+)\)$")
+# a signal, with the whitespace around it, is an optional `!` and then
+# `x<j>` (group 2), `n<k>` (group 3) or `0`; a node line is matched whole
+_SIG = r"\s*(!?)(?:x(\d+)|n(\d+)|0)\s*"
+_SIG_RE = re.compile(_SIG)
+_NODE_RE = re.compile(rf"n(\d+)\s*=\s*M\({_SIG},{_SIG},{_SIG}\)")
 _PO_RE = re.compile(r"^po(\d+)\s*=\s*(\S+)$")
 
 
@@ -65,21 +68,29 @@ class ParseError(MigError):
 
 
 def _parse_sig(tok: str, lineno: int, g: MigGraph, defined: int) -> int:
-    m = _SIG_RE.match(tok.strip())
+    m = _SIG_RE.fullmatch(tok)
     if not m:
         raise ParseError(lineno, f"bad signal {tok!r}")
-    neg = m.group(1) == "!"
-    if m.group(2) == "0":
-        return lit(0, neg)
-    if m.group(3) is not None:
-        j = int(m.group(3))
-        if not 1 <= j <= g.pi_count:
+    return _sig_lit(*m.groups(), lineno, g.pi_count, defined)
+
+
+def _sig_lit(
+    neg: str, x: str | None, n: str | None, lineno: int, pi_count: int, defined: int
+) -> int:
+    """The literal of a matched signal: `!`, then input `x`, node `n` or the constant."""
+    if x is not None:
+        j = int(x)
+        if not 1 <= j <= pi_count:
             raise ParseError(lineno, f"input x{j} out of range")
-        return lit(j, neg)
-    k = int(m.group(4))
-    if not 1 <= k <= defined:
-        raise ParseError(lineno, f"reference to undefined node n{k}")
-    return lit(g.pi_count + k, neg)
+        s = 2 * j
+    elif n is not None:
+        k = int(n)
+        if not 1 <= k <= defined:
+            raise ParseError(lineno, f"reference to undefined node n{k}")
+        s = 2 * (pi_count + k)
+    else:
+        s = 0
+    return s + (neg == "!")
 
 
 def parse_mig(text: str) -> MigGraph:
@@ -104,24 +115,31 @@ def parse_mig(text: str) -> MigGraph:
             lines[-1][0], f"expected {maj_count} node and {po_count} output lines"
         )
     g = new_graph(pi_count)
-    for k in range(maj_count):
-        lineno, ln = body[k]
-        m = _NODE_RE.match(ln)
-        if not m:
-            raise ParseError(lineno, f"bad node line {ln!r}")
-        if int(m.group(1)) != k + 1:
-            raise ParseError(lineno, f"expected node n{k + 1}, got n{m.group(1)}")
-        fanins = [_parse_sig(m.group(i), lineno, g, k) for i in (2, 3, 4)]
-        g.add_majority(*fanins)
-    outputs = []
-    for k in range(po_count):
-        lineno, ln = body[maj_count + k]
-        m = _PO_RE.match(ln)
-        if not m:
-            raise ParseError(lineno, f"bad output line {ln!r}")
-        if int(m.group(1)) != k:
-            raise ParseError(lineno, f"expected output po{k}, got po{m.group(1)}")
-        outputs.append(_parse_sig(m.group(2), lineno, g, maj_count))
+    try:
+        for k in range(maj_count):
+            lineno, ln = body[k]
+            m = _NODE_RE.fullmatch(ln)
+            if not m:
+                raise ParseError(lineno, f"bad node line {ln!r}")
+            nid, na, xa, ka, nb, xb, kb, nc, xc, kc = m.groups()
+            if int(nid) != k + 1:
+                raise ParseError(lineno, f"expected node n{k + 1}, got n{nid}")
+            g.add_majority(
+                _sig_lit(na, xa, ka, lineno, pi_count, k),
+                _sig_lit(nb, xb, kb, lineno, pi_count, k),
+                _sig_lit(nc, xc, kc, lineno, pi_count, k),
+            )
+        outputs = []
+        for k in range(po_count):
+            lineno, ln = body[maj_count + k]
+            m = _PO_RE.match(ln)
+            if not m:
+                raise ParseError(lineno, f"bad output line {ln!r}")
+            if int(m.group(1)) != k:
+                raise ParseError(lineno, f"expected output po{k}, got po{m.group(1)}")
+            outputs.append(_parse_sig(m.group(2), lineno, g, maj_count))
+    except ValueError:  # an index too long for int(): sys.get_int_max_str_digits()
+        raise ParseError(lineno, "index has too many digits") from None
     g.set_outputs(outputs)
     g.check()
     return g

@@ -387,35 +387,48 @@ class MigGraph:
         return seen
 
     def topological_order(self) -> list[int]:
-        """Live node ids, fanins before fanouts. Raises on a cycle."""
+        """Live node ids, fanins before fanouts. Raises on a cycle.
+
+        The order a port-order depth-first walk from each id in turn gives,
+        in one ascending sweep: ids are a topological order except where a
+        write made a node read a newer one, so a node whose fanins are all
+        placed is placed at once, and only one that reads an unplaced id
+        walks from itself."""
+        nodes = self.nodes
         order: list[int] = []
-        state: dict[int, int] = {}  # 1 = on stack, 2 = done
-        for root in self.nodes:  # ascending ids
-            if state.get(root):
+        placed: set[int] = set()
+        for root, fanins in nodes.items():  # ascending ids
+            if root in placed:
                 continue
+            if not fanins:  # a terminal
+                placed.add(root)
+                order.append(root)
+                continue
+            if len(fanins) == 3:
+                a, b, c = fanins
+                if a >> 1 in placed and b >> 1 in placed and c >> 1 in placed:
+                    placed.add(root)
+                    order.append(root)
+                    continue
+            walking: set[int] = set()
             stack: list[tuple[int, int]] = [(root, 0)]
             while stack:
                 nid, idx = stack.pop()
-                if idx == 0:
-                    if state.get(nid) == 2:
-                        continue
-                    state[nid] = 1
-                fanins = self.nodes[nid]
-                advanced = False
+                walking.add(nid)
+                fanins = nodes[nid]
                 for i in range(idx, len(fanins)):
                     child = fanins[i] >> 1
-                    st = state.get(child)
-                    if st == 1:
+                    if child in walking:
                         raise MigError(f"cycle through node {child}: graph corrupted")
-                    if st is None:
-                        if child not in self.nodes:
+                    if child not in placed:
+                        if child not in nodes:
                             raise MigError(f"node {nid} references dead node {child}")
                         stack.append((nid, i + 1))
                         stack.append((child, 0))
-                        advanced = True
                         break
-                if not advanced:
-                    state[nid] = 2
+                else:
+                    walking.discard(nid)
+                    placed.add(nid)
                     order.append(nid)
         return order
 

@@ -46,14 +46,127 @@ def test_parse_errors_carry_line_numbers():
         ("mig 2 1 1\nn1 = M(x1,n2,0)\npo0 = n1\n", 2, "undefined"),
         ("mig 2 1 1\nn1 = M(x1,x9,0)\npo0 = n1\n", 2, "out of range"),
         ("mig 2 1 1\nn2 = M(x1,x2,0)\npo0 = n2\n", 2, "expected node"),
-        ("mig 2 1 1\nn1 = M(x1,x2,0)\npo0 = qq\n", 3, "bad"),
+        ("mig 2 1 1\nn1 = M(x1,x2,0)\npo0 = qq\n", 3, "bad signal"),
+        ("mig 2 1 1\nn1 = M(x1,qq,0)\npo0 = n1\n", 2, "bad node line"),
         ("mig 2 0 0\n", 1, "counts"),
+        # indices longer than int() converts (sys.get_int_max_str_digits())
+        (f"mig 2 1 1\nn1 = M(x{'9' * 5000},x2,0)\npo0 = n1\n", 2, "digits"),
+        (f"mig 2 1 1\nn{'1' * 5000} = M(x1,x2,0)\npo0 = n1\n", 2, "digits"),
+        (f"mig 2 1 1\nn1 = M(x1,x2,0)\npo{'0' * 5000} = n1\n", 3, "digits"),
     ]
     for text, lineno, frag in cases:
         with pytest.raises(fmt.ParseError) as err:
             fmt.parse_mig(text)
         assert err.value.lineno == lineno
         assert frag in str(err.value)
+
+
+_REF_NODE_RE = re.compile(r"^n(\d+)\s*=\s*M\(([^,()]+),([^,()]+),([^,()]+)\)$")
+_REF_SIG_RE = re.compile(r"^(!?)(0|x(\d+)|n(\d+))$")
+
+
+def reference_parse_node_lines(text):
+    """Frozen node-line parse: the line's regex, then each token stripped and
+    matched alone. Returns (nodes, outputs) with nodes by file id."""
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(no, ln) for no, ln in lines if ln]
+    pi_count, po_count, maj_count = (int(x) for x in lines[0][1].split()[1:])
+
+    def sig(tok, lineno, defined):
+        m = _REF_SIG_RE.match(tok.strip())
+        if not m:
+            raise fmt.ParseError(lineno, f"bad signal {tok!r}")
+        neg = m.group(1) == "!"
+        if m.group(2) == "0":
+            return int(neg)
+        if m.group(3) is not None:
+            j = int(m.group(3))
+            if not 1 <= j <= pi_count:
+                raise fmt.ParseError(lineno, f"input x{j} out of range")
+            return 2 * j + neg
+        k = int(m.group(4))
+        if not 1 <= k <= defined:
+            raise fmt.ParseError(lineno, f"reference to undefined node n{k}")
+        return 2 * (pi_count + k) + neg
+
+    body = lines[1:]
+    nodes = {}
+    for k in range(maj_count):
+        lineno, ln = body[k]
+        m = _REF_NODE_RE.match(ln)
+        if not m:
+            raise fmt.ParseError(lineno, f"bad node line {ln!r}")
+        if int(m.group(1)) != k + 1:
+            raise fmt.ParseError(lineno, f"expected node n{k + 1}, got n{m.group(1)}")
+        nodes[pi_count + k + 1] = tuple(sig(m.group(i), lineno, k) for i in (2, 3, 4))
+    outputs = []
+    for k in range(po_count):
+        lineno, ln = body[maj_count + k]
+        m = fmt._PO_RE.match(ln)
+        if not m:
+            raise fmt.ParseError(lineno, f"bad output line {ln!r}")
+        outputs.append(sig(m.group(2), lineno, maj_count))
+    return nodes, outputs
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\u3000", " \t"])
+# ASCII digits, a leading zero, Arabic-Indic and fullwidth digits
+_ARABIC_INDIC = {ord("0") + d: 0x660 + d for d in range(10)}
+_FULLWIDTH = {ord("0") + d: 0xFF10 + d for d in range(10)}
+_DIGITS = st.sampled_from(
+    [str] * 3
+    + ["0{}".format, "00{}".format, lambda i: str(i).translate(_ARABIC_INDIC), lambda i: str(i).translate(_FULLWIDTH)]
+)
+_MALFORMED = ["00", "x", "!!x1", "! x1", "n-1", "", "x1 x2", "0x1", "!", "x+1"]
+
+
+@st.composite
+def _signal(draw, pi_count, defined):
+    kind = draw(st.sampled_from(["0", "x", "x", "x", "n", "n", "n", "n", "n", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(_MALFORMED))
+    neg = draw(st.sampled_from(["", "!"]))
+    if kind == "0":
+        return neg + "0"
+    if kind == "n" and not defined:
+        kind = "x"  # no node is defined yet; out-of-range indices are drawn below
+    top = pi_count if kind == "x" else defined
+    if draw(st.integers(0, 7)):
+        index = draw(st.integers(1, top))
+    else:
+        index = draw(st.sampled_from([0, top + 1]))
+    return f"{neg}{kind}{draw(_DIGITS)(index)}"
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(data=st.data(), pi_count=st.integers(1, 4), maj_count=st.integers(0, 5), po_count=st.integers(1, 3))
+def test_node_lines_parse_as_the_token_reference(data, pi_count, maj_count, po_count):
+    lines = [f"mig {pi_count} {po_count} {maj_count}"]
+    for k in range(maj_count):
+        sigs = (data.draw(_WS) + data.draw(_signal(pi_count, k)) + data.draw(_WS) for _ in range(3))
+        nid = data.draw(st.sampled_from([f"{k + 1}"] * 4 + [f"0{k + 1}", f"{k + 2}"]), label="id")
+        lines.append(f"n{nid} = M({','.join(sigs)})")
+    for k in range(po_count):
+        lines.append(f"po{k} = {data.draw(_signal(pi_count, maj_count))}")
+    text = "\n".join(lines) + "\n"
+    try:
+        want = reference_parse_node_lines(text)
+    except fmt.ParseError as exc:
+        with pytest.raises(fmt.ParseError) as err:
+            fmt.parse_mig(text)
+        assert err.value.lineno == exc.lineno
+        # the declared message change: a node line with a malformed signal
+        # fails as a whole, before its id and its other signals are checked
+        ln = text.splitlines()[exc.lineno - 1]
+        m = _REF_NODE_RE.match(ln)
+        if m and not all(_REF_SIG_RE.match(m.group(i).strip()) for i in (2, 3, 4)):
+            assert str(err.value) == f"line {exc.lineno}: bad node line {ln!r}"
+        else:
+            assert str(err.value) == str(exc)
+        return
+    g = fmt.parse_mig(text)
+    assert {n: f for n, f in g.nodes.items() if f} == want[0]
+    assert g.outputs == want[1]
 
 
 def test_parse_rejects_wrong_body_length():

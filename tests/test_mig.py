@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from migopt.mig import MigError, lit, new_graph, pi_pattern
+from migopt.datagen import RandomGraphSpec, SopSpec, random_mig, sop_decompose
+from migopt.formats import emit_mig
+from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
 from migopt import rewrite as rw
 
 from conftest import crude_random_graph
@@ -478,6 +482,110 @@ def test_topology_survives_random_steps():
         rw.step(g, acts)
         g.topological_order()
         g.check()
+
+
+def reference_topological_order(g):
+    """Frozen port-order depth-first walk from each id in turn."""
+    order = []
+    state = {}  # 1 = on stack, 2 = done
+    for root in g.nodes:
+        if state.get(root):
+            continue
+        stack = [(root, 0)]
+        while stack:
+            nid, idx = stack.pop()
+            if idx == 0:
+                if state.get(nid) == 2:
+                    continue
+                state[nid] = 1
+            fanins = g.nodes[nid]
+            advanced = False
+            for i in range(idx, len(fanins)):
+                child = fanins[i] >> 1
+                seen = state.get(child)
+                if seen == 1:
+                    raise MigError(f"cycle through node {child}: graph corrupted")
+                if seen is None:
+                    if child not in g.nodes:
+                        raise MigError(f"node {nid} references dead node {child}")
+                    stack.append((nid, i + 1))
+                    stack.append((child, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                state[nid] = 2
+                order.append(nid)
+    return order
+
+
+def reference_emit_mig(g):
+    """Frozen emit: file ids from the reference order, one string per literal."""
+
+    def sig(s):
+        nid, neg = s >> 1, "!" if s & 1 else ""
+        if nid == 0:
+            return f"{neg}0"
+        if nid <= g.pi_count:
+            return f"{neg}x{nid}"
+        return f"{neg}n{file_ids[nid]}"
+
+    maj_order = [nid for nid in reference_topological_order(g) if nid > g.pi_count]
+    file_ids = {nid: i + 1 for i, nid in enumerate(maj_order)}
+    lines = [f"mig {g.pi_count} {len(g.outputs)} {len(maj_order)}"]
+    for nid in maj_order:
+        a, b, c = (sig(s) for s in g.nodes[nid])
+        lines.append(f"n{file_ids[nid]} = M({a},{b},{c})")
+    for k, s in enumerate(g.outputs):
+        lines.append(f"po{k} = {sig(s)}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except MigError as exc:
+        return ("raised", str(exc))
+
+
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(
+    kind=st.sampled_from(["crude", "sop3", "random_mig"]),
+    inputs=st.integers(2, 6),
+    gates=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_order_and_emit_match_the_depth_first_reference(kind, inputs, gates, seed, data):
+    if kind == "crude":
+        g = crude_random_graph(inputs, gates, seed)  # dead gates until a step
+    elif kind == "sop3":
+        g = sop_decompose(SopSpec(3, seed % 256))
+    else:
+        g = random_mig(RandomGraphSpec(gates + 10, 3 * inputs, 2, seed))
+    rng = random.Random(seed)
+    for _ in range(data.draw(st.integers(0 if kind == "crude" else 1, 4), label="steps")):
+        # a rewrite makes a node read a newer one, so ids stop being an order
+        rw.step(g, {nid: rw.OmegaAction(rng.randrange(9)) for nid in g.maj_ids()})
+    for _ in range(data.draw(st.integers(0, 2), label="dead gates")):
+        g.add_majority(*(lit(rng.choice(list(g.nodes)), rng.random() < 0.5) for _ in range(3)))
+    assert g.topological_order() == reference_topological_order(g)
+    assert emit_mig(g) == reference_emit_mig(g)
+
+    # corrupt one fanin of one gate: a later node (a cycle or not) or a removed id
+    maj = g.maj_ids()
+    if not maj:
+        return
+    nid = data.draw(st.sampled_from(maj), label="gate")
+    gone = [n for n in range(g._next_id) if n not in g.nodes]
+    later = [n for n in g.nodes if n > nid]
+    targets = later + gone + [g._next_id + 3]
+    target = data.draw(st.sampled_from(targets), label="target")
+    port = data.draw(st.integers(0, 2), label="port")
+    fanins = list(g.nodes[nid])
+    fanins[port] = lit(target, data.draw(st.booleans(), label="neg"))
+    g.nodes[nid] = tuple(fanins)  # bypasses the writers
+    assert _outcome(MigGraph.topological_order, g) == _outcome(reference_topological_order, g)
+    assert _outcome(emit_mig, g) == _outcome(reference_emit_mig, g)
 
 
 def test_clone_is_independent():

@@ -28,6 +28,9 @@ class MigError(Exception):
     pass
 
 
+_NO_READERS: frozenset[int] = frozenset()
+
+
 def _maj_word(a: int, b: int, c: int) -> int:
     return (a & b) | (a & c) | (b & c)
 
@@ -338,7 +341,14 @@ class MigGraph:
         """Distinct ids of the nodes that read `nid`, in creation order."""
         if nid not in self.nodes:
             raise MigError(f"no live node {nid}")
-        return sorted(r for r in self._index().get(nid, ()) if r >= 0)
+        return sorted(r for r in self.readers(nid) if r >= 0)
+
+    def readers(self, nid: int) -> set[int] | frozenset[int]:
+        """The readers of live node `nid` as the consumer index holds them,
+        unsorted: the id of each node that reads it and ``~i`` for each
+        output position ``i`` that names it. The index's own set, so read
+        it before the next write and never change it."""
+        return self._index().get(nid, _NO_READERS)
 
     def _scan_fanouts(self) -> dict[int, set[int]]:
         fo: dict[int, set[int]] = {}

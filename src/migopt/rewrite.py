@@ -31,7 +31,9 @@ literal), which names the k-th new node.
 The engine writes the graph only through `MigGraph`'s writers: inverter
 propagation is one `complement` call, which flips the root with its reader
 edges and outputs and creates no node; every other move adds its new nodes
-and sets the root's fanins; each λ replacement is one `redirect`.
+and sets the root's fanins; each λ replacement is one `redirect`. `step`
+writes a swap or an inverter propagation itself, with no binding: neither
+can miss, and each needs only the root's fanins or readers.
 """
 
 from __future__ import annotations
@@ -56,7 +58,15 @@ class OmegaAction(IntEnum):
 
 ACTION_COUNT = len(OmegaAction)
 
-_IDENTITY = OmegaAction.IDENTITY.value  # a plain int: no enum class lookup per compare
+_IDENTITY = OmegaAction.IDENTITY.value  # plain ints: no enum class lookup per compare
+_INV_PROP = OmegaAction.INV_PROP.value
+
+# the root's new fanins per swap: the old ones at these ports, in order
+_SWAP_PORTS = {
+    OmegaAction.COMM01.value: (1, 0, 2),
+    OmegaAction.COMM02.value: (2, 1, 0),
+    OmegaAction.COMM12.value: (0, 2, 1),
+}
 
 Binding = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, int, int], bool]
 
@@ -95,10 +105,8 @@ def _identity(g: MigGraph, nid: int, fan: tuple) -> Binding:
     return nid, (), (), fan, False
 
 
-def _commute(i: int, j: int):
-    ports = [0, 1, 2]
-    ports[i], ports[j] = j, i
-    p, q, r = ports
+def _commute(action: int):
+    p, q, r = _SWAP_PORTS[action]
 
     def comm(g: MigGraph, nid: int, fan: tuple) -> Binding:
         return nid, (nid,), (), (fan[p], fan[q], fan[r]), False
@@ -194,9 +202,9 @@ def _distribute_rl(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
 # one matcher per action value, so dispatch is a single int-keyed lookup
 _MATCHERS = {
     OmegaAction.IDENTITY.value: _identity,
-    OmegaAction.COMM01.value: _commute(0, 1),
-    OmegaAction.COMM02.value: _commute(0, 2),
-    OmegaAction.COMM12.value: _commute(1, 2),
+    OmegaAction.COMM01.value: _commute(OmegaAction.COMM01.value),
+    OmegaAction.COMM02.value: _commute(OmegaAction.COMM02.value),
+    OmegaAction.COMM12.value: _commute(OmegaAction.COMM12.value),
     OmegaAction.ASSOC.value: _associate(False),
     OmegaAction.COMPL_ASSOC.value: _associate(True),
     OmegaAction.DIST_LR.value: _distribute_lr,
@@ -336,45 +344,86 @@ def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
     when its cleanup state shows a dead node. Afterwards every majority
     node left in the graph is reachable.
 
-    Acting nodes run in ascending id order. An action that `match` binds
-    nothing for (the node is gone, a terminal, or holds no match) is
-    blocked as illegal; one whose footprint overlaps nodes already
-    touched by an applied rewrite this step is blocked as a collision.
-    Both leave the graph unchanged for that node.
+    Acting nodes run in ascending id order, each settled in one dispatch.
+    A gone id or a terminal is blocked as illegal whatever its action, and
+    IDENTITY at a live gate counts as identity; neither calls `match`. A
+    swap or an inverter propagation always binds: its footprint is the
+    root, with the root's readers for an inverter propagation, and it is
+    written straight through `MigGraph.set_fanins` or `complement`. The
+    other moves bind through `match` (an unknown action raises there) and
+    commit through `apply_omega`; one that binds nothing is blocked as
+    illegal. A move whose footprint overlaps nodes already touched by an
+    applied rewrite this step is blocked as a collision. A blocked move
+    leaves the graph unchanged for that node.
     """
     rep = StepReport()
     reach_before = g.live_ids()
     rep.size_before = len(reach_before)
+    nodes = g.nodes
+    all_live = rep.size_before == len(nodes) - g.pi_count - 1
 
     touched: set[int] = set()
+    created: list[int] = []  # ids of the nodes the moves add
     outcomes = rep.outcomes
+    tally = dict.fromkeys(("applied", "blocked_illegal", "blocked_collision", "identity"), 0)
     for nid in sorted(actions):
         act = actions[nid]
-        binding = match(g, nid, act)  # None for a gone node or a terminal
-        if binding is None:
-            outcomes[nid] = "blocked_illegal"
+        fan = nodes.get(nid)
+        if not fan:  # gone, or a terminal
+            outcome = "blocked_illegal"
         elif act == _IDENTITY:
-            outcomes[nid] = "identity"
-        elif not touched.isdisjoint(binding[1]):
-            outcomes[nid] = "blocked_collision"
+            outcome = "identity"
+        elif act in _SWAP_PORTS:
+            if nid in touched:
+                outcome = "blocked_collision"
+            else:
+                p, q, r = _SWAP_PORTS[act]
+                g.set_fanins(nid, (fan[p], fan[q], fan[r]))
+                touched.add(nid)
+                outcome = "applied"
+        elif act == _INV_PROP:
+            # the readers include output positions (negative), which no
+            # other move of a step writes, so they block nothing extra
+            readers = g.readers(nid)
+            if nid in touched or not touched.isdisjoint(readers):
+                outcome = "blocked_collision"
+            else:
+                touched.add(nid)
+                touched.update(readers)
+                g.complement(nid)
+                outcome = "applied"
         else:
-            touched.update(binding[1])
-            touched.update(apply_omega(g, binding).new_ids)
-            outcomes[nid] = "applied"
-    counts = list(outcomes.values())
-    rep.applied = counts.count("applied")
-    rep.blocked_illegal = counts.count("blocked_illegal")
-    rep.blocked_collision = counts.count("blocked_collision")
-    rep.identity_count = counts.count("identity")
+            binding = match(g, nid, act)
+            if binding is None:
+                outcome = "blocked_illegal"
+            elif not touched.isdisjoint(binding[1]):
+                outcome = "blocked_collision"
+            else:
+                new_ids = apply_omega(g, binding).new_ids
+                touched.update(binding[1])
+                touched.update(new_ids)
+                created += new_ids
+                outcome = "applied"
+        outcomes[nid] = outcome
+        tally[outcome] += 1
+    rep.applied = tally["applied"]
+    rep.blocked_illegal = tally["blocked_illegal"]
+    rep.blocked_collision = tally["blocked_collision"]
+    rep.identity_count = tally["identity"]
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
     g.remove_orphans()
-    # every majority node left is live, and ids are never reused: a node of
-    # reach_before is gone exactly when it is no longer in the graph
-    nodes = g.nodes
-    rep.size_after = len(nodes) - g.pi_count - 1
-    rep.nodes_removed = sum(n not in nodes for n in reach_before)
-    rep.nodes_added = rep.size_after - rep.size_before + rep.nodes_removed
+    rep.size_after = len(nodes) - g.pi_count - 1  # every majority node left is live
+    if all_live:
+        # ids are never reused, so a gate left is an old one or one a move
+        # created; the λ rules create none
+        rep.nodes_added = sum(n in nodes for n in created)
+        rep.nodes_removed = rep.size_before + rep.nodes_added - rep.size_after
+    else:
+        # a dead gate can be left live (a merge keeps the lower-id twin), so
+        # count the live gates that are gone
+        rep.nodes_removed = sum(n not in nodes for n in reach_before)
+        rep.nodes_added = rep.size_after - rep.size_before + rep.nodes_removed
     return rep
 
 

@@ -106,11 +106,12 @@ def rollout(g0: MigGraph, steps: int, choose) -> tuple[MigGraph, list[StepRecord
     # so a start graph and its dead-free copy roll out alike; a step
     # leaves only live ones.
     centers = rw.delete_dead(g)
-    for _ in range(steps):
+    for k in range(steps):
+        if k:
+            centers = g.maj_ids()
         actions, log_probs, batch, probs = choose(g, centers)
         report = rw.step(g, dict(zip(centers, actions.tolist())))
         records.append(StepRecord(centers, actions, log_probs, report, batch, probs))
-        centers = g.maj_ids()
     return g, records
 
 

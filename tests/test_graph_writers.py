@@ -3,7 +3,9 @@ src/migopt assigns to, augments or deletes a graph's node table, outputs,
 input count, consumer index or id counter, whole or by item, or calls a
 mutating method on one of them. So the tables kept beside the nodes (the
 consumer index, the pending and orphan sets, the structural hash) need
-updating in `MigGraph`'s writers alone."""
+updating in `MigGraph`'s writers alone. Nor does such a module read one of
+the private attributes, so what it learns of those tables (a node's
+readers, the pending ids) comes through a public method."""
 
 import ast
 from pathlib import Path
@@ -13,10 +15,15 @@ STATE = {
     "nodes", "outputs", "_outputs", "pi_count", "_fanouts", "_next_id", "_dirty", "_orphans",
     "_strash",
 }
+PRIVATE = {"_index", "_fanouts", "_strash", "_dirty", "_orphans", "_next_id", "_outputs"}
 MUTATORS = {
     "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "reverse", "setdefault", "sort", "update",
 }
+
+
+def _modules_beside_mig() -> list[Path]:
+    return sorted(p for p in (ROOT / "src" / "migopt").glob("*.py") if p.name != "mig.py")
 
 
 def _leaves(target):
@@ -84,10 +91,43 @@ def test_state_writes_are_flagged():
 
 
 def test_only_mig_writes_graph_state():
-    files = sorted(p for p in (ROOT / "src" / "migopt").glob("*.py") if p.name != "mig.py")
     found = [
         f"{path.relative_to(ROOT)}:{line}: .{attr}"
-        for path in files
+        for path in _modules_beside_mig()
         for line, attr in state_writes(path.read_text())
     ]
     assert not found, "graph state written outside mig.py: " + ", ".join(found)
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of each use of a private `MigGraph` attribute."""
+    found = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE
+    ]
+    return sorted(found)
+
+
+def test_private_reads_are_flagged():
+    source = (
+        "def f(g, nid):\n"
+        "    users = g._index().get(nid, ())\n"
+        "    n = len(g._fanouts) + g._next_id\n"
+        "    pending = sorted(g._dirty | g._orphans)\n"
+        "    other = g._strash.get(g.nodes[nid])\n"
+        "    return users, n, pending, other, g._outputs[0], g.readers(nid), g.outputs\n"
+    )
+    assert private_reads(source) == [
+        (2, "_index"), (3, "_fanouts"), (3, "_next_id"), (4, "_dirty"), (4, "_orphans"),
+        (5, "_strash"), (6, "_outputs"),
+    ]
+
+
+def test_only_mig_reads_private_graph_state():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: .{attr}"
+        for path in _modules_beside_mig()
+        for line, attr in private_reads(path.read_text())
+    ]
+    assert not found, "private graph state read outside mig.py: " + ", ".join(found)

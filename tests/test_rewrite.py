@@ -352,6 +352,40 @@ def test_step_identity_counts_only_at_a_live_gate(which, outcome):
     assert fmt.emit_mig(g) == before
 
 
+@pytest.mark.parametrize("action", [9, -1])
+def test_step_unknown_action_raises_only_at_a_live_gate(action):
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    gone = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
+    r = g.add_majority(a, g.pi(2), g.pi(3) ^ 1)
+    g.set_outputs([r])
+    g.remove(gone >> 1)
+    before = fmt.emit_mig(g)
+    for nid in (0, 2, gone >> 1, 99):  # constant, input, removed gate, unknown id
+        rep = rw.step(g, {nid: action})
+        assert rep.outcomes == {nid: "blocked_illegal"} and rep.blocked_illegal == 1
+        assert fmt.emit_mig(g) == before
+    with pytest.raises(MigError, match="unknown action"):
+        rw.step(g, {a >> 1: action})
+
+
+def test_step_counts_a_dead_twin_that_a_merge_keeps():
+    # the dead n4 is hashed before its live twin n5, so the merge keeps n4:
+    # a gate the step leaves live that it neither created nor found live
+    g = new_graph(3)
+    x1, x2, x3 = g.pi(1), g.pi(2), g.pi(3)
+    dead = g.add_majority(x1, x2, x3)
+    twin = g.add_majority(x1, x2, x3)
+    out = g.add_majority(twin, x1, x3 ^ 1)
+    g.set_outputs([out])
+    assert (dead, twin, out) == (8, 10, 12)
+    rep = rw.step(g, {})
+    assert (rep.size_before, rep.size_after) == (2, 2)
+    assert rep.lambda_r_count == 1
+    assert (rep.nodes_added, rep.nodes_removed) == (1, 1)
+    assert g.live_ids() == [dead >> 1, out >> 1]
+
+
 def test_step_collision_blocking():
     # two chained nodes both rewrite over overlapping footprints
     g = new_graph(5)

@@ -16,6 +16,7 @@ grow monotonically and are never reused, even after deletion, so
 from __future__ import annotations
 
 import random
+from collections.abc import Set
 from itertools import islice
 
 
@@ -343,11 +344,11 @@ class MigGraph:
             raise MigError(f"no live node {nid}")
         return sorted(r for r in self.readers(nid) if r >= 0)
 
-    def readers(self, nid: int) -> set[int] | frozenset[int]:
+    def readers(self, nid: int) -> Set[int]:
         """The readers of live node `nid` as the consumer index holds them,
         unsorted: the id of each node that reads it and ``~i`` for each
-        output position ``i`` that names it. The index's own set, so read
-        it before the next write and never change it."""
+        output position ``i`` that names it. The index's own set, typed
+        read-only: read it before the next write and never change it."""
         return self._index().get(nid, _NO_READERS)
 
     def _scan_fanouts(self) -> dict[int, set[int]]:

@@ -360,12 +360,9 @@ def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
     reach_before = g.live_ids()
     rep.size_before = len(reach_before)
     nodes = g.nodes
-    all_live = rep.size_before == len(nodes) - g.pi_count - 1
 
     touched: set[int] = set()
-    created: list[int] = []  # ids of the nodes the moves add
     outcomes = rep.outcomes
-    tally = dict.fromkeys(("applied", "blocked_illegal", "blocked_collision", "identity"), 0)
     for nid in sorted(actions):
         act = actions[nid]
         fan = nodes.get(nid)
@@ -399,31 +396,23 @@ def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
             elif not touched.isdisjoint(binding[1]):
                 outcome = "blocked_collision"
             else:
-                new_ids = apply_omega(g, binding).new_ids
                 touched.update(binding[1])
-                touched.update(new_ids)
-                created += new_ids
+                touched.update(apply_omega(g, binding).new_ids)
                 outcome = "applied"
         outcomes[nid] = outcome
-        tally[outcome] += 1
-    rep.applied = tally["applied"]
-    rep.blocked_illegal = tally["blocked_illegal"]
-    rep.blocked_collision = tally["blocked_collision"]
-    rep.identity_count = tally["identity"]
+    counts = list(outcomes.values())
+    rep.applied = counts.count("applied")
+    rep.blocked_illegal = counts.count("blocked_illegal")
+    rep.blocked_collision = counts.count("blocked_collision")
+    rep.identity_count = counts.count("identity")
 
     rep.lambda_m_count, rep.lambda_r_count = lambda_fixpoint(g)
     g.remove_orphans()
-    rep.size_after = len(nodes) - g.pi_count - 1  # every majority node left is live
-    if all_live:
-        # ids are never reused, so a gate left is an old one or one a move
-        # created; the λ rules create none
-        rep.nodes_added = sum(n in nodes for n in created)
-        rep.nodes_removed = rep.size_before + rep.nodes_added - rep.size_after
-    else:
-        # a dead gate can be left live (a merge keeps the lower-id twin), so
-        # count the live gates that are gone
-        rep.nodes_removed = sum(n not in nodes for n in reach_before)
-        rep.nodes_added = rep.size_after - rep.size_before + rep.nodes_removed
+    # every majority node left is live, and ids are never reused: a node of
+    # reach_before is gone exactly when it is no longer in the graph
+    rep.size_after = len(nodes) - g.pi_count - 1
+    rep.nodes_removed = sum(n not in nodes for n in reach_before)
+    rep.nodes_added = rep.size_after - rep.size_before + rep.nodes_removed
     return rep
 
 

@@ -1,9 +1,10 @@
 """Only `migopt.mig` writes `MigGraph` state: outside mig.py no module in
 src/migopt assigns to, augments or deletes a graph's node table, outputs,
 input count, consumer index or id counter, whole or by item, or calls a
-mutating method on one of them. So the tables kept beside the nodes (the
-consumer index, the pending and orphan sets, the structural hash) need
-updating in `MigGraph`'s writers alone. Nor does such a module read one of
+mutating method on one of them or on a set that `MigGraph.readers`
+returns, which is the consumer index's own. So the tables kept beside the
+nodes (the consumer index, the pending and orphan sets, the structural
+hash) need updating in `MigGraph`'s writers alone. Nor does such a module read one of
 the private attributes, so what it learns of those tables (a node's
 readers, the pending ids) comes through a public method."""
 
@@ -37,9 +38,16 @@ def _leaves(target):
 
 
 def _state_attr(target) -> str | None:
-    """The state attribute that `target` writes: `g.nodes`, `g.nodes[k]`, ..."""
+    """The state attribute that `target` writes: `g.nodes`, `g.nodes[k]`,
+    ..., and `g.readers(k)`, a set of the consumer index `_fanouts`."""
     while isinstance(target, ast.Subscript):
         target = target.value
+    if (
+        isinstance(target, ast.Call)
+        and isinstance(target.func, ast.Attribute)
+        and target.func.attr == "readers"
+    ):
+        return "_fanouts"
     if isinstance(target, ast.Attribute) and target.attr in STATE:
         return target.attr
     return None
@@ -79,14 +87,15 @@ def test_state_writes_are_flagged():
         "    a, g.pi_count = 1, 2\n"
         "    g._fanouts[3].add(5)\n"
         "    g._outputs[0] = 4\n"
-        "    n: int = len(g.nodes)\n"
+        "    g.readers(5).discard(x)\n"
+        "    n: int = len(g.nodes) + len(g.readers(5))\n"
         "    g.set_outputs(list(g.outputs))\n"
         "    g.remove(5)\n"
-        "    return g.nodes.get(x), sorted(g.outputs), n\n"
+        "    return g.nodes.get(x), sorted(g.outputs), n, g.readers(x).isdisjoint(h.readers(x))\n"
     )
     assert state_writes(source) == [
         (2, "outputs"), (3, "nodes"), (4, "_next_id"), (5, "nodes"), (6, "pi_count"),
-        (7, "_fanouts"), (8, "_outputs"),
+        (7, "_fanouts"), (8, "_outputs"), (9, "_fanouts"),
     ]
 
 

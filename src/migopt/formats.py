@@ -322,6 +322,11 @@ def _checkpoint_payload(lines: list[str]):
     if int(fields["actions"]) != ACTION_COUNT:
         raise MigError(f"action head must have {ACTION_COUNT} outputs")
     rng_state = json.loads(fields["rngstate"]) if "rngstate" in fields else None
+    # a layer is hidden + 3 lines (w{l} and b{l}, headers included) and the
+    # head ACTION_COUNT + 3: check the count before allocating the arrays
+    want = hp.layers * (hp.hidden + 3) + ACTION_COUNT + 3
+    if len(lines) - 1 - idx != want:
+        raise MigError(f"checkpoint has {len(lines) - 1 - idx} array lines, want {want}")
 
     # each array must come in the order checkpoint_text writes it, with the
     # shape of the view it fills; a vector is written as one row

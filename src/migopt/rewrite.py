@@ -16,24 +16,27 @@ Two rule families:
 
 Every agent move instantiates one of the Ω identities, which are sound
 (Amarù, Gaillardon, De Micheli, "Majority-Inverter Graph", DAC 2014), and
-`match` binds only where an identity's syntactic precondition holds. So a
-matched move keeps the function without a local check; tests/test_catalog.py
-proves every binding over every operand equality pattern. Callers check
-whole graphs with `verify_equivalence` before any output is written or
-scored.
+applies only where an identity's syntactic precondition holds. So a move
+keeps the function without a local check; tests/test_catalog.py proves
+each move as `step` runs it, over every operand equality pattern. Callers
+check whole graphs with `verify_equivalence` before any output is written
+or scored.
 
-A binding is a plain tuple of ints, `(root, footprint, new nodes, root
-fanins, complements_root)`: the ids the move reads or writes, the fanin
-triples of the nodes to create, and the root's new fanins. No new node
-reads another, so only the root fanins hold ``~k`` (a negative int, so no
-literal), which names the k-th new node.
+Each move has one definition. `step` writes a swap or an inverter
+propagation itself: neither can miss, and each needs only the root's
+fanins or readers. The four node-creating moves (ASSOC, COMPL_ASSOC,
+DIST_LR, DIST_RL) each have a matcher, which `step` calls and `match`
+exposes, and which returns a binding: a plain tuple of ints, `(root,
+footprint, new nodes, root fanins)`, the ids the move reads or writes, the
+fanin triples of the nodes to create, and the root's new fanins. No new
+node reads another, so only the root fanins hold ``~k`` (a negative int,
+so no literal), which names the k-th new node.
 
-The engine writes the graph only through `MigGraph`'s writers: inverter
-propagation is one `complement` call, which flips the root with its reader
-edges and outputs and creates no node; every other move adds its new nodes
-and sets the root's fanins; each λ replacement is one `redirect`. `step`
-writes a swap or an inverter propagation itself, with no binding: neither
-can miss, and each needs only the root's fanins or readers.
+The engine writes the graph only through `MigGraph`'s writers: a swap sets
+the root's fanins; inverter propagation is one `complement` call, which
+flips the root with its reader edges and outputs and creates no node; a
+node-creating move adds its new nodes and sets the root's fanins; each λ
+replacement is one `redirect`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ _SWAP_PORTS = {
     OmegaAction.COMM12.value: (0, 2, 1),
 }
 
-Binding = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, int, int], bool]
+Binding = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, int, int]]
 
 
 @dataclass(slots=True)
@@ -99,24 +102,6 @@ def _virtual_ops(node_fanins, edge: int) -> tuple[int, int, int]:
         a, b, c = node_fanins
         return a ^ 1, b ^ 1, c ^ 1
     return node_fanins
-
-
-def _identity(g: MigGraph, nid: int, fan: tuple) -> Binding:
-    return nid, (), (), fan, False
-
-
-def _commute(action: int):
-    p, q, r = _SWAP_PORTS[action]
-
-    def comm(g: MigGraph, nid: int, fan: tuple) -> Binding:
-        return nid, (nid,), (), (fan[p], fan[q], fan[r]), False
-
-    return comm
-
-
-def _inv_prop(g: MigGraph, nid: int, fan: tuple) -> Binding:
-    a, b, c = fan
-    return nid, (nid, *g.fanouts(nid)), (), (a ^ 1, b ^ 1, c ^ 1), True
 
 
 def _associate(want_compl: bool):
@@ -152,7 +137,7 @@ def _associate(want_compl: bool):
                 zc = int(uc == 0)
                 root[xp], ops[zc] = ops[zc], fan[xp]
             root[cp] = ~0
-            return nid, (nid, s >> 1), (tuple(ops),), tuple(root), False
+            return nid, (nid, s >> 1), (tuple(ops),), tuple(root)
         return None
 
     return assoc
@@ -169,7 +154,7 @@ def _distribute_lr(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
             node_a[cp], node_b[cp] = u, v
             root = [~0, ~1]
             root.insert(cp, z)
-            return nid, (nid, s >> 1), (tuple(node_a), tuple(node_b)), tuple(root), False
+            return nid, (nid, s >> 1), (tuple(node_a), tuple(node_b)), tuple(root)
     return None
 
 
@@ -195,63 +180,48 @@ def _distribute_rl(g: MigGraph, nid: int, fan: tuple) -> Binding | None:
                 rest.remove(y)
                 root = [~0, ~0, ~0]
                 root[cpa], root[cpb] = x, y
-                return nid, (nid, sa >> 1, sb >> 1), ((u, rest[0], fan[zp]),), tuple(root), False
+                return nid, (nid, sa >> 1, sb >> 1), ((u, rest[0], fan[zp]),), tuple(root)
     return None
 
 
-# one matcher per action value, so dispatch is a single int-keyed lookup
+# one matcher per node-creating action, so dispatch is one int-keyed lookup
 _MATCHERS = {
-    OmegaAction.IDENTITY.value: _identity,
-    OmegaAction.COMM01.value: _commute(OmegaAction.COMM01.value),
-    OmegaAction.COMM02.value: _commute(OmegaAction.COMM02.value),
-    OmegaAction.COMM12.value: _commute(OmegaAction.COMM12.value),
     OmegaAction.ASSOC.value: _associate(False),
     OmegaAction.COMPL_ASSOC.value: _associate(True),
     OmegaAction.DIST_LR.value: _distribute_lr,
     OmegaAction.DIST_RL.value: _distribute_rl,
-    OmegaAction.INV_PROP.value: _inv_prop,
 }
 
 
 def match(g: MigGraph, nid: int, action: OmegaAction) -> Binding | None:
-    """Find the first applicable binding for `action` at node `nid`.
+    """Find the first applicable binding for a node-creating `action`
+    (ASSOC, COMPL_ASSOC, DIST_LR or DIST_RL) at node `nid`.
 
     Search order is fixed (ascending ports, then ascending child ports),
     so the binding is deterministic for a given graph state. Returns None,
     a normal outcome, when `nid` is gone, a terminal, or holds no match.
+    Any other action raises `MigError`: IDENTITY, the swaps and inverter
+    propagation bind nothing, since `step` settles them itself.
     """
+    matcher = _MATCHERS.get(action)
+    if matcher is None:
+        raise MigError(f"action {action} has no binding")
     fan = g.nodes.get(nid)
     if not fan:  # gone, or a terminal
         return None
-    matcher = _MATCHERS.get(action)
-    if matcher is None:
-        raise MigError(f"unknown action {action}")
     return matcher(g, nid, fan)
 
 
 def apply_omega(g: MigGraph, binding: Binding) -> ApplyResult:
-    """Commit a rewrite that `match` returned for the current graph.
-
-    A binding that complements its root (`INV_PROP`) creates no node: its
-    root fanins are the root's own, flipped, and `MigGraph.complement`
-    flips them with each edge and output that names the root. Any other
-    binding creates its new nodes and gives the root its new fanins. A
-    binding whose root is gone does not apply and leaves the graph
-    bit-identical.
+    """Commit a node-creating move's binding for the current graph: create
+    its new nodes and give the root its new fanins. A binding whose root
+    is gone does not apply and leaves the graph bit-identical.
     """
-    root, _, new_nodes, root_fanins, complements_root = binding
+    root, _, new_nodes, root_fanins = binding
     if root not in g.nodes:
         return ApplyResult(False)
-    if complements_root:
-        g.complement(root)
-        return ApplyResult(True)
-
-    new: list[int] = []  # literals of the created nodes; ~k names new[k]
-    for fanins in new_nodes:
-        new.append(g.add_majority(*fanins))
-    if new:
-        root_fanins = tuple(new[~s] if s < 0 else s for s in root_fanins)
-    g.set_fanins(root, root_fanins)
+    new = [g.add_majority(*fanins) for fanins in new_nodes]  # ~k names new[k]
+    g.set_fanins(root, tuple(new[~s] if s < 0 else s for s in root_fanins))
     return ApplyResult(True, [s >> 1 for s in new])
 
 
@@ -346,15 +316,15 @@ def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
 
     Acting nodes run in ascending id order, each settled in one dispatch.
     A gone id or a terminal is blocked as illegal whatever its action, and
-    IDENTITY at a live gate counts as identity; neither calls `match`. A
-    swap or an inverter propagation always binds: its footprint is the
-    root, with the root's readers for an inverter propagation, and it is
-    written straight through `MigGraph.set_fanins` or `complement`. The
-    other moves bind through `match` (an unknown action raises there) and
-    commit through `apply_omega`; one that binds nothing is blocked as
-    illegal. A move whose footprint overlaps nodes already touched by an
-    applied rewrite this step is blocked as a collision. A blocked move
-    leaves the graph unchanged for that node.
+    IDENTITY at a live gate counts as identity. A swap or an inverter
+    propagation always applies: its footprint is the root, with the root's
+    readers for an inverter propagation, and it is written straight through
+    `MigGraph.set_fanins` or `complement`. A node-creating move calls its
+    matcher with the fanins already read and commits through `apply_omega`;
+    one that binds nothing is blocked as illegal, and an action with no
+    matcher raises `MigError`. A move whose footprint overlaps nodes already
+    touched by an applied rewrite this step is blocked as a collision. A
+    blocked move leaves the graph unchanged for that node.
     """
     rep = StepReport()
     reach_before = g.live_ids()
@@ -390,7 +360,10 @@ def step(g: MigGraph, actions: dict[int, int]) -> StepReport:
                 g.complement(nid)
                 outcome = "applied"
         else:
-            binding = match(g, nid, act)
+            matcher = _MATCHERS.get(act)
+            if matcher is None:
+                raise MigError(f"unknown action {act}")
+            binding = matcher(g, nid, fan)
             if binding is None:
                 outcome = "blocked_illegal"
             elif not touched.isdisjoint(binding[1]):

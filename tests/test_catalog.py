@@ -1,14 +1,17 @@
-"""Exhaustive soundness check of the Ω rewrite catalog.
+"""Exhaustive soundness check of the Ω rewrite catalog, as `step` runs it.
 
-`match` compares operands only for signal equality (node and polarity),
-and a primary input stands for an arbitrary function. So a binding is
-fixed by the equality pattern of its operand slots, and an identity that
-holds over distinct inputs holds for every graph the matcher can bind.
-The tests below build every such pattern: slot classes in first-occurrence
+A move compares operands only for signal equality (node and polarity),
+and a primary input stands for an arbitrary function. So a move is fixed
+by the equality pattern of its operand slots, and an identity that holds
+over distinct inputs holds for every graph the move can apply to. The
+tests below build every such pattern: slot classes in first-occurrence
 order (restricted-growth strings), each class positive where it first
 appears (complementing an input gives an isomorphic case), other
-occurrences in either polarity. Every binding `match` returns must apply,
-keep the truth tables and pass `check()`, fanout index included.
+occurrences in either polarity. Each move runs as a one-move `step`: the
+result must keep the truth tables and pass `check()`, fanout index
+included. In the one-child catalog it must also equal, bit for bit, what
+the frozen `reference_step` makes of it, so a sound move that writes
+other fanins than it did (a rotation for a swap, say) fails too.
 """
 
 from itertools import permutations, product
@@ -18,6 +21,8 @@ import pytest
 from migopt import rewrite as rw
 from migopt.mig import lit, new_graph
 from migopt.rewrite import OmegaAction
+
+from test_step_reference import assert_same_graph, reference_step
 
 ONE_CHILD_ACTIONS = (
     OmegaAction.COMM01,
@@ -56,19 +61,32 @@ def test_slot_pattern_counts():
     assert [len(PATTERNS[n]) for n in (3, 4, 5)] == [11, 49, 257]
 
 
-def check_binding(g, root: int, action: OmegaAction) -> bool:
-    """Apply `action` at `root` on a copy of g if it matches; True if it did."""
-    trial = g.clone()
-    trial.fanouts(0)  # build the index, so check() compares it with a rescan
-    desc = rw.match(trial, root, action)
-    if desc is None:
-        return False
-    before = trial.simulate_truth_tables()
-    res = rw.apply_omega(trial, desc)
-    assert res.applied, (action.name, g.nodes)
-    assert trial.simulate_truth_tables() == before, (action.name, g.nodes)
-    trial.check()
-    return True
+def check_moves(g, moves, checked: dict, reference: bool = True) -> list[bool]:
+    """Run each (gate, action) of `moves` as a one-move step on its own copy
+    of g, which must keep the truth tables and pass `check()`, fanout index
+    included; with `reference`, the frozen reference step on another copy
+    must leave the same graph and report. Returns whether each applied.
+
+    `checked` keeps that result per graph and moves: the pattern loops
+    build many graphs more than once, and each is checked once."""
+    key = (*g.nodes.values(), *g.outputs, *moves)
+    if key not in checked:
+        tables, live = g.simulate_truth_tables(), g.maj_ids()
+        applied = []
+        for nid, action in moves:
+            got = g.clone()
+            got.fanouts(0)  # build the index, so check() compares it with a rescan
+            rep = rw.step(got, {nid: action})
+            assert got.simulate_truth_tables() == tables, (action.name, nid, g.nodes)
+            if reference:
+                want = g.clone()
+                assert rep == reference_step(want, {nid: action}, live), (action.name, nid, g.nodes)
+                assert_same_graph(got, want)  # check() included
+            else:
+                got.check()
+            applied.append(rep.applied == 1)
+        checked[key] = applied
+    return checked[key]
 
 
 def one_child_roots():
@@ -91,10 +109,15 @@ def one_child_roots():
 
 
 def test_one_child_catalog_is_sound():
-    hits = dict.fromkeys(ONE_CHILD_ACTIONS, 0)
+    # every move at both gates, so an inverter propagation at the child
+    # flips the root's edges, both of them where the root reads it twice;
+    # DIST_RL needs two majority fanins, which only the root can have
+    hits, checked = dict.fromkeys(ONE_CHILD_ACTIONS, 0), {}
     for g, root in one_child_roots():
-        for action in ONE_CHILD_ACTIONS:
-            hits[action] += check_binding(g, root, action)
+        moves = [(nid, action) for nid in g.maj_ids() for action in ONE_CHILD_ACTIONS
+                 if nid == root or action != OmegaAction.DIST_RL]
+        for (_, action), applied in zip(moves, check_moves(g, moves, checked)):
+            hits[action] += applied
     assert all(hits.values()), hits
 
 
@@ -115,7 +138,7 @@ def test_dist_rl_catalog_is_sound():
     # lower port than q.
     arrangements = list(permutations(range(3)))
     a_arrangements = [ports for ports in arrangements if ports[0] < ports[1]]
-    hits = 0
+    hits, checked = 0, {}
     for zp, a_neg, b_neg in product(range(3), (False, True), (False, True)):
         cpa, cpb = [p for p in range(3) if p != zp]
         for p, q, ua, vb, z in PATTERNS[5]:
@@ -127,5 +150,9 @@ def test_dist_rl_catalog_is_sound():
                 fan[cpa], fan[cpb] = a ^ a_neg, b ^ b_neg
                 root = g.add_majority(*fan)
                 g.set_outputs([root, a, b])
-                hits += check_binding(g, root >> 1, OmegaAction.DIST_RL)
+                # 34,956 distinct graphs: the reference step here would take
+                # the file from about 6 s to 10; the one-child catalog compares
+                # DIST_RL with it where the root reads the child twice
+                move = (root >> 1, OmegaAction.DIST_RL)
+                hits += check_moves(g, [move], checked, reference=False)[0]
     assert hits == 3 * 4 * len(PATTERNS[5]) * 3 * 6  # every case binds

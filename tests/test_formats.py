@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -435,6 +436,17 @@ def test_checkpoint_declaring_an_unallocatable_network_raises_mig_error():
     payload = _payload(PolicyParams.init(Hyperparams(layers=1, hidden=4), seed=0))
     with pytest.raises(MigError):
         fmt.parse_checkpoint(_resigned(payload.replace("hidden 4\n", f"hidden {10**15}\n")))
+
+
+@pytest.mark.parametrize("header", ["layers 10000000", f"hidden {10**15}"])
+def test_checkpoint_header_is_checked_against_its_lines_before_allocating(header):
+    payload = _payload(PolicyParams.init(HP_CKPT, seed=0))
+    key = header.split()[0]
+    bad = _resigned(re.sub(rf"(?m)^{key} \d+$", header, payload))
+    start = time.perf_counter()
+    with pytest.raises(MigError, match="array lines"):
+        fmt.parse_checkpoint(bad)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

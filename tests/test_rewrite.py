@@ -19,6 +19,12 @@ from conftest import acting_nodes, clean_random_graph, crude_random_graph
 from test_step_reference import PlanRef, add_redundancy, reference_apply_omega, reference_match
 
 
+# the actions `match` binds: the node-creating moves
+BINDING_ACTIONS = (
+    OmegaAction.ASSOC, OmegaAction.COMPL_ASSOC, OmegaAction.DIST_LR, OmegaAction.DIST_RL
+)
+
+
 def tt(g):
     return g.simulate_truth_tables()
 
@@ -28,18 +34,21 @@ def test_comm_swaps_ports():
     r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
     g.set_outputs([r])
     before = tt(g)
-    desc = rw.match(g, r >> 1, OmegaAction.COMM01)
-    assert rw.apply_omega(g, desc).applied
+    assert rw.step(g, {r >> 1: OmegaAction.COMM01}).applied == 1
     assert g.nodes[r >> 1] == (g.pi(2), g.pi(1), g.pi(3))
     assert tt(g) == before
 
 
 def test_identity_always_matches_with_empty_footprint():
-    g = new_graph(3)
-    r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    # IDENTITY at the child touches nothing, so the root's ASSOC, whose
+    # footprint holds the child, still applies
+    g = new_graph(4)
+    x, u, y, z = (g.pi(i) for i in range(1, 5))
+    child = g.add_majority(y, u, z)
+    r = g.add_majority(x, u, child)
     g.set_outputs([r])
-    desc = rw.match(g, r >> 1, OmegaAction.IDENTITY)
-    assert desc is not None and desc[1] == ()  # the footprint
+    rep = rw.step(g, {child >> 1: OmegaAction.IDENTITY, r >> 1: OmegaAction.ASSOC})
+    assert rep.outcomes == {child >> 1: "identity", r >> 1: "applied"}
 
 
 def test_inv_prop_flips_fanins_and_references():
@@ -48,9 +57,9 @@ def test_inv_prop_flips_fanins_and_references():
     m2 = g.add_and(m1, g.pi(1) ^ 1)
     g.set_outputs([m1 ^ 1, m2])
     before = tt(g)
-    desc = rw.match(g, m1 >> 1, OmegaAction.INV_PROP)
-    assert m2 >> 1 in desc[1]  # the footprint holds the consumer
-    assert rw.apply_omega(g, desc).applied
+    # the footprint holds the consumer, so a move there collides
+    rep = rw.step(g, {m1 >> 1: OmegaAction.INV_PROP, m2 >> 1: OmegaAction.COMM01})
+    assert rep.outcomes == {m1 >> 1: "applied", m2 >> 1: "blocked_collision"}
     assert g.nodes[m1 >> 1] == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
     assert g.nodes[m2 >> 1][0] == m1 ^ 1  # consumer edge flipped
     assert g.outputs[0] == m1  # output polarity flipped
@@ -58,15 +67,16 @@ def test_inv_prop_flips_fanins_and_references():
 
 
 def test_a_binding_whose_root_is_gone_leaves_the_graph_bit_identical():
-    actions = (OmegaAction.IDENTITY, OmegaAction.COMM01, OmegaAction.DIST_LR, OmegaAction.INV_PROP)
-    for action in actions:
+    for action in BINDING_ACTIONS:
         g = new_graph(5)
         a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-        r = g.add_majority(g.pi(4), g.pi(5) ^ 1, a)
-        c = g.add_majority(r, a, g.pi(1))  # a consumer for INV_PROP to flip
+        b = g.add_majority(g.pi(1), g.pi(2), g.pi(3) ^ 1)
+        r = g.add_majority(a, b, g.pi(3))  # every binding action matches here
+        c = g.add_majority(r, a, g.pi(1))
         g.set_outputs([a, c ^ 1])
         g.fanouts(0)  # build the index, so a stray write could reach it
         binding = rw.match(g, r >> 1, action)
+        assert binding is not None, action.name
         g.remove(c >> 1)
         g.remove(r >> 1)
         g.set_outputs([a, a ^ 1])
@@ -79,20 +89,18 @@ def test_a_binding_whose_root_is_gone_leaves_the_graph_bit_identical():
 
 
 def test_inv_prop_flips_a_two_port_consumer_once():
-    for via_step in (False, True):
-        g = new_graph(3)
-        r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
-        c = g.add_majority(r, r, g.pi(1) ^ 1)
-        g.set_outputs([c, r ^ 1])
-        before = tt(g)
-        if via_step:
-            rep = rw.step(g, {r >> 1: OmegaAction.INV_PROP})
-            assert rep.applied == 1
-        else:
-            assert rw.apply_omega(g, rw.match(g, r >> 1, OmegaAction.INV_PROP)).applied
-            assert g.nodes[c >> 1] == (r ^ 1, r ^ 1, g.pi(1) ^ 1)
-        assert tt(g) == before
-        g.check()
+    g = new_graph(3)
+    r = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    c = g.add_majority(r, r, g.pi(1) ^ 1)
+    g.set_outputs([c, r ^ 1])
+    before = tt(g)
+    rep = rw.step(g, {r >> 1: OmegaAction.INV_PROP})
+    assert (rep.applied, rep.lambda_m_count) == (1, 1)
+    # c became M(!r, !r, !x1) and collapsed to !r: both its edges flipped
+    assert g.nodes[r >> 1] == (g.pi(1) ^ 1, g.pi(2) ^ 1, g.pi(3) ^ 1)
+    assert c >> 1 not in g.nodes and g.outputs == [r ^ 1, r]
+    assert tt(g) == before
+    g.check()
 
 
 def test_assoc_matches_any_port_arrangement():
@@ -352,6 +360,21 @@ def test_step_identity_counts_only_at_a_live_gate(which, outcome):
     assert fmt.emit_mig(g) == before
 
 
+@pytest.mark.parametrize(
+    "action", [a for a in OmegaAction if a not in BINDING_ACTIONS], ids=lambda a: a.name
+)
+def test_match_binds_only_the_node_creating_moves(action):
+    # `step` settles the other five itself, so `match` refuses them anywhere
+    g = new_graph(3)
+    a = g.add_majority(g.pi(1), g.pi(2), g.pi(3))
+    gone = g.add_majority(a, g.pi(1), g.pi(2) ^ 1)
+    g.set_outputs([a])
+    g.remove(gone >> 1)
+    for nid in (a >> 1, gone >> 1):  # a live gate, a gone id
+        with pytest.raises(MigError, match="has no binding"):
+            rw.match(g, nid, action)
+
+
 @pytest.mark.parametrize("action", [9, -1])
 def test_step_unknown_action_raises_only_at_a_live_gate(action):
     g = new_graph(3)
@@ -552,8 +575,7 @@ def test_inv_prop_self_inverse():
     nid = g.maj_ids()[0]
     before = fmt.emit_mig(g)
     for _ in range(2):
-        desc = rw.match(g, nid, OmegaAction.INV_PROP)
-        assert rw.apply_omega(g, desc).applied
+        assert rw.step(g, {nid: OmegaAction.INV_PROP}).applied == 1
     assert fmt.emit_mig(g) == before
 
 
@@ -568,13 +590,13 @@ def reference_binding(g, nid, action):
 
     new_nodes = tuple(tuple(map(lit, fanins)) for fanins in desc.new_nodes)
     root_fanins = tuple(map(lit, desc.new_root_fanins))
-    return desc.root, desc.footprint, new_nodes, root_fanins, desc.complements_root
+    return desc.root, desc.footprint, new_nodes, root_fanins
 
 
 def assert_match_is_the_reference(g, found=None):
     # every id up to one past the last, so terminals and gone nodes too
     for nid in range(g._next_id + 1):
-        for action in OmegaAction:
+        for action in BINDING_ACTIONS:
             got = rw.match(g, nid, action)
             if got is not None:
                 got = (got[0], frozenset(got[1]), *got[2:])
@@ -594,7 +616,7 @@ def test_match_is_the_reference_on_settled_and_rolled_out_graphs():
     found = Counter()
     for g in graphs:
         assert_match_is_the_reference(g, found)
-    for action in OmegaAction:
+    for action in BINDING_ACTIONS:
         assert min(found[action, False], found[action, True]) > 50, action.name
 
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from migopt import rewrite as rw
-from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
+from migopt.mig import MAX_INPUTS, MigError, MigGraph, lit, new_graph, pi_pattern
 
 _MAX_ATTEMPTS = 400  # pool-size corrections before `random_mig` gives up
 
@@ -77,6 +77,8 @@ def random_mig(spec: RandomGraphSpec) -> MigGraph:
         raise MigError("target size must be at least 1")
     if spec.pi_count < 2 or spec.po_count < 1:  # fanins are 3 distinct nodes of 0 and the PIs
         raise MigError("random graphs need at least 2 inputs and 1 output")
+    if spec.pi_count > MAX_INPUTS:
+        raise MigError(f"random graphs have at most {MAX_INPUTS} inputs")
     rng = random.Random(spec.seed)
     rand = rng.random
     first = spec.pi_count + 1  # id of the first majority node

@@ -87,7 +87,7 @@ class EvalReport:
 
 
 def policy_optimizer(params: PolicyParams):
-    def run(g: MigGraph, steps: int, item_index: int = 0):
+    def run(g: MigGraph, steps: int, item_index: int):
         out, _ = greedy_optimize(g, params, steps)
         return out
 
@@ -95,7 +95,7 @@ def policy_optimizer(params: PolicyParams):
 
 
 def random_policy(seed: int):
-    def run(g: MigGraph, steps: int, item_index: int = 0):
+    def run(g: MigGraph, steps: int, item_index: int):
         rng = np.random.default_rng([seed, item_index])
         out, _ = random_rollout(g, steps, rng)
         return out
@@ -129,7 +129,7 @@ def greedy_rules(g: MigGraph) -> MigGraph:
 
 
 def greedy_rules_optimizer():
-    def run(g: MigGraph, steps: int, item_index: int = 0):
+    def run(g: MigGraph, steps: int, item_index: int):
         return greedy_rules(g)
 
     return run
@@ -140,7 +140,7 @@ def evaluate(
     optimizer,
     cfg: EvalConfig,
 ) -> EvalReport:
-    """Run `optimizer(graph, steps)` on every item, verify, and score."""
+    """Run `optimizer(graph, steps, item_index)` on every item, verify, and score."""
     if not dataset:
         raise EvalError("dataset is empty")
     if cfg.steps < 0:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from migopt.mig import MigError, MigGraph, new_graph
+from migopt.mig import MAX_INPUTS, MigError, MigGraph, new_graph
 from migopt.policy import Hyperparams, PolicyParams
 from migopt.rewrite import ACTION_COUNT
 
@@ -54,24 +54,16 @@ def emit_mig(g: MigGraph) -> str:
 
 
 # a signal, with the whitespace around it, is an optional `!` and then
-# `x<j>` (group 2), `n<k>` (group 3) or `0`; a node line is matched whole
+# `x<j>`, `n<k>` or `0`; node and output lines are each matched whole
 _SIG = r"\s*(!?)(?:x(\d+)|n(\d+)|0)\s*"
-_SIG_RE = re.compile(_SIG)
 _NODE_RE = re.compile(rf"n(\d+)\s*=\s*M\({_SIG},{_SIG},{_SIG}\)")
-_PO_RE = re.compile(r"^po(\d+)\s*=\s*(\S+)$")
+_PO_RE = re.compile(rf"po(\d+)\s*={_SIG}")
 
 
 class ParseError(MigError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-def _parse_sig(tok: str, lineno: int, g: MigGraph, defined: int) -> int:
-    m = _SIG_RE.fullmatch(tok)
-    if not m:
-        raise ParseError(lineno, f"bad signal {tok!r}")
-    return _sig_lit(*m.groups(), lineno, g.pi_count, defined)
 
 
 def _sig_lit(
@@ -108,6 +100,8 @@ def parse_mig(text: str) -> MigGraph:
         raise ParseError(lineno, "non-integer header field") from None
     if min(pi_count, po_count, maj_count) < 0 or po_count == 0:
         raise ParseError(lineno, "bad header counts")
+    if pi_count > MAX_INPUTS:
+        raise ParseError(lineno, f"more than {MAX_INPUTS} inputs")
 
     body = lines[1:]
     if len(body) != maj_count + po_count:
@@ -132,12 +126,13 @@ def parse_mig(text: str) -> MigGraph:
         outputs = []
         for k in range(po_count):
             lineno, ln = body[maj_count + k]
-            m = _PO_RE.match(ln)
+            m = _PO_RE.fullmatch(ln)
             if not m:
                 raise ParseError(lineno, f"bad output line {ln!r}")
-            if int(m.group(1)) != k:
-                raise ParseError(lineno, f"expected output po{k}, got po{m.group(1)}")
-            outputs.append(_parse_sig(m.group(2), lineno, g, maj_count))
+            pid, neg, x, n = m.groups()
+            if int(pid) != k:
+                raise ParseError(lineno, f"expected output po{k}, got po{pid}")
+            outputs.append(_sig_lit(neg, x, n, lineno, pi_count, maj_count))
     except ValueError:  # an index too long for int(): sys.get_int_max_str_digits()
         raise ParseError(lineno, "index has too many digits") from None
     g.set_outputs(outputs)
@@ -176,6 +171,8 @@ def parse_aiger_ascii(text: str) -> MigGraph:
         raise ParseError(1, "latches are not supported")
     if min(maxvar, n_in, n_out, n_and) < 0 or n_out == 0:  # the .mig rule, so convert round-trips
         raise ParseError(1, "bad header counts")
+    if n_in > MAX_INPUTS:
+        raise ParseError(1, f"more than {MAX_INPUTS} inputs")
 
     def literal(tok: str, lineno: int) -> int:
         try:

@@ -29,6 +29,12 @@ class MigError(Exception):
     pass
 
 
+# The most primary inputs a graph may have. An input needs no line of a
+# `.mig` body, so a parser checks its header against this bound before it
+# allocates a table entry per input.
+MAX_INPUTS = 1 << 16
+
+
 _NO_READERS: frozenset[int] = frozenset()
 
 
@@ -84,8 +90,8 @@ class MigGraph:
     """
 
     def __init__(self, pi_count: int):
-        if pi_count < 0:
-            raise MigError("pi_count must be non-negative")
+        if not 0 <= pi_count <= MAX_INPUTS:
+            raise MigError(f"pi_count must be from 0 to {MAX_INPUTS}")
         self.pi_count = pi_count
         self.nodes: dict[int, tuple[int, ...]] = dict.fromkeys(range(pi_count + 1), ())
         self._outputs: list[int] = []  # literals
@@ -213,27 +219,22 @@ class MigGraph:
             nodes[cid] = (a ^ (a >> 1 == nid), b ^ (b >> 1 == nid), c ^ (c >> 1 == nid))
             dirty.add(cid)
 
-    def redirect(self, mapping: dict[int, int]) -> set[int]:
-        """Point each reader of a node in `mapping` at `mapping[node]`,
-        complemented where its edge was: the output positions that name
-        it, and each consumer outside `mapping` once, however many ports
-        move. Mapped nodes stay. Returns the consumers it rewrote."""
-        for t in mapping.values():  # before any write
-            self._check_live(t)
-        index = self._index()
-        users = {cid for n in mapping for cid in index.get(n, ()) if 0 <= cid not in mapping}
-        # all read first: the mapping is applied at once
-        moved = [(~r, n) for n in mapping for r in index.get(n, ()) if r < 0]
-        # an unmapped node stands for itself: its positive literal
+    def redirect(self, nid: int, target: int) -> set[int]:
+        """Point every reader of `nid` at `target`, complemented where its
+        edge was: each output position that names it, and each node that
+        reads it once, however many ports. `nid` stays; returns those nodes."""
+        self._check_live(target)  # before any write
+        readers = self._index().get(nid, ())
+        users = {cid for cid in readers if cid >= 0}
+        moved = [~r for r in readers if r < 0]  # read before the writes change the set
         for cid in users:
-            self.set_fanins(cid, [mapping.get(s >> 1, s & ~1) ^ (s & 1) for s in self.nodes[cid]])
+            self.set_fanins(cid, [target ^ (s & 1) if s >> 1 == nid else s for s in self.nodes[cid]])
         outputs = self._outputs
-        for i, n in moved:
-            t = mapping[n]
-            outputs[i] = t ^ (outputs[i] & 1)
-            if t >> 1 != n:
-                self._link(~i, {t >> 1})
-                self._unlink(~i, {n})
+        for i in moved:
+            outputs[i] = target ^ (outputs[i] & 1)
+            if target >> 1 != nid:
+                self._link(~i, {target >> 1})
+                self._unlink(~i, {nid})
         return users
 
     def remove(self, nid: int):

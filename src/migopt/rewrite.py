@@ -250,7 +250,7 @@ def lambda_majority(g: MigGraph) -> int:
             target = b if b == c else a
         else:
             continue
-        todo += g.redirect({nid: target})  # the readers it rewrote
+        todo += g.redirect(nid, target)  # the readers it rewrote
         g.remove(nid)
         count += 1
     return count
@@ -274,7 +274,7 @@ def lambda_redundancy(g: MigGraph) -> int:
         if other == nid:
             continue
         keep, drop = min(nid, other), max(nid, other)
-        todo += g.redirect({drop: 2 * keep})
+        todo += g.redirect(drop, 2 * keep)
         g.remove(drop)
         todo.append(keep)  # hashed once `drop` left the table
         count += 1

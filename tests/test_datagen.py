@@ -6,7 +6,7 @@ import pytest
 from migopt import datagen as dg
 from migopt import formats as fmt
 from migopt import rewrite as rw
-from migopt.mig import MigError, pi_pattern
+from migopt.mig import MAX_INPUTS, MigError, pi_pattern
 
 
 def test_random_mig_deterministic():
@@ -37,6 +37,15 @@ def test_random_mig_rand500_shape():
 def test_random_mig_rejects_bad_size():
     with pytest.raises(MigError):
         dg.random_mig(dg.RandomGraphSpec(size=0, seed=1))
+
+
+def test_random_mig_checks_the_input_bound_before_drawing(monkeypatch):
+    def refuse(rng, n):
+        raise AssertionError("drew a fanin triple")
+
+    monkeypatch.setattr(dg, "_draw3", refuse)
+    with pytest.raises(MigError, match=f"at most {MAX_INPUTS} inputs"):
+        dg.random_mig(dg.RandomGraphSpec(size=10, pi_count=MAX_INPUTS + 1, seed=1))
 
 
 def test_sop_projection_and_constants():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migopt import formats as fmt
-from migopt.mig import MigError
+from migopt.mig import MAX_INPUTS, MigError
 from migopt.policy import Hyperparams, PolicyParams
 
 from conftest import acting_nodes, clean_random_graph, dists
@@ -47,7 +48,7 @@ def test_parse_errors_carry_line_numbers():
         ("mig 2 1 1\nn1 = M(x1,n2,0)\npo0 = n1\n", 2, "undefined"),
         ("mig 2 1 1\nn1 = M(x1,x9,0)\npo0 = n1\n", 2, "out of range"),
         ("mig 2 1 1\nn2 = M(x1,x2,0)\npo0 = n2\n", 2, "expected node"),
-        ("mig 2 1 1\nn1 = M(x1,x2,0)\npo0 = qq\n", 3, "bad signal"),
+        ("mig 2 1 1\nn1 = M(x1,x2,0)\npo0 = qq\n", 3, "bad output line"),
         ("mig 2 1 1\nn1 = M(x1,qq,0)\npo0 = n1\n", 2, "bad node line"),
         ("mig 2 0 0\n", 1, "counts"),
         # indices longer than int() converts (sys.get_int_max_str_digits())
@@ -64,6 +65,7 @@ def test_parse_errors_carry_line_numbers():
 
 _REF_NODE_RE = re.compile(r"^n(\d+)\s*=\s*M\(([^,()]+),([^,()]+),([^,()]+)\)$")
 _REF_SIG_RE = re.compile(r"^(!?)(0|x(\d+)|n(\d+))$")
+_REF_PO_RE = re.compile(r"^po(\d+)\s*=\s*(\S+)$")
 
 
 def reference_parse_node_lines(text):
@@ -103,7 +105,7 @@ def reference_parse_node_lines(text):
     outputs = []
     for k in range(po_count):
         lineno, ln = body[maj_count + k]
-        m = fmt._PO_RE.match(ln)
+        m = _REF_PO_RE.match(ln)
         if not m:
             raise fmt.ParseError(lineno, f"bad output line {ln!r}")
         outputs.append(sig(m.group(2), lineno, maj_count))
@@ -156,12 +158,16 @@ def test_node_lines_parse_as_the_token_reference(data, pi_count, maj_count, po_c
         with pytest.raises(fmt.ParseError) as err:
             fmt.parse_mig(text)
         assert err.value.lineno == exc.lineno
-        # the declared message change: a node line with a malformed signal
-        # fails as a whole, before its id and its other signals are checked
-        ln = text.splitlines()[exc.lineno - 1]
+        # the declared message changes: a node or output line with a
+        # malformed signal fails as a whole, before its id and its other
+        # signals are checked
+        ln = text.splitlines()[exc.lineno - 1].strip()
         m = _REF_NODE_RE.match(ln)
+        po = _REF_PO_RE.match(ln)
         if m and not all(_REF_SIG_RE.match(m.group(i).strip()) for i in (2, 3, 4)):
             assert str(err.value) == f"line {exc.lineno}: bad node line {ln!r}"
+        elif po and not _REF_SIG_RE.match(po.group(2)):
+            assert str(err.value) == f"line {exc.lineno}: bad output line {ln!r}"
         else:
             assert str(err.value) == str(exc)
         return
@@ -183,6 +189,20 @@ def test_parse_checks_body_length_before_allocating(monkeypatch):
     monkeypatch.setattr(fmt, "new_graph", refuse)
     with pytest.raises(fmt.ParseError):
         fmt.parse_mig("mig 200000 1 0\npo0 = 0\nextra\n")
+
+
+@pytest.mark.parametrize("inputs", [10_000_000, 10**12, MAX_INPUTS + 1])
+def test_mig_header_input_count_is_bounded_before_allocating(inputs):
+    t0 = time.perf_counter()
+    with pytest.raises(fmt.ParseError, match=f"more than {MAX_INPUTS} inputs") as err:
+        fmt.parse_mig(f"mig {inputs} 1 0\npo0 = x1\n")
+    assert time.perf_counter() - t0 < 0.1
+    assert err.value.lineno == 1
+
+
+def test_mig_header_at_the_input_bound_parses():
+    g = fmt.parse_mig(f"mig {MAX_INPUTS} 1 0\npo0 = x{MAX_INPUTS}\n")
+    assert g.pi_count == MAX_INPUTS and g.outputs == [2 * MAX_INPUTS]
 
 
 # -- AIGER ---------------------------------------------------------------
@@ -335,6 +355,14 @@ def test_aiger_header_counts_follow_the_mig_rule(header):
     # without one could not be read back
     with pytest.raises(fmt.ParseError, match="line 1: bad header counts"):
         fmt.parse_aiger_ascii(header + "\n2\n4\n2\n")
+
+
+def test_aiger_input_count_is_bounded():
+    # a complete body, so only the bound rejects it
+    n = MAX_INPUTS + 1
+    text = f"aag {n} {n} 0 1 0\n" + "".join(f"{2 * k}\n" for k in range(1, n + 1)) + "2\n"
+    with pytest.raises(fmt.ParseError, match=f"line 1: more than {MAX_INPUTS} inputs"):
+        fmt.parse_aiger_ascii(text)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -547,3 +575,40 @@ def test_parsers_raise_only_parse_errors_on_mutated_input(kind, data):
         parse(text)
     except MigError:  # ParseError is a MigError
         pass
+
+
+# the header counts a drawn value may replace, as (line, field): a .mig
+# header's inputs, outputs and gates, an aag header's M, I, O and A, and a
+# checkpoint's `layers` and `hidden` lines
+_HEADER_COUNTS = {
+    "mig": [(0, 1), (0, 2), (0, 3)],
+    "aiger": [(0, 1), (0, 2), (0, 4), (0, 5)],
+    "checkpoint": [(1, 1), (2, 1)],
+}
+_HEADER_PEAK = 16 << 20  # bytes: a graph at MAX_INPUTS takes about half
+
+
+@pytest.mark.parametrize("kind", sorted(_HEADER_COUNTS))
+@settings(deadline=None)  # examples, derandomization and database from the profile
+@given(data=st.data())
+def test_header_counts_never_allocate_past_the_body(kind, data):
+    # each count is kept or replaced by one up to 10**12: the parse returns
+    # a graph that passes check(), or raises MigError, within a fixed peak
+    parse, seed = _FUZZ_SEEDS[kind]
+    lines = [ln.split(" ") for ln in seed.splitlines()]
+    for row, field in _HEADER_COUNTS[kind]:
+        count = st.just(int(lines[row][field])) | st.integers(0, 10**12)
+        lines[row][field] = str(data.draw(count, label=f"line {row + 1} field {field}"))
+    text = "\n".join(" ".join(ln) for ln in lines) + "\n"
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = parse(text)
+    except MigError:  # ParseError is a MigError
+        out = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < _HEADER_PEAK
+    if out is not None and kind != "checkpoint":
+        out.check()

@@ -205,7 +205,7 @@ def test_complement_is_set_fanins_then_redirect(
     want, got = g.clone(), g.clone()
     a, b, c = want.nodes[nid]
     want.set_fanins(nid, (a ^ 1, b ^ 1, c ^ 1))
-    want.redirect({nid: lit(nid, True)})
+    want.redirect(nid, lit(nid, True))
     got.complement(nid)
     assert list(got.nodes.items()) == list(want.nodes.items())
     assert got.outputs == want.outputs

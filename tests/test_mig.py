@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from migopt.datagen import RandomGraphSpec, SopSpec, random_mig, sop_decompose
 from migopt.formats import emit_mig
-from migopt.mig import MigError, MigGraph, lit, new_graph, pi_pattern
+from migopt.mig import MAX_INPUTS, MigError, MigGraph, lit, new_graph, pi_pattern
 from migopt import rewrite as rw
 
 from conftest import crude_random_graph
@@ -28,6 +28,13 @@ def test_new_graph_shapes():
     g = new_graph(3)
     assert len(g.nodes) == 4 and g.size() == 0
     assert len(new_graph(100).nodes) == 101
+
+
+def test_new_graph_bounds_its_input_count():
+    assert len(new_graph(MAX_INPUTS).nodes) == MAX_INPUTS + 1
+    for count in (-1, MAX_INPUTS + 1, 10**12):
+        with pytest.raises(MigError, match=f"pi_count must be from 0 to {MAX_INPUTS}"):
+            MigGraph(count)
 
 
 def test_add_majority_and_or():
@@ -251,7 +258,7 @@ def _redirect_graph():
 
 def test_redirect_moves_each_reader_once_to_a_complemented_target():
     g, a, b, c, d = _redirect_graph()
-    g.redirect({a >> 1: b ^ 1})
+    g.redirect(a >> 1, b ^ 1)
     assert g.nodes[c >> 1] == (b ^ 1, b, g.pi(3))  # both ports, each flipped once
     assert g.nodes[d >> 1] == (c, b ^ 1, b)
     assert g.outputs == [b, d, g.pi(1)]
@@ -264,24 +271,21 @@ def test_redirect_to_the_complement_of_the_node_itself():
     # the form inverter propagation uses: every reader takes the other polarity
     g, a, b, c, d = _redirect_graph()
     g.drop_fanout_index()  # redirect builds it
-    g.redirect({a >> 1: a ^ 1})
+    g.redirect(a >> 1, a ^ 1)
     assert g.nodes[c >> 1] == (a ^ 1, a, g.pi(3))
     assert g.nodes[d >> 1] == (c, a ^ 1, b)
     assert g.outputs == [a, d, g.pi(1)]
     g.check()
 
 
-def test_redirect_applies_the_mapping_at_once():
-    # an output moved to a mapped node is not moved again
+def test_redirect_checks_its_target_before_any_write():
     g, a, b, c, d = _redirect_graph()
-    g.redirect({d >> 1: a, a >> 1: b ^ 1})
-    assert g.outputs == [b, a, g.pi(1)]
-    assert g.nodes[c >> 1] == (b ^ 1, b, g.pi(3))
-    g.check()
+    gone = g.add_majority(g.pi(1), g.pi(2) ^ 1, g.pi(3))
+    g.remove(gone >> 1)
     nodes, outputs = dict(g.nodes), list(g.outputs)
-    for target in (lit(g._next_id), -b - 1):  # a node not yet made, no literal
+    for target in (gone, lit(g._next_id), -b - 1):  # a dead node, one not yet made, no literal
         with pytest.raises(MigError, match=f"literal {target} references a dead"):
-            g.redirect({b >> 1: b, a >> 1: target})
+            g.redirect(a >> 1, target)
         assert g.nodes == nodes and g.outputs == outputs
     g.check()
 
@@ -300,17 +304,6 @@ def test_complement_flips_the_node_and_each_edge_and_output_naming_it():
     for nid in (1, 0, g._next_id):  # an input, the constant, no node
         with pytest.raises(MigError, match="not a live majority node"):
             g.complement(nid)
-
-
-def test_redirect_leaves_a_mapped_consumer_alone():
-    g, a, b, c, d = _redirect_graph()
-    c_fanins = g.nodes[c >> 1]
-    g.redirect({a >> 1: b, c >> 1: b ^ 1})
-    assert g.nodes[c >> 1] == c_fanins
-    assert g.nodes[d >> 1] == (b ^ 1, b, b)
-    assert g.outputs == [b ^ 1, d, g.pi(1)]
-    assert g.fanouts(a >> 1) == [c >> 1]
-    g.check()
 
 
 def test_set_fanins_rejects_a_wrong_arity():
